@@ -938,7 +938,7 @@ let failover_cmd =
 
 (* --- soak command --------------------------------------------------- *)
 
-let soak_action topo seed epochs reopt checkpoint cycle total classes heal
+let soak_action topo seed epochs reopt cycle total classes heal
     loss_band window_band mem_slack engine jobs load_source schedule_file
     state_dir resume halt_at stream_path summary_out bench_json_out flight_out
     dataplane metrics out trace_out trace_mode =
@@ -968,7 +968,6 @@ let soak_action topo seed epochs reopt checkpoint cycle total classes heal
           Sk.seed;
           epochs;
           reopt_every = reopt;
-          checkpoint_every = checkpoint;
           cycle;
           total_rate = total;
           max_classes = classes;
@@ -1050,15 +1049,11 @@ let soak_cmd =
     Arg.(value & opt int 2000 & info [ "epochs" ] ~docv:"N" ~doc)
   in
   let reopt_arg =
-    let doc = "Epochs between global re-optimizations (96 = one diurnal day)." in
-    Arg.(value & opt int 96 & info [ "reopt-every" ] ~docv:"N" ~doc)
-  in
-  let checkpoint_arg =
     let doc =
-      "Epochs between checkpoints (deferred past epochs holding transient \
-       failover state)."
+      "Epochs between global re-optimizations (96 = one diurnal day); a \
+       checkpoint is written at each one."
     in
-    Arg.(value & opt int 48 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
+    Arg.(value & opt int 96 & info [ "reopt-every" ] ~docv:"N" ~doc)
   in
   let cycle_arg =
     let doc = "Traffic snapshots before the diurnal sequence repeats." in
@@ -1105,8 +1100,7 @@ let soak_cmd =
   let load_source_arg =
     let doc =
       "Where the Dynamic Handler reads instance loads: $(b,oracle) (simulator \
-       ground truth) or $(b,polled) (counter-derived estimates; checkpoints \
-       then only land on window boundaries)."
+       ground truth) or $(b,polled) (counter-derived estimates)."
     in
     Arg.(
       value
@@ -1167,7 +1161,7 @@ let soak_cmd =
     Term.(
       ret
         (const soak_action $ topo_arg $ seed_arg $ epochs_arg $ reopt_arg
-       $ checkpoint_arg $ cycle_arg $ total_arg $ classes_arg $ heal_arg
+       $ cycle_arg $ total_arg $ classes_arg $ heal_arg
        $ loss_band_arg $ window_band_arg $ mem_slack_arg $ engine_arg
        $ jobs_arg $ load_source_arg $ schedule_arg $ state_dir_arg
        $ resume_arg $ halt_arg $ stream_arg $ summary_out_arg

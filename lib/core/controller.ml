@@ -50,9 +50,6 @@ type t = {
   mutable state : Netstate.t option;
   mutable handler : Dynamic_handler.t option;
   mutable assignment : Subclass.assignment option;
-  mutable heals : (int * int) list;
-      (** (dead id, replacement id) pairs healed since the last
-          [run_epoch], newest first — the soak checkpoint's heal ledger *)
 }
 
 let create ?(objective = Optimization_engine.Min_instances) ?(engine = `Best)
@@ -71,7 +68,6 @@ let create ?(objective = Optimization_engine.Min_instances) ?(engine = `Best)
     state = None;
     handler = None;
     assignment = None;
-    heals = [];
   }
 
 let set_load_source t src = t.load_source <- src
@@ -83,7 +79,7 @@ let run_epoch t =
   Tr.with_ tr_epoch @@ fun () ->
   let placement =
     match t.engine with
-    | `Best -> Engine_select.solve_best ~objective:t.objective t.s
+    | `Best -> Engine_select.solve_best ~objective:t.objective ?jobs:t.jobs t.s
     | `Lp -> Optimization_engine.solve ~objective:t.objective t.s
     | `Per_class ->
         Optimization_engine.solve ~objective:t.objective
@@ -127,7 +123,6 @@ let run_epoch t =
   t.report <- Some report;
   t.state <- Some state;
   t.assignment <- Some assignment;
-  t.heals <- [];
   t.handler <-
     Some
       (Dynamic_handler.create ~config:t.failover ~load_source:t.load_source
@@ -211,42 +206,8 @@ let heal_instance t ~dead ~replacement =
       t.assignment <- Some { assignment with Subclass.instances };
       Apple_dataplane.Failmask.restore_instance state.Netstate.mask
         (Instance.id dead);
-      t.heals <- (Instance.id dead, Instance.id replacement) :: t.heals;
       ignore (reinstall_rules t)
   | _ -> invalid_arg "Controller.heal_instance: run_epoch first"
-
-let heal_ledger t = List.rev t.heals
-
-let replay_heals t ledger =
-  List.iter
-    (fun (dead_id, expect_id) ->
-      match t.state with
-      | None -> invalid_arg "Controller.replay_heals: run_epoch first"
-      | Some state -> (
-          let orch = state.Netstate.orchestrator in
-          match
-            List.find_opt
-              (fun i -> Instance.id i = dead_id)
-              (Resource_orchestrator.instances orch)
-          with
-          | None ->
-              invalid_arg
-                (Printf.sprintf
-                   "Controller.replay_heals: no instance %d to heal" dead_id)
-          | Some dead ->
-              (* Closed failover episodes advanced the original run's id
-                 counter without leaving instances behind; re-align so the
-                 replayed respawn mints the id the ledger recorded. *)
-              Resource_orchestrator.set_next_id orch expect_id;
-              let replacement = Resource_orchestrator.respawn orch dead in
-              if Instance.id replacement <> expect_id then
-                invalid_arg
-                  (Printf.sprintf
-                     "Controller.replay_heals: replacement got id %d, ledger \
-                      recorded %d"
-                     (Instance.id replacement) expect_id);
-              heal_instance t ~dead ~replacement))
-    ledger
 
 let verify t =
   match (t.report, t.assignment) with

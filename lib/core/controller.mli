@@ -60,8 +60,8 @@ val create :
   ?shape:shape ->
   Types.scenario ->
   t
-(** [jobs] bounds the domains used by the [`Per_class] and [`Greedy]
-    engines' parallel sections (default
+(** [jobs] bounds the domains used by the parallel sections of the
+    [`Per_class] and [`Greedy] engines and of [`Best]'s greedy half (default
     {!Apple_parallel.Pool.default_jobs}); placements are identical for
     every value.  [load_source] (default [Oracle]) is forwarded to the
     Dynamic Handler built on each epoch.  [gate] (none by default) vets
@@ -116,29 +116,11 @@ val heal_instance :
     failure mask and {!reinstall_rules}.  Requires a prior
     {!run_epoch}. *)
 
-(** {2 Checkpoint hooks}
-
-    The soak harness reconstructs a mid-window controller by re-running
-    {!run_epoch} (deterministic for the window-start rates) and replaying
-    the heal ledger through the exact production heal path, so the
-    rebuilt assignment, orchestrator ids and rule tables are
-    byte-identical to the checkpointed ones. *)
-
 val set_load_source : t -> Dynamic_handler.load_source -> unit
 (** Change where the {e next} epoch's Dynamic Handler reads loads from —
     the soak harness resets the measurement plane (counters + a fresh
     poller) at every re-optimization so polled state never straddles a
     window boundary. *)
-
-val heal_ledger : t -> (int * int) list
-(** [(dead id, replacement id)] pairs healed via {!heal_instance} since
-    the last {!run_epoch}, oldest first. *)
-
-val replay_heals : t -> (int * int) list -> unit
-(** Re-apply a serialized heal ledger after a fresh {!run_epoch}:
-    respawn each dead instance through the orchestrator and run
-    {!heal_instance}.  Raises [Invalid_argument] when a ledger entry
-    does not match the reconstructed state (a corrupt checkpoint). *)
 
 val verify : t -> (unit, string) result
 (** End-to-end self-check of the current epoch: distribution constraints

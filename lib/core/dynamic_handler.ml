@@ -639,24 +639,6 @@ let spawned_cores t = Netstate.extra_cores t.state
 
 let pending_repairs t = List.map (fun r -> r.dead) t.repairs
 
-let quiescent t =
-  match (t.episodes, t.repairs) with [], [] -> true | _ -> false
-
-let restore_counters t counters =
-  List.iter
-    (fun (name, v) ->
-      match name with
-      | "overloads" -> t.n_overloads <- v
-      | "spawns" -> t.n_spawns <- v
-      | "rollbacks" -> t.n_rollbacks <- v
-      | "rebalances" -> t.n_rebalances <- v
-      | "repairs" -> t.n_repairs <- v
-      | "heals" -> t.n_heals <- v
-      | other ->
-          invalid_arg
-            ("Dynamic_handler.restore_counters: unknown counter " ^ other))
-    counters
-
 let events t =
   [
     ("overloads", t.n_overloads);

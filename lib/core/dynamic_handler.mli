@@ -68,17 +68,6 @@ val heal : t -> dead:Apple_vnf.Instance.t -> replacement:Apple_vnf.Instance.t ->
 val pending_repairs : t -> Apple_vnf.Instance.t list
 (** Dead instances with an open repair episode. *)
 
-val quiescent : t -> bool
-(** No open overload episode and no open repair episode — the handler
-    holds no transient state beyond its event counters, so the epoch is
-    reconstructible from the assignment alone (the soak harness only
-    checkpoints at such points). *)
-
-val restore_counters : t -> (string * int) list -> unit
-(** Overwrite the event counters from a serialized {!events} list — the
-    checkpoint-restore hook.  Raises [Invalid_argument] on an unknown
-    counter name. *)
-
 val overloaded_instances : t -> Apple_vnf.Instance.t list
 (** Instances currently in the overloaded state (for inspection). *)
 

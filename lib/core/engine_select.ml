@@ -1,13 +1,13 @@
 type choice = Lp_pipeline | Greedy
 
-let solve ?objective (s : Types.scenario) =
+let solve ?objective ?jobs (s : Types.scenario) =
   let lp =
     try Some (Optimization_engine.solve ?objective s)
     with Optimization_engine.Infeasible _ -> None
   in
   let greedy =
     try
-      let p = Heuristic_engine.solve ?objective s in
+      let p = Heuristic_engine.solve ?objective ?jobs s in
       (* Trust but verify: the greedy is only kept when the validator
          passes (the LP pipeline is already validated by construction
          and by tests). *)
@@ -39,4 +39,4 @@ let solve ?objective (s : Types.scenario) =
           Greedy )
       else (a, Lp_pipeline)
 
-let solve_best ?objective s = fst (solve ?objective s)
+let solve_best ?objective ?jobs s = fst (solve ?objective ?jobs s)

@@ -12,12 +12,17 @@ type choice = Lp_pipeline | Greedy
 
 val solve :
   ?objective:Optimization_engine.objective ->
+  ?jobs:int ->
   Types.scenario ->
   Optimization_engine.placement * choice
-(** Raises {!Optimization_engine.Infeasible} only when both engines fail. *)
+(** Raises {!Optimization_engine.Infeasible} only when both engines fail.
+    [jobs] (default {!Apple_parallel.Pool.default_jobs}) is forwarded to
+    the greedy half ({!Heuristic_engine.solve}); the LP half is serial.
+    The result is identical for every [jobs]. *)
 
 val solve_best :
   ?objective:Optimization_engine.objective ->
+  ?jobs:int ->
   Types.scenario ->
   Optimization_engine.placement
 (** {!solve} without the provenance tag. *)

@@ -121,19 +121,6 @@ let respawn t ?world ?rng ?boot ?(policy = default_backoff) ?(attempt = 0)
               end));
       inst
 
-let next_id t = t.next_id
-
-let set_next_id t n =
-  List.iter
-    (fun inst ->
-      if Instance.id inst >= n then
-        invalid_arg
-          (Printf.sprintf
-             "Resource_orchestrator.set_next_id: live instance %d >= %d"
-             (Instance.id inst) n))
-    t.all;
-  t.next_id <- n
-
 let adopt t insts =
   List.iter
     (fun inst ->

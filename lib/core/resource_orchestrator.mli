@@ -83,18 +83,6 @@ val respawn :
     once.  Raises {!Out_of_resources} only if the host cannot even hold
     the replacement after the corpse's cores are released. *)
 
-val next_id : t -> int
-(** The id the next {!launch} or {!respawn} will assign. *)
-
-val set_next_id : t -> int -> unit
-(** Checkpoint-restore hook: force the id counter.  Fast-failover
-    episodes that opened and closed advance the counter without leaving
-    instances behind, so a restored run replaying only the heal ledger
-    must re-align it (to each recorded replacement id before its
-    respawn, and to the checkpointed counter afterwards) to mint the
-    same ids the original run did.  Raises [Invalid_argument] when a
-    live instance already uses an id at or above [n]. *)
-
 val adopt : t -> Apple_vnf.Instance.t list -> unit
 (** Register instances created elsewhere (e.g. {!Subclass.assign}) so
     their cores are accounted.  Raises {!Out_of_resources} if they do not

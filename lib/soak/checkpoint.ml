@@ -1,9 +1,9 @@
 (* Versioned, digest-protected text serialization of the soak state.
    Floats travel as hex literals (%h) so parse/print round-trips exactly;
-   embedded multi-line blocks are length-prefixed so arbitrary content
-   (assignment dumps, violation messages) survives. *)
+   multi-line blocks are count-prefixed so arbitrary one-line content
+   (violation messages, window rows) survives. *)
 
-let version = "apple-soak-ckpt/1"
+let version = "apple-soak-ckpt/2"
 
 type open_fault =
   | Link of { u : int; v : int; since : int; sym : bool }
@@ -12,21 +12,14 @@ type open_fault =
 type t = {
   fingerprint : string;
   epoch : int;
-  window_start : int;
-  reconstruct : bool;
   stream_bytes : int;
   blind_until : int;
   mem_baseline : int;
   mem_peak : int;
-  ledger : (int * int) list;
   open_faults : open_fault list;
-  counters : (string * int) list;
   totals : (string * float) list;
   violations : string list;
   windows : string list;
-  rates : (int * float) list;
-  tables_digest : string;
-  assignment : string;
 }
 
 let to_string t =
@@ -35,14 +28,10 @@ let to_string t =
   line "%s" version;
   line "fingerprint %s" t.fingerprint;
   line "epoch %d" t.epoch;
-  line "window-start %d" t.window_start;
-  line "reconstruct %d" (if t.reconstruct then 1 else 0);
   line "stream-bytes %d" t.stream_bytes;
   line "blind-until %d" t.blind_until;
   line "mem-baseline %d" t.mem_baseline;
   line "mem-peak %d" t.mem_peak;
-  line "ledger %d" (List.length t.ledger);
-  List.iter (fun (d, r) -> line "%d %d" d r) t.ledger;
   line "open-faults %d" (List.length t.open_faults);
   List.iter
     (function
@@ -51,40 +40,29 @@ let to_string t =
       | Switch { sw; since; sym } ->
           line "switch %d %d %d" sw since (if sym then 1 else 0))
     t.open_faults;
-  line "counters %d" (List.length t.counters);
-  List.iter (fun (k, v) -> line "%s %d" k v) t.counters;
   line "totals %d" (List.length t.totals);
   List.iter (fun (k, v) -> line "%s %h" k v) t.totals;
   line "violations %d" (List.length t.violations);
   List.iter (fun v -> line "%s" v) t.violations;
   line "windows %d" (List.length t.windows);
   List.iter (fun w -> line "%s" w) t.windows;
-  line "rates %d" (List.length t.rates);
-  List.iter (fun (id, r) -> line "%d %h" id r) t.rates;
-  line "tables-digest %s" t.tables_digest;
-  let asg_lines =
-    if String.equal t.assignment "" then []
-    else String.split_on_char '\n' t.assignment
-  in
-  line "assignment %d" (List.length asg_lines);
-  List.iter (fun l -> line "%s" l) asg_lines;
   let body = Buffer.contents buf in
   body ^ Printf.sprintf "digest %s\n" (Digest.to_hex (Digest.string body))
 
-exception Bad of string
+(* (1-based line number, message) *)
+exception Bad of int * string
 
 let of_string s =
   let lines = Array.of_list (String.split_on_char '\n' s) in
+  (* [pos] counts the lines consumed so far, so it is also the 1-based
+     number of the line being parsed. *)
   let pos = ref 0 in
+  let fail fmt = Printf.ksprintf (fun m -> raise (Bad (!pos, m))) fmt in
   let next () =
-    if !pos >= Array.length lines then raise (Bad "truncated checkpoint")
-    else begin
-      let l = lines.(!pos) in
-      incr pos;
-      l
-    end
+    incr pos;
+    if !pos >= Array.length lines then fail "truncated checkpoint"
+    else lines.(!pos - 1)
   in
-  let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
   let keyed key l =
     let p = key ^ " " in
     let n = String.length p in
@@ -99,13 +77,8 @@ let of_string s =
     if n < 0 then fail "negative %s count" key;
     List.init n (fun _ -> parse (next ()))
   in
-  let two_ints l =
-    match String.split_on_char ' ' l with
-    | [ a; b ] -> (int_of a, int_of b)
-    | _ -> fail "expected two integers, got %S" l
-  in
   let last_word l =
-    (* counters / totals keys never contain spaces; split on the last. *)
+    (* totals keys never contain spaces; split on the last. *)
     match String.rindex_opt l ' ' with
     | Some i ->
         (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
@@ -113,29 +86,31 @@ let of_string s =
   in
   let float_of l = try float_of_string l with Failure _ -> fail "bad float %S" l in
   try
-    (* Verify the digest first: everything before the final digest line. *)
-    (match String.rindex_opt (String.trim s) '\n' with
-    | None -> fail "truncated checkpoint"
-    | Some i ->
-        let body = String.sub s 0 (i + 1) in
-        let dline = String.trim (String.sub s (i + 1) (String.length s - i - 1)) in
-        let expect = keyed "digest" dline in
-        let got = Digest.to_hex (Digest.string body) in
-        if not (String.equal expect got) then
-          fail "digest mismatch (file corrupt): recorded %s, computed %s"
-            expect got);
+    (* Verify the digest first: the last line protects every byte above
+       it, and the file must end in exactly one newline. *)
+    let n = Array.length lines in
+    if n < 2 || not (String.equal lines.(n - 1) "") then begin
+      pos := n;
+      fail "truncated checkpoint (no final newline)"
+    end;
+    pos := n - 1;
+    let dline = lines.(n - 2) in
+    let body = String.sub s 0 (String.length s - String.length dline - 1) in
+    let expect = keyed "digest" dline in
+    let got = Digest.to_hex (Digest.string body) in
+    if not (String.equal expect got) then
+      fail "digest mismatch (file corrupt): recorded %s, computed %s" expect
+        got;
+    pos := 0;
     let v = next () in
     if not (String.equal v version) then
       fail "unsupported checkpoint version %S (want %s)" v version;
     let fingerprint = keyed "fingerprint" (next ()) in
     let epoch = keyed_int "epoch" in
-    let window_start = keyed_int "window-start" in
-    let reconstruct = keyed_int "reconstruct" <> 0 in
     let stream_bytes = keyed_int "stream-bytes" in
     let blind_until = keyed_int "blind-until" in
     let mem_baseline = keyed_int "mem-baseline" in
     let mem_peak = keyed_int "mem-peak" in
-    let ledger = block "ledger" two_ints in
     let open_faults =
       block "open-faults" (fun l ->
           match String.split_on_char ' ' l with
@@ -152,11 +127,6 @@ let of_string s =
                 { sw = int_of sw; since = int_of since; sym = int_of sym <> 0 }
           | _ -> fail "bad open-fault line %S" l)
     in
-    let counters =
-      block "counters" (fun l ->
-          let k, v = last_word l in
-          (k, int_of v))
-    in
     let totals =
       block "totals" (fun l ->
           let k, v = last_word l in
@@ -164,34 +134,21 @@ let of_string s =
     in
     let violations = block "violations" (fun l -> l) in
     let windows = block "windows" (fun l -> l) in
-    let rates =
-      block "rates" (fun l ->
-          let k, v = last_word l in
-          (int_of k, float_of v))
-    in
-    let tables_digest = keyed "tables-digest" (next ()) in
-    let assignment = String.concat "\n" (block "assignment" (fun l -> l)) in
+    ignore (keyed "digest" (next ()));
     Ok
       {
         fingerprint;
         epoch;
-        window_start;
-        reconstruct;
         stream_bytes;
         blind_until;
         mem_baseline;
         mem_peak;
-        ledger;
         open_faults;
-        counters;
         totals;
         violations;
         windows;
-        rates;
-        tables_digest;
-        assignment;
       }
-  with Bad m -> Error ("checkpoint: " ^ m)
+  with Bad (line, m) -> Error (Printf.sprintf "checkpoint: line %d: %s" line m)
 
 let save ~path t =
   let tmp = path ^ ".tmp" in

@@ -1,22 +1,14 @@
 (** Serialized soak-harness state: everything a resumed run needs to
-    continue byte-identically from an epoch boundary.
+    continue byte-identically from a re-optimization boundary.
 
     The format is a versioned, digest-protected text file
-    ([apple-soak-ckpt/1]).  Two flavors exist, told apart by
-    {!t.reconstruct}:
-
-    + {b reconstructing} checkpoints (written at quiescent mid-window
-      epochs under the oracle load source) carry the heal ledger, the
-      Dynamic Handler's event counters and a canonical dump of the
-      assignment plus a digest of the rule tables.  Restore re-runs the
-      window's re-optimization, replays the ledger through the
-      production heal path and then {e proves} the reconstruction by
-      comparing the dumps.
-    + {b boundary} checkpoints (written when the next epoch is a
-      re-optimization, the only flavor under the polled load source)
-      carry no controller state at all: the upcoming [run_epoch]
-      rebuilds everything from the scenario, which is itself derived
-      from the seed. *)
+    ([apple-soak-ckpt/2]).  Checkpoints are taken only at boundaries
+    (epoch ≡ 0 mod [reopt_every]), so they carry no controller state at
+    all: the next epoch's [run_epoch] rebuilds the placement, rules and
+    Dynamic Handler from the scenario, which is itself derived from the
+    seed.  What remains is the harness's own bookkeeping — faults still
+    open, aggregate totals, completed window rows — plus the length of
+    the stream emitted so far. *)
 
 type open_fault =
   | Link of { u : int; v : int; since : int; sym : bool }
@@ -26,32 +18,27 @@ type open_fault =
 
 type t = {
   fingerprint : string;  (** config digest; restore refuses a mismatch *)
-  epoch : int;  (** next epoch to execute *)
-  window_start : int;  (** epoch of the window's re-optimization *)
-  reconstruct : bool;  (** see above *)
+  epoch : int;  (** next epoch to execute; a multiple of [reopt_every] *)
   stream_bytes : int;
       (** bytes of the deterministic stream emitted so far; resume
           truncates the stream file here *)
   blind_until : int;  (** poller-blackout horizon (epoch) *)
   mem_baseline : int;  (** live-words baseline (0 = unset; perf only) *)
   mem_peak : int;  (** live-words peak so far (perf only) *)
-  ledger : (int * int) list;  (** heal ledger, oldest first *)
   open_faults : open_fault list;
-  counters : (string * int) list;
-      (** Dynamic Handler event counters at checkpoint time *)
   totals : (string * float) list;  (** soak aggregate counters *)
   violations : string list;  (** invariant violations so far *)
   windows : string list;  (** completed window rows, serialized *)
-  rates : (int * float) list;  (** class rates at [epoch - 1] *)
-  tables_digest : string;  (** digest of the canonical TCAM dump *)
-  assignment : string;  (** canonical assignment dump *)
 }
 
 val to_string : t -> string
 (** Render, ending in a [digest] line protecting everything above it. *)
 
 val of_string : string -> (t, string) result
-(** Parse and verify the digest; errors name what was wrong. *)
+(** Parse and verify the digest.  Never raises: every error names the
+    1-based line it was found on
+    ([checkpoint: line N: expected "epoch" line, got ...]).  Any other
+    format version, including [apple-soak-ckpt/1], is refused. *)
 
 val save : path:string -> t -> unit
 (** Atomic write: a temporary file in the same directory, then rename. *)

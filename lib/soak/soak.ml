@@ -36,7 +36,6 @@ type config = {
   seed : int;
   epochs : int;
   reopt_every : int;
-  checkpoint_every : int;
   cycle : int;
   total_rate : float;
   max_classes : int;
@@ -57,7 +56,6 @@ let default_config topo =
     seed = 42;
     epochs = 2000;
     reopt_every = 96;
-    checkpoint_every = 48;
     cycle = 672;
     total_rate = 3_000.0;
     max_classes = 40;
@@ -84,7 +82,6 @@ let validate_config c =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
   if c.epochs <= 0 then err "epochs must be positive"
   else if c.reopt_every <= 0 then err "reopt_every must be positive"
-  else if c.checkpoint_every <= 0 then err "checkpoint_every must be positive"
   else if c.cycle <= 0 then err "cycle must be positive"
   else if c.total_rate <= 0.0 then err "total_rate must be positive"
   else if c.max_classes <= 0 then err "max_classes must be positive"
@@ -178,8 +175,6 @@ type session = {
   mutable wall : float;  (* seconds inside [run], this process *)
   mutable ran : int;  (* epochs executed by this process *)
   mutable ckpt_epochs : int list;  (* newest first, this process *)
-  mutable last_ckpt : Checkpoint.t option;
-  mutable deferred : bool;
   mutable state_dir : string option;
   mutable aborted : bool;  (* first-epoch rejection / infeasible *)
   mutable finished : bool;  (* final S line already emitted *)
@@ -222,7 +217,7 @@ let violation sess e fmt =
       emit sess "V %s" m)
     fmt
 
-(* ---- canonical dumps (checkpoint proof + state fingerprint) ------- *)
+(* ---- canonical dumps (state fingerprint) -------------------------- *)
 
 let assignment_dump sess =
   match (Controller.assignment sess.ctrl, Controller.netstate sess.ctrl) with
@@ -296,8 +291,6 @@ let tables_dump sess =
             (Tcam.vswitch_rules table))
         r.Controller.rules.Rule_generator.network;
       Buffer.contents b
-
-let tables_digest sess = Digest.to_hex (Digest.string (tables_dump sess))
 
 let rates_list sess =
   Array.to_list
@@ -395,8 +388,6 @@ let make_session ?stream_path cfg =
     wall = 0.0;
     ran = 0;
     ckpt_epochs = [];
-    last_ckpt = None;
-    deferred = false;
     state_dir = None;
     aborted = false;
     finished = false;
@@ -531,16 +522,6 @@ let recheck sess e what =
   match r with
   | Ok () -> ()
   | Error m -> violation sess e "%s gate recheck failed: %s" what (oneline m)
-
-let weights_at_baseline sess =
-  let st = state sess in
-  Array.for_all
-    (fun pins ->
-      List.for_all
-        (fun (p : Netstate.pinned) ->
-          Float.abs (p.Netstate.weight -. p.Netstate.baseline) < 1e-9)
-        pins)
-    st.Netstate.per_class
 
 (* ---- fault injection ---------------------------------------------- *)
 
@@ -827,117 +808,69 @@ let start_window sess e =
 
 let at_boundary sess = sess.epoch mod sess.cfg.reopt_every = 0
 
+(* At a boundary [end_window] has flushed the window and dropped any
+   pending heal, and the next step re-optimizes from the scenario alone,
+   so the harness's own bookkeeping is the whole state.  A rejected
+   re-optimization leaves the previous window's placement installed,
+   which a restore could not rebuild. *)
 let checkpointable sess =
-  (not sess.aborted)
-  && sess.tot.t_rejected = 0
-  && no_pending sess
-  &&
-  if at_boundary sess then true
-  else
-    match sess.cfg.load_source with
-    | Polled -> false
-    | Oracle -> (
-        match Controller.handler sess.ctrl with
-        | None -> false
-        | Some h -> Dynamic_handler.quiescent h && weights_at_baseline sess)
+  (not sess.aborted) && sess.tot.t_rejected = 0 && at_boundary sess
 
 let totals_list sess =
   let t = sess.tot in
-  let base =
-    [
-      ("loss-sum", t.t_loss_sum);
-      ("ff-loss-sum", t.t_ff_loss_sum);
-      ("ff-epochs", float_of_int t.t_ff_epochs);
-      ("max-loss", t.t_max_loss);
-      ("stranded", t.t_stranded);
-      ("faults", float_of_int t.t_faults);
-      ("heals", float_of_int t.t_heals);
-      ("reverifies", float_of_int t.t_reverifies);
-      ("rejected", float_of_int t.t_rejected);
-      ("dropped", float_of_int t.t_dropped);
-      ("checkpoints", float_of_int t.t_checkpoints);
-      ("deferred", float_of_int t.t_deferred);
-    ]
-  in
-  match sess.cur with
-  | None -> base
-  | Some w ->
-      base
-      @ [
-          ("cur-start", float_of_int w.w_start);
-          ("cur-epochs", float_of_int w.w_epochs);
-          ("cur-loss-sum", w.w_loss_sum);
-          ("cur-ff-loss-sum", w.w_ff_loss_sum);
-          ("cur-ff-epochs", float_of_int w.w_ff_epochs);
-          ("cur-max-loss", w.w_max_loss);
-          ("cur-stranded", w.w_stranded);
-          ("cur-reverifies", float_of_int w.w_reverifies);
-          ("cur-instances", float_of_int w.w_instances);
-          ("cur-cores", float_of_int w.w_cores);
-          ("cur-tcam", float_of_int w.w_tcam);
-        ]
+  [
+    ("loss-sum", t.t_loss_sum);
+    ("ff-loss-sum", t.t_ff_loss_sum);
+    ("ff-epochs", float_of_int t.t_ff_epochs);
+    ("max-loss", t.t_max_loss);
+    ("stranded", t.t_stranded);
+    ("faults", float_of_int t.t_faults);
+    ("heals", float_of_int t.t_heals);
+    ("reverifies", float_of_int t.t_reverifies);
+    ("rejected", float_of_int t.t_rejected);
+    ("dropped", float_of_int t.t_dropped);
+    ("checkpoints", float_of_int t.t_checkpoints);
+    ("deferred", float_of_int t.t_deferred);
+  ]
+
+let snapshot sess =
+  {
+    Checkpoint.fingerprint = sess.fp;
+    epoch = sess.epoch;
+    stream_bytes = Buffer.length sess.stream;
+    blind_until = sess.blind_until;
+    mem_baseline = sess.mem_baseline;
+    mem_peak = sess.mem_peak;
+    open_faults = List.rev sess.open_faults;
+    totals = totals_list sess;
+    violations = List.rev sess.violations;
+    windows = List.rev sess.windows;
+  }
 
 let checkpoint_now sess =
-  if not (checkpointable sess) then
+  if checkpointable sess then Ok (snapshot sess)
+  else
     Error
-      "not checkpointable here (transient failover state, a rejected \
-       re-optimization, or a polled mid-window epoch)"
-  else begin
-    let reconstruct = not (at_boundary sess) in
-    let counters =
-      if reconstruct then
-        ( "orch-next-id",
-          Resource_orchestrator.next_id
-            (state sess).Netstate.orchestrator )
-        :: handler_events sess
-      else []
-    in
-    Ok
-      {
-        Checkpoint.fingerprint = sess.fp;
-        epoch = sess.epoch;
-        window_start = sess.window_start;
-        reconstruct;
-        stream_bytes = Buffer.length sess.stream;
-        blind_until = sess.blind_until;
-        mem_baseline = sess.mem_baseline;
-        mem_peak = sess.mem_peak;
-        ledger =
-          (if reconstruct then Controller.heal_ledger sess.ctrl else []);
-        open_faults = List.rev sess.open_faults;
-        counters;
-        totals = totals_list sess;
-        violations = List.rev sess.violations;
-        windows = List.rev sess.windows;
-        rates = (if reconstruct then rates_list sess else []);
-        tables_digest = (if reconstruct then tables_digest sess else "");
-        assignment = (if reconstruct then assignment_dump sess else "");
-      }
-  end
+      "not checkpointable here (not a re-optimization boundary, or a \
+       re-optimization was rejected)"
 
+(* Every boundary writes a checkpoint; one that cannot counts as
+   deferred. *)
 let maybe_checkpoint sess =
-  let cfg = sess.cfg in
-  let due = sess.deferred || sess.epoch mod cfg.checkpoint_every = 0 in
-  if due && sess.epoch > 0 then begin
-    if checkpointable sess then (
+  if at_boundary sess then
+    if checkpointable sess then begin
       (* Count the checkpoint before serializing so the snapshot includes
          itself; a resumed run then reports the same tally. *)
       sess.tot.t_checkpoints <- sess.tot.t_checkpoints + 1;
-      match checkpoint_now sess with
-      | Ok ck ->
-          sess.deferred <- false;
-          sess.last_ckpt <- Some ck;
-          sess.ckpt_epochs <- sess.epoch :: sess.ckpt_epochs;
-          (match sess.state_dir with
-          | Some dir ->
-              Checkpoint.save ~path:(Filename.concat dir "checkpoint.apple") ck
-          | None -> ())
-      | Error _ -> ())
-    else begin
-      if not sess.deferred then sess.tot.t_deferred <- sess.tot.t_deferred + 1;
-      sess.deferred <- true
+      sess.ckpt_epochs <- sess.epoch :: sess.ckpt_epochs;
+      match sess.state_dir with
+      | Some dir ->
+          Checkpoint.save
+            ~path:(Filename.concat dir "checkpoint.apple")
+            (snapshot sess)
+      | None -> ()
     end
-  end
+    else sess.tot.t_deferred <- sess.tot.t_deferred + 1
 
 (* ---- the epoch step ----------------------------------------------- *)
 
@@ -1201,16 +1134,14 @@ let bench_json sess (o : outcome) =
 
 (* ---- restore ------------------------------------------------------ *)
 
-let total sess key =
-  match
-    List.find_opt (fun (k, _) -> String.equal k key) sess
-  with
-  | Some (_, v) -> v
-  | None -> 0.0
-
 let restore_totals sess (ck : Checkpoint.t) =
-  let l = ck.Checkpoint.totals in
-  let f k = total l k in
+  let f key =
+    match
+      List.find_opt (fun (k, _) -> String.equal k key) ck.Checkpoint.totals
+    with
+    | Some (_, v) -> v
+    | None -> 0.0
+  in
   let i k = int_of_float (f k) in
   let t = sess.tot in
   t.t_loss_sum <- f "loss-sum";
@@ -1224,76 +1155,7 @@ let restore_totals sess (ck : Checkpoint.t) =
   t.t_rejected <- i "rejected";
   t.t_dropped <- i "dropped";
   t.t_checkpoints <- i "checkpoints";
-  t.t_deferred <- i "deferred";
-  if List.exists (fun (k, _) -> String.equal k "cur-start") l then
-    sess.cur <-
-      Some
-        {
-          w_start = i "cur-start";
-          w_epochs = i "cur-epochs";
-          w_loss_sum = f "cur-loss-sum";
-          w_ff_loss_sum = f "cur-ff-loss-sum";
-          w_ff_epochs = i "cur-ff-epochs";
-          w_max_loss = f "cur-max-loss";
-          w_stranded = f "cur-stranded";
-          w_reverifies = i "cur-reverifies";
-          w_instances = i "cur-instances";
-          w_cores = i "cur-cores";
-          w_tcam = i "cur-tcam";
-        }
-
-let reconstruct_controller sess (ck : Checkpoint.t) =
-  let cfg = sess.cfg in
-  let err fmt = Printf.ksprintf (fun m -> Error ("checkpoint: " ^ m)) fmt in
-  Scenario.update_rates sess.scenario
-    sess.snapshots.(ck.Checkpoint.window_start mod cfg.cycle);
-  match Controller.run_epoch sess.ctrl with
-  | exception Controller.Rejected m ->
-      err "window re-optimization rejected on restore: %s" (oneline m)
-  | exception Optimization_engine.Infeasible m ->
-      err "window re-optimization infeasible on restore: %s" (oneline m)
-  | _report -> (
-      apply_open_faults sess;
-      match Controller.replay_heals sess.ctrl ck.Checkpoint.ledger with
-      | exception Invalid_argument m -> err "%s" m
-      | () ->
-          let st = state sess in
-          let next_id =
-            int_of_float
-              (total
-                 (List.map (fun (k, v) -> (k, float_of_int v))
-                    ck.Checkpoint.counters)
-                 "orch-next-id")
-          in
-          if next_id > 0 then
-            Resource_orchestrator.set_next_id st.Netstate.orchestrator next_id;
-          (match Controller.handler sess.ctrl with
-          | Some h ->
-              Dynamic_handler.restore_counters h
-                (List.filter
-                   (fun (k, _) -> not (String.equal k "orch-next-id"))
-                   ck.Checkpoint.counters)
-          | None -> ());
-          Scenario.update_rates sess.scenario
-            sess.snapshots.((ck.Checkpoint.epoch - 1) mod cfg.cycle);
-          Netstate.recompute_loads st;
-          (* Prove the reconstruction before trusting it. *)
-          if not (String.equal (assignment_dump sess) ck.Checkpoint.assignment)
-          then err "reconstructed assignment differs from the recorded dump"
-          else if
-            not (String.equal (tables_digest sess) ck.Checkpoint.tables_digest)
-          then err "reconstructed rule tables differ from the recorded digest"
-          else
-            let live = rates_list sess in
-            let same =
-              List.length live = List.length ck.Checkpoint.rates
-              && List.for_all2
-                   (fun (i1, r1) (i2, r2) -> i1 = i2 && Float.equal r1 r2)
-                   live ck.Checkpoint.rates
-            in
-            if not same then
-              err "reconstructed class rates differ from the recorded ones"
-            else Ok ())
+  t.t_deferred <- i "deferred"
 
 let restore ?stream_path ?stream_prefix cfg (ck : Checkpoint.t) =
   let err fmt = Printf.ksprintf (fun m -> Error ("checkpoint: " ^ m)) fmt in
@@ -1305,14 +1167,8 @@ let restore ?stream_path ?stream_prefix cfg (ck : Checkpoint.t) =
         err "config fingerprint mismatch (the run used different parameters)"
       else if ck.Checkpoint.epoch < 0 || ck.Checkpoint.epoch > cfg.epochs then
         err "epoch %d out of range" ck.Checkpoint.epoch
-      else if
-        (not ck.Checkpoint.reconstruct)
-        && ck.Checkpoint.epoch mod cfg.reopt_every <> 0
-      then err "boundary checkpoint at a non-boundary epoch"
-      else if
-        ck.Checkpoint.reconstruct
-        && (match cfg.load_source with Polled -> true | Oracle -> false)
-      then err "reconstructing checkpoint under the polled load source"
+      else if ck.Checkpoint.epoch mod cfg.reopt_every <> 0 then
+        err "epoch %d is not a re-optimization boundary" ck.Checkpoint.epoch
       else
         let prefix =
           match stream_prefix with
@@ -1334,7 +1190,6 @@ let restore ?stream_path ?stream_prefix cfg (ck : Checkpoint.t) =
         | Ok prefix ->
             let sess = make_session ?stream_path cfg in
             sess.epoch <- ck.Checkpoint.epoch;
-            sess.window_start <- ck.Checkpoint.window_start;
             sess.blind_until <- ck.Checkpoint.blind_until;
             sess.open_faults <- List.rev ck.Checkpoint.open_faults;
             sess.windows <- List.rev ck.Checkpoint.windows;
@@ -1348,18 +1203,9 @@ let restore ?stream_path ?stream_prefix cfg (ck : Checkpoint.t) =
                 output_string oc prefix;
                 flush oc
             | None -> ());
-            if ck.Checkpoint.reconstruct then (
-              match reconstruct_controller sess ck with
-              | Error _ as e ->
-                  (match sess.stream_out with
-                  | Some oc -> close_out oc
-                  | None -> ());
-                  e
-              | Ok () -> Ok sess)
-            else
-              (* Boundary flavor: the next step's re-optimization rebuilds
-                 everything from the (seed-derived) scenario. *)
-              Ok sess)
+            (* The next step's re-optimization rebuilds the controller
+               from the (seed-derived) scenario. *)
+            Ok sess)
 
 let read_file path =
   let ic = open_in_bin path in

@@ -15,6 +15,12 @@
     byte-for-byte.  Wall-clock throughput and memory flatness go to a
     separate perf report and to [BENCH_soak.json].
 
+    Checkpoints are taken only at re-optimization boundaries, where the
+    controller is a function of the scenario alone; see {!Checkpoint}.
+    Resuming truncates the stream to the checkpoint and re-executes the
+    rest, so a kill anywhere costs at most [reopt_every] epochs of
+    re-execution.
+
     Fault schedules reuse {!Apple_chaos.Fault}, with [at] valued in
     {e epochs} (integral); [poller-blackout]'s duration is likewise a
     number of epochs.  Kill faults heal after [heal_after] epochs via
@@ -39,8 +45,8 @@ type config = {
   topo : Apple_topology.Builders.named;
   seed : int;
   epochs : int;  (** total epochs to run *)
-  reopt_every : int;  (** re-optimization period (epochs) *)
-  checkpoint_every : int;  (** checkpoint cadence (epochs) *)
+  reopt_every : int;
+      (** re-optimization period (epochs); also the checkpoint period *)
   cycle : int;  (** traffic snapshots before the sequence repeats *)
   total_rate : float;  (** network-wide offered load (Mbps, diurnal mean) *)
   max_classes : int;
@@ -56,7 +62,7 @@ type config = {
 }
 
 val default_config : Apple_topology.Builders.named -> config
-(** 2000 epochs, re-opt every 96 (one diurnal day), checkpoint every 48,
+(** 2000 epochs, re-opt (and checkpoint) every 96 (one diurnal day),
     672-snapshot cycle, oracle load source, gate on. *)
 
 val validate_config : config -> (unit, string) result
@@ -92,9 +98,10 @@ val restore :
 (** Resume from a checkpoint.  The config must fingerprint-match.
     [stream_prefix] is the interrupted run's stream content; it is
     truncated to the checkpoint's [stream_bytes] (refused if shorter)
-    and re-written to [stream_path].  Reconstructing checkpoints replay
-    the window's re-optimization and heal ledger, then prove the rebuilt
-    assignment and rule tables match the checkpointed dumps. *)
+    and re-written to [stream_path].  The checkpoint's epoch must be a
+    re-optimization boundary: the first resumed step re-optimizes and so
+    rebuilds the controller from the scenario, re-executing at most
+    [reopt_every] epochs of the interrupted run. *)
 
 val resume_dir :
   ?stream_path:string -> config -> dir:string -> (session, string) result
@@ -103,11 +110,10 @@ val resume_dir :
 
 val run : ?halt_at:int -> ?state_dir:string -> session -> outcome
 (** Execute epochs until [config.epochs] (or [halt_at]).  With
-    [state_dir], write [checkpoint.apple] there at every checkpointable
-    epoch on the cadence (deferred to the next quiescent epoch when
-    transient failover state is open).  Raises nothing: even a
-    first-epoch gate rejection is reported as a violation with
-    [completed = false]. *)
+    [state_dir], write [checkpoint.apple] there at every re-optimization
+    boundary that is {!checkpointable}; a boundary that is not counts as
+    [deferred] in the totals.  Raises nothing: even a first-epoch gate
+    rejection is reported as a violation with [completed = false]. *)
 
 val bench_json : session -> outcome -> string
 (** Render the [BENCH_soak.json] trajectory snapshot for a finished
@@ -122,12 +128,14 @@ val checkpoint_epochs : session -> int list
 (** Epochs at which a checkpoint was taken, oldest first. *)
 
 val checkpointable : session -> bool
-(** The current epoch boundary admits a checkpoint (see module doc). *)
+(** The next epoch re-optimizes, the run has not aborted, and no
+    re-optimization has been rejected (a rejected window keeps serving a
+    placement a restore could not rebuild). *)
 
 val checkpoint_now : session -> (Checkpoint.t, string) result
 (** Serialize the current state; [Error] when not {!checkpointable}. *)
 
 val state_fingerprint : session -> string
-(** Digest of the live controller state (assignment dump, rule-table
-    digest, handler counters, failure mask) — equal across a
-    checkpoint/restore round-trip. *)
+(** Digest of the live controller state (assignment dump, rule tables,
+    failure mask, handler counters, class rates) — equal across a
+    checkpoint/restore round-trip once both sessions have re-optimized. *)

@@ -14,7 +14,6 @@ let mini ?(seed = 7) ?(epochs = 36) ?(load_source = Soak.Oracle)
     Soak.seed;
     epochs;
     reopt_every = 12;
-    checkpoint_every = 6;
     cycle = 24;
     total_rate = 2500.0;
     max_classes = 10;
@@ -56,6 +55,16 @@ let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.equal (String.sub hay i n) needle || go (i + 1)) in
   go 0
+
+(* A checkpoint rendering without its trailing digest line, and a body
+   re-sealed with a fresh digest (to get past the integrity check and
+   reach the field parser). *)
+let body_of str =
+  let trimmed = String.sub str 0 (String.length str - 1) in
+  String.sub str 0 (String.rindex trimmed '\n' + 1)
+
+let redigest body =
+  body ^ Printf.sprintf "digest %s\n" (Digest.to_hex (Digest.string body))
 
 (* --- unit tests ---------------------------------------------------- *)
 
@@ -109,53 +118,96 @@ let test_checkpoint_parse_errors () =
   (match Checkpoint.of_string "apple-soak-ckpt/999\n" with
   | Ok _ -> Alcotest.fail "bad version accepted"
   | Error _ -> ());
+  (* The previous format, re-sealed so the digest passes: refused by
+     the version check. *)
+  let body = body_of str in
+  let v2 = "apple-soak-ckpt/2\n" in
+  let n = String.length v2 in
+  Alcotest.(check string) "current header" v2 (String.sub body 0 n);
+  let v1 =
+    "apple-soak-ckpt/1\n" ^ String.sub body n (String.length body - n)
+  in
+  (match Checkpoint.of_string (redigest v1) with
+  | Ok _ -> Alcotest.fail "apple-soak-ckpt/1 accepted"
+  | Error e ->
+      Alcotest.(check bool)
+        ("version error: " ^ e) true
+        (contains ~needle:"line 1: unsupported checkpoint version" e));
+  (* A malformed line under a valid digest: the error names its line. *)
+  let misnamed =
+    String.concat "\n"
+      (List.mapi
+         (fun i l -> if i = 2 then "epoc 12" else l)
+         (String.split_on_char '\n' body))
+  in
+  (match Checkpoint.of_string (redigest misnamed) with
+  | Ok _ -> Alcotest.fail "misnamed epoch line accepted"
+  | Error e ->
+      Alcotest.(check bool)
+        ("line-numbered: " ^ e) true
+        (contains ~needle:"checkpoint: line 3: expected \"epoch\" line" e));
   (* Restoring under a different config: fingerprint mismatch. *)
   match Soak.restore (mini ~seed:8 ()) ck with
   | Ok _ -> Alcotest.fail "fingerprint mismatch accepted"
   | Error e ->
       Alcotest.(check bool) "names fingerprint" true (contains ~needle:"fingerprint" e)
 
-let test_checkpoint_deferred_past_pending_heal () =
-  with_tmpdir @@ fun dir ->
-  (* Kill at 17 heals at 19: the epoch-18 checkpoint must NOT be taken
-     (a pending heal is open state a checkpoint cannot carry); the
-     cadence resumes once quiescent. *)
+(* Kill at 11 heals at 13, but the epoch-12 re-optimization supersedes
+   the heal: the boundary drops it ("D 12 drop-heal") and is then
+   checkpointed like any other.  Resuming from that checkpoint after a
+   kill at 17 reproduces the drop line and the uninterrupted stream. *)
+let test_checkpoint_after_dropped_heal () =
   let schedule =
-    match Fault.parse "at 17 kill-instance hottest" with
+    match Fault.parse "at 11 kill-instance hottest" with
     | Ok s -> s
     | Error e -> invalid_arg e
   in
-  let sess = session (mini ~schedule ()) in
-  let o = Soak.run ~state_dir:dir sess in
-  Alcotest.(check (list string)) "no violations" [] o.Soak.violations;
-  let ckpts = Soak.checkpoint_epochs sess in
-  Alcotest.(check bool) "some checkpoints" true (List.length ckpts > 0);
-  Alcotest.(check bool) "epoch 18 skipped" false (List.mem 18 ckpts);
-  Alcotest.(check bool)
-    "cadence resumes after the heal" true
-    (List.exists (fun e -> e > 18) ckpts)
-
-let test_polled_checkpoints_on_boundaries_only () =
+  let cfg = mini ~schedule () in
+  let sess = session cfg in
+  let full = Soak.run sess in
+  Alcotest.(check (list int)) "every boundary checkpointed" [ 12; 24; 36 ]
+    (Soak.checkpoint_epochs sess);
+  Alcotest.(check (list string)) "no violations" [] full.Soak.violations;
+  Alcotest.(check bool) "heal dropped at the boundary" true
+    (contains ~needle:"\nD 12 drop-heal id=" full.Soak.stream);
   with_tmpdir @@ fun dir ->
-  let sess = session (mini ~load_source:Soak.Polled ()) in
+  let stream_path = Filename.concat dir "stream.log" in
+  let killed =
+    match Soak.create ~stream_path cfg with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "Soak.create: %s" e
+  in
+  ignore (Soak.run ~halt_at:17 ~state_dir:dir killed);
+  match Soak.resume_dir cfg ~dir with
+  | Error e -> Alcotest.failf "resume_dir: %s" e
+  | Ok resumed ->
+      Alcotest.(check int) "resumed at the boundary" 12 (Soak.epoch resumed);
+      let o = Soak.run ~state_dir:dir resumed in
+      Alcotest.(check bool) "drop line survives resume" true
+        (contains ~needle:"\nD 12 drop-heal id=" o.Soak.stream);
+      Alcotest.(check string) "stream identical" full.Soak.stream o.Soak.stream;
+      Alcotest.(check string) "summary identical" full.Soak.summary
+        o.Soak.summary
+
+let test_checkpoints_on_boundaries_only load_source () =
+  with_tmpdir @@ fun dir ->
+  let sess = session (mini ~load_source ~schedule:drill ()) in
   let o = Soak.run ~state_dir:dir sess in
   Alcotest.(check bool) "completed" true o.Soak.completed;
   Alcotest.(check (list string)) "no violations" [] o.Soak.violations;
-  let ckpts = Soak.checkpoint_epochs sess in
-  Alcotest.(check bool) "some checkpoints" true (List.length ckpts > 0);
-  List.iter
-    (fun e ->
-      if e mod 12 <> 0 then
-        Alcotest.failf "polled checkpoint off a re-opt boundary: epoch %d" e)
-    ckpts
+  Alcotest.(check (list int)) "one checkpoint per boundary" [ 12; 24; 36 ]
+    (Soak.checkpoint_epochs sess)
 
 let test_jobs_variation_identical () =
-  let run jobs =
-    Soak.run (session (mini ~engine:`Per_class ?jobs ~schedule:drill ()))
-  in
-  let a = run None and b = run (Some 3) in
-  Alcotest.(check string) "stream identical" a.Soak.stream b.Soak.stream;
-  Alcotest.(check string) "summary identical" a.Soak.summary b.Soak.summary
+  List.iter
+    (fun engine ->
+      let run jobs =
+        Soak.run (session (mini ~engine ?jobs ~schedule:drill ()))
+      in
+      let a = run None and b = run (Some 3) in
+      Alcotest.(check string) "stream identical" a.Soak.stream b.Soak.stream;
+      Alcotest.(check string) "summary identical" a.Soak.summary b.Soak.summary)
+    [ `Per_class; `Best ]
 
 (* Faults landing exactly on a re-optimization boundary (epoch mod
    reopt_every = 0) hit the trickiest ordering in the epoch step:
@@ -215,21 +267,20 @@ let schedule_of = function
 
 (* restore (checkpoint st) == st: the rebuilt controller state carries
    the same fingerprint (assignment dump, rule tables, handler counters,
-   failure mask) as the live session it was taken from.  Reconstructing
-   checkpoints rebuild at once; boundary checkpoints deliberately carry
-   no controller state (the next re-optimization recreates it), so both
-   sessions advance one epoch first. *)
+   failure mask) as the live session it was taken from.  Checkpoints
+   deliberately carry no controller state (the next re-optimization
+   recreates it), so both sessions advance one epoch first. *)
 let prop_checkpoint_roundtrip =
   QCheck.Test.make ~name:"checkpoint round-trip preserves state" ~count:8
-    QCheck.(triple (int_range 0 1000) (int_range 0 2) (int_range 1 5))
-    (fun (seed, sched, halt6) ->
-      let halt = 6 * halt6 in
-      let cfg = mini ~seed ~schedule:(schedule_of sched) () in
+    QCheck.(triple (int_range 0 1000) (int_range 0 2) (int_range 1 3))
+    (fun (seed, sched, window) ->
+      let halt = 12 * window in
+      let cfg = mini ~seed ~epochs:48 ~schedule:(schedule_of sched) () in
       let sess = session cfg in
       let o = Soak.run ~halt_at:halt sess in
       if not (Soak.checkpointable sess) then
-        (* Transient failover state straddles this epoch; the cadence
-           would defer here too.  Vacuous draw. *)
+        (* A re-optimization was rejected earlier in the run, so no
+           boundary is checkpointable any more.  Vacuous draw. *)
         true
       else
         match Soak.checkpoint_now sess with
@@ -241,10 +292,8 @@ let prop_checkpoint_roundtrip =
                 match Soak.restore ~stream_prefix:o.Soak.stream cfg ck' with
                 | Error e -> QCheck.Test.fail_reportf "restore: %s" e
                 | Ok sess' ->
-                    if not ck.Checkpoint.reconstruct then begin
-                      ignore (Soak.run ~halt_at:(halt + 1) sess);
-                      ignore (Soak.run ~halt_at:(halt + 1) sess')
-                    end;
+                    ignore (Soak.run ~halt_at:(halt + 1) sess);
+                    ignore (Soak.run ~halt_at:(halt + 1) sess');
                     String.equal
                       (Soak.state_fingerprint sess)
                       (Soak.state_fingerprint sess'))))
@@ -255,7 +304,7 @@ let prop_checkpoint_roundtrip =
 let prop_resume_equals_uninterrupted =
   QCheck.Test.make ~name:"resume reproduces the uninterrupted run" ~count:6
     QCheck.(
-      quad (int_range 0 1000) (int_range 8 34) (int_range 0 2) bool)
+      quad (int_range 0 1000) (int_range 12 35) (int_range 0 2) bool)
     (fun (seed, halt, sched, polled) ->
       let load_source = if polled then Soak.Polled else Soak.Oracle in
       (* The drill's symbolic link faults need oracle determinism at the
@@ -271,8 +320,8 @@ let prop_resume_equals_uninterrupted =
       in
       ignore (Soak.run ~halt_at:halt ~state_dir:dir killed);
       if not (Sys.file_exists (Filename.concat dir "checkpoint.apple")) then
-        (* Halted before the first checkpoint landed: nothing to resume
-           from; the property is vacuous for this draw. *)
+        (* A rejected re-optimization before the first boundary leaves
+           nothing to resume from; the property is vacuous for this draw. *)
         true
       else
         match Soak.resume_dir cfg ~dir with
@@ -282,15 +331,53 @@ let prop_resume_equals_uninterrupted =
             String.equal uninterrupted.Soak.stream o.Soak.stream
             && String.equal uninterrupted.Soak.summary o.Soak.summary)
 
+(* The parser never raises and never accepts a damaged file: every
+   truncation and every single-byte mutation of a real checkpoint
+   (halted at 24, so the drill's link fault is still open) is an
+   [Error]. *)
+let prop_checkpoint_parser_fuzz =
+  QCheck.Test.make ~name:"damaged checkpoints are refused" ~count:4
+    QCheck.(triple (int_range 0 1000) (int_range 0 2) (int_range 0 254))
+    (fun (seed, sched, shift) ->
+      let sess = session (mini ~seed ~schedule:(schedule_of sched) ()) in
+      ignore (Soak.run ~halt_at:24 sess);
+      let str =
+        match Soak.checkpoint_now sess with
+        | Ok ck -> Checkpoint.to_string ck
+        | Error e -> QCheck.Test.fail_reportf "checkpoint_now: %s" e
+      in
+      let refused what s =
+        match Checkpoint.of_string s with
+        | Ok _ -> QCheck.Test.fail_reportf "%s accepted" what
+        | Error _ -> ()
+        | exception ex ->
+            QCheck.Test.fail_reportf "%s raised %s" what
+              (Printexc.to_string ex)
+      in
+      let n = String.length str in
+      for len = 0 to n - 1 do
+        refused (Printf.sprintf "truncation to %d bytes" len)
+          (String.sub str 0 len)
+      done;
+      for i = 0 to n - 1 do
+        let b = Bytes.of_string str in
+        let c = (Char.code str.[i] + 1 + ((shift + i) mod 255)) mod 256 in
+        Bytes.set b i (Char.chr c);
+        refused (Printf.sprintf "byte %d -> %d" i c) (Bytes.to_string b)
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "mini endurance run is clean" `Quick test_mini_run_clean;
     Alcotest.test_case "config validation" `Quick test_validate_config;
     Alcotest.test_case "checkpoint parse errors" `Quick test_checkpoint_parse_errors;
-    Alcotest.test_case "checkpoint deferred past pending heal" `Quick
-      test_checkpoint_deferred_past_pending_heal;
+    Alcotest.test_case "checkpoint after a dropped heal" `Quick
+      test_checkpoint_after_dropped_heal;
     Alcotest.test_case "polled checkpoints land on boundaries" `Quick
-      test_polled_checkpoints_on_boundaries_only;
+      (test_checkpoints_on_boundaries_only Soak.Polled);
+    Alcotest.test_case "oracle checkpoints land on boundaries" `Quick
+      (test_checkpoints_on_boundaries_only Soak.Oracle);
     Alcotest.test_case "jobs variation is byte-identical" `Quick
       test_jobs_variation_identical;
     Alcotest.test_case "chaos at a re-opt boundary is deterministic" `Quick
@@ -298,4 +385,5 @@ let suite =
     Alcotest.test_case "bench_json shape" `Quick test_bench_json_shape;
     QCheck_alcotest.to_alcotest prop_checkpoint_roundtrip;
     QCheck_alcotest.to_alcotest prop_resume_equals_uninterrupted;
+    QCheck_alcotest.to_alcotest prop_checkpoint_parser_fuzz;
   ]
