@@ -62,6 +62,153 @@ let fig6_packet ~mode () =
     ~finally:(fun () -> Compiled.set_mode saved)
     (fun () -> of_rendered (Core_exp.ablation_packet_level fig6_packet_opts))
 
+(* The LP kernel corpus: one line per solve, floats as [%h] (exact) and
+   vectors as the MD5 of their [%h] rendering, so any change to a pivot
+   decision, a primal value or a dual shows up.  Three parts: random
+   small LPs shaped like the property tests' cases, the bench micro
+   20x30 covering LP, and the Optimization Engine on four topologies. *)
+module Simplex = Apple_lp.Simplex
+module Lp_model = Apple_lp.Model
+module T = Apple_telemetry.Telemetry
+module Rng = Apple_prelude.Rng
+
+let md5_floats xs =
+  let b = Buffer.create 256 in
+  List.iter (fun x -> Printf.bprintf b "%h " x) xs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let lp_line b ~status ~pivots ~objective ~primal ~duals =
+  Printf.bprintf b "%s pivots=%d obj=%h primal=%s duals=%s\n" status pivots
+    objective
+    (md5_floats (Array.to_list primal))
+    (md5_floats (Array.to_list duals))
+
+(* Random bounded LP in Simplex standard form: n <= 5 structurals in
+   [0, ub], up to 4 rows of mixed sense with a slack column each, and a
+   rhs derived from a witness point so every case is feasible. *)
+let random_lp rng =
+  let range lo hi = lo +. Rng.float rng (hi -. lo) in
+  let n = 1 + Rng.int rng 5 in
+  let ubs = Array.init n (fun _ -> range 0.5 10.0) in
+  let objs = Array.init n (fun _ -> range (-3.0) 3.0) in
+  let x0 = Array.map (fun ub -> Rng.uniform rng *. ub) ubs in
+  let nc = 1 + Rng.int rng 4 in
+  let rows =
+    Array.init nc (fun _ ->
+        let coefs = Array.init n (fun _ -> range (-3.0) 3.0) in
+        let lhs0 = ref 0.0 in
+        Array.iteri (fun j c -> lhs0 := !lhs0 +. (c *. x0.(j))) coefs;
+        let slack = range 0.0 5.0 in
+        (* (coefs, slack bounds, rhs) for a <=, >= or = row *)
+        match Rng.int rng 3 with
+        | 0 -> (coefs, (0.0, infinity), !lhs0 +. slack)
+        | 1 -> (coefs, (neg_infinity, 0.0), !lhs0 -. slack)
+        | _ -> (coefs, (0.0, 0.0), !lhs0))
+  in
+  let total = n + nc in
+  let slack_bounds i = match rows.(i) with _, bounds, _ -> bounds in
+  {
+    Simplex.num_vars = total;
+    num_rows = nc;
+    col_index =
+      Array.init total (fun j -> if j < n then Array.init nc Fun.id else [| j - n |]);
+    col_value =
+      Array.init total (fun j ->
+          if j < n then Array.map (fun (coefs, _, _) -> coefs.(j)) rows else [| 1.0 |]);
+    rhs = Array.map (fun (_, _, rhs) -> rhs) rows;
+    obj = Array.init total (fun j -> if j < n then objs.(j) else 0.0);
+    lower = Array.init total (fun j -> if j < n then 0.0 else fst (slack_bounds (j - n)));
+    upper = Array.init total (fun j -> if j < n then ubs.(j) else snd (slack_bounds (j - n)));
+  }
+
+let lp_kernel () =
+  let pivots = T.Counter.create "apple.lp.pivots" in
+  let b = Buffer.create 65536 in
+  let was = T.enabled () in
+  T.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> T.set_enabled was)
+    (fun () ->
+      Buffer.add_string b "== random standard-form LPs (200) ==\n";
+      let rng = Rng.create 2016 in
+      for _ = 1 to 200 do
+        let r = Simplex.solve (random_lp rng) in
+        lp_line b
+          ~status:
+            (match r.Simplex.status with
+            | Simplex.Optimal -> "optimal"
+            | Simplex.Infeasible -> "infeasible"
+            | Simplex.Unbounded -> "unbounded"
+            | Simplex.Iteration_limit -> "limit")
+          ~pivots:r.Simplex.iterations ~objective:r.Simplex.objective
+          ~primal:r.Simplex.primal ~duals:r.Simplex.duals
+      done;
+      (* The bench micro kernel "simplex (20x30 covering LP)". *)
+      Buffer.add_string b "== 20x30 covering LP ==\n";
+      let t = Lp_model.create () in
+      let rng = Rng.create 5 in
+      let vars =
+        Array.init 30 (fun _ -> Lp_model.add_var t ~obj:(1.0 +. Rng.uniform rng) ())
+      in
+      for _ = 1 to 20 do
+        let terms =
+          Array.to_list (Array.map (fun v -> (0.5 +. Rng.uniform rng, v)) vars)
+        in
+        Lp_model.add_constraint t terms Lp_model.Ge (10.0 +. Rng.float rng 10.0)
+      done;
+      let p0 = T.Counter.value pivots in
+      let s = Lp_model.solve_lp t in
+      lp_line b
+        ~status:
+          (match s.Lp_model.status with
+          | Lp_model.Optimal -> "optimal"
+          | Lp_model.Infeasible -> "infeasible"
+          | Lp_model.Unbounded -> "unbounded"
+          | Lp_model.Limit -> "limit")
+        ~pivots:(T.Counter.value pivots - p0)
+        ~objective:s.Lp_model.objective ~primal:s.Lp_model.values
+        ~duals:s.Lp_model.duals;
+      Buffer.add_string b "== Optimization Engine (32 classes, ECMP off) ==\n";
+      let module Opt = Apple_core.Optimization_engine in
+      List.iteri
+        (fun i (topo, total) ->
+          let tm =
+            Apple_traffic.Synth.gravity (Rng.create (100 + i))
+              ~n:(Apple_topology.Graph.num_nodes topo.Builders.graph)
+              ~total
+          in
+          let config =
+            { Apple_core.Scenario.default_config with max_classes = 32; ecmp = false }
+          in
+          let s = Apple_core.Scenario.build ~config ~seed:(200 + i) topo tm in
+          List.iter
+            (fun (name, method_) ->
+              let p0 = T.Counter.value pivots in
+              match Opt.solve ~method_ ~jobs:1 s with
+              | p ->
+                  Printf.bprintf b
+                    "%s %s pivots=%d lp_obj=%h distribution=%s inst=%d cores=%d\n"
+                    topo.Builders.label name
+                    (T.Counter.value pivots - p0)
+                    p.Opt.lp_objective
+                    (md5_floats
+                       (List.concat_map
+                          (fun hops ->
+                            List.concat_map Array.to_list (Array.to_list hops))
+                          (Array.to_list p.Opt.distribution)))
+                    (Opt.instance_count p) (Opt.core_count p)
+              | exception Opt.Infeasible why ->
+                  Printf.bprintf b "%s %s infeasible: %s\n" topo.Builders.label
+                    name why)
+            [ ("lp-round", Opt.Lp_round); ("per-class", Opt.Per_class) ])
+        [
+          (Builders.internet2 (), 6_000.0);
+          (Builders.geant (), 6_000.0);
+          (Builders.as3679 (), 12_000.0);
+          (Builders.fat_tree ~k:8, 6_000.0);
+        ]);
+  Buffer.contents b
+
 let entries =
   [
     ("table3", fun () -> of_rendered (Core_exp.table3 Core_exp.default_opts));
@@ -71,6 +218,7 @@ let entries =
       fig6_packet ~mode:Apple_dataplane.Compiled.Compiled );
     ("chaos_internet2", chaos_internet2);
     ("trace_sim", trace_sim);
+    ("lp_kernel", lp_kernel);
   ]
 
 (* ------------------------------------------------------------------ *)
