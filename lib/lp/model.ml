@@ -103,11 +103,21 @@ let arrays_of t =
   let to_arr l = Array.of_list (List.rev l) in
   (to_arr t.lbs, to_arr t.ubs, to_arr t.objs, to_arr t.ints)
 
-(* Lower the model to Simplex standard form: one slack column per row. *)
+(* Lower the model to Simplex standard form: one slack column per row,
+   then one column per free variable.  Simplex needs a finite bound on
+   every column, so a free [v] becomes x+ - x-: column [v] holds x+ in
+   [0, inf) and column [n + m + f] holds x-, negated, for the [f]-th free
+   variable.  Returns the free variables in that order. *)
 let standardize t ~lbs ~ubs ~objs =
   let m = t.num_constrs in
   let n = t.n in
-  let total = n + m in
+  let free =
+    List.filter
+      (fun v -> lbs.(v) = neg_infinity && ubs.(v) = infinity)
+      (List.init n Fun.id)
+    |> Array.of_list
+  in
+  let total = n + m + Array.length free in
   let cols_idx = Array.make total [||] and cols_val = Array.make total [||] in
   let rhs = Array.make m 0.0 in
   let lower = Array.make total 0.0 and upper = Array.make total infinity in
@@ -143,19 +153,32 @@ let standardize t ~lbs ~ubs ~objs =
     cols_idx.(v) <- Array.of_list (List.map fst entries);
     cols_val.(v) <- Array.of_list (List.map snd entries)
   done;
-  {
-    Simplex.num_vars = total;
-    num_rows = m;
-    col_index = cols_idx;
-    col_value = cols_val;
-    rhs;
-    obj;
-    lower;
-    upper;
-  }
+  Array.iteri
+    (fun f v ->
+      let neg = n + m + f in
+      cols_idx.(neg) <- cols_idx.(v);
+      cols_val.(neg) <- Array.map Float.neg cols_val.(v);
+      obj.(neg) <- -.obj.(v);
+      lower.(v) <- 0.0;
+      lower.(neg) <- 0.0)
+    free;
+  ( {
+      Simplex.num_vars = total;
+      num_rows = m;
+      col_index = cols_idx;
+      col_value = cols_val;
+      rhs;
+      obj;
+      lower;
+      upper;
+    },
+    free )
 
-let solution_of t (res : Simplex.result) =
+let solution_of t ~free (res : Simplex.result) =
   let values = Array.sub res.primal 0 t.n in
+  Array.iteri
+    (fun f v -> values.(v) <- values.(v) -. res.primal.(t.n + t.num_constrs + f))
+    free;
   let sign = if t.maximize then -1.0 else 1.0 in
   let status =
     match res.status with
@@ -170,7 +193,7 @@ let solution_of t (res : Simplex.result) =
   { status; objective = sign *. res.objective; values; duals }
 
 let solve_lp_bounds ?max_iters t ~lbs ~ubs ~objs =
-  let problem = standardize t ~lbs ~ubs ~objs in
+  let problem, free = standardize t ~lbs ~ubs ~objs in
   let res = Simplex.solve ?max_iters problem in
   Log.debug (fun k ->
       k "lp solve: %d vars x %d constraints -> %s in %d pivots" t.n
@@ -181,7 +204,7 @@ let solve_lp_bounds ?max_iters t ~lbs ~ubs ~objs =
         | Simplex.Unbounded -> "unbounded"
         | Simplex.Iteration_limit -> "iteration-limit")
         res.Simplex.iterations);
-  solution_of t res
+  solution_of t ~free res
 
 let solve_lp ?max_iters t =
   let lbs, ubs, objs, _ = arrays_of t in

@@ -44,7 +44,9 @@ val add_var :
   unit ->
   var
 (** Declare a variable.  Defaults: [lb = 0.], [ub = infinity],
-    [integer = false], [obj = 0.]. *)
+    [integer = false], [obj = 0.].  [~lb:neg_infinity] with an infinite
+    [ub] declares a free variable; the solver sees it as the difference
+    of two non-negative columns. *)
 
 val add_constraint : t -> ?name:string -> (float * var) list -> sense -> float -> unit
 (** [add_constraint t terms sense rhs] adds [sum terms (sense) rhs].

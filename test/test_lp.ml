@@ -54,6 +54,41 @@ let test_negative_lower_bound () =
   check_status M.Optimal s;
   Alcotest.(check (float 1e-6)) "x at lower bound" (-5.0) (M.value s x)
 
+let test_free_variable_bounded_below () =
+  (* x free: min x s.t. x >= -5 -> -5 (not 0, the old pinned value) *)
+  let t = M.create () in
+  let x = M.add_var t ~lb:neg_infinity ~obj:1.0 () in
+  M.add_constraint t [ (1.0, x) ] M.Ge (-5.0);
+  let s = M.solve_lp t in
+  check_status M.Optimal s;
+  Alcotest.(check (float 1e-9)) "x" (-5.0) (M.value s x);
+  Alcotest.(check (float 1e-9)) "objective" (-5.0) s.M.objective
+
+let test_free_variable_unbounded () =
+  (* x free: min x s.t. x <= 3 has no minimum *)
+  let t = M.create () in
+  let x = M.add_var t ~lb:neg_infinity ~obj:1.0 () in
+  M.add_constraint t [ (1.0, x) ] M.Le 3.0;
+  check_status M.Unbounded (M.solve_lp t)
+
+let test_simplex_rejects_free_column () =
+  let module S = Apple_lp.Simplex in
+  let p =
+    {
+      S.num_vars = 2;
+      num_rows = 1;
+      col_index = [| [| 0 |]; [| 0 |] |];
+      col_value = [| [| 1.0 |]; [| 1.0 |] |];
+      rhs = [| 1.0 |];
+      obj = [| 1.0; 0.0 |];
+      lower = [| neg_infinity; 0.0 |];
+      upper = [| infinity; infinity |];
+    }
+  in
+  match S.solve p with
+  | _ -> Alcotest.fail "free column accepted"
+  | exception Invalid_argument _ -> ()
+
 let test_infeasible () =
   let t = M.create () in
   let x = M.add_var t ~ub:1.0 ~obj:1.0 () in
@@ -242,6 +277,11 @@ let suite =
     Alcotest.test_case "equality and >=" `Quick test_equality_and_ge;
     Alcotest.test_case "variable bounds" `Quick test_variable_bounds;
     Alcotest.test_case "negative lower bound" `Quick test_negative_lower_bound;
+    Alcotest.test_case "free variable bounded below" `Quick
+      test_free_variable_bounded_below;
+    Alcotest.test_case "free variable unbounded" `Quick test_free_variable_unbounded;
+    Alcotest.test_case "simplex rejects a free column" `Quick
+      test_simplex_rejects_free_column;
     Alcotest.test_case "infeasible" `Quick test_infeasible;
     Alcotest.test_case "unbounded" `Quick test_unbounded;
     Alcotest.test_case "duplicate terms merged" `Quick test_degenerate_duplicate_terms;
