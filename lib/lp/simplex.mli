@@ -8,10 +8,32 @@
                    l <= x <= u v}
 
     where [A] already contains one slack column per original row (the
-    {!Model} layer performs that lowering).  The basis inverse is kept as a
-    dense matrix updated in product form; Dantzig pricing with an automatic
-    switch to Bland's rule guards against cycling.  This is the engine
-    behind the paper's Optimization Engine (Sec. IV-D), replacing CPLEX. *)
+    {!Model} layer performs that lowering).  Dantzig pricing with an
+    automatic switch to Bland's rule guards against cycling.  This is the
+    engine behind the paper's Optimization Engine (Sec. IV-D), replacing
+    CPLEX.
+
+    {b Basis inverse.}  [B^-1] is stored densely (m x m, row-major) but
+    worked on sparsely: next to it the solver keeps the exact nonzero
+    pattern of every row and every column — an index is listed iff its
+    entry is [<> 0.0].  A pivot on row [r] scales row [r] and subtracts
+    multiples of it from each row [i] with [d_i <> 0], touching only row
+    [r]'s nonzeros, so it costs O(nnz(d) · nnz(row r)) instead of O(m²);
+    entries that appear or cancel to exactly zero enter or leave the
+    patterns.  Dual prices [y = c_B B^-1] accumulate over each costed
+    row's pattern, ftran scatters each entry of [A_j] over one column's
+    pattern, and the periodic refresh of the basic values sums each row's
+    pattern in ascending order.
+
+    {b Bit-identical to the dense product.}  Every one of these sums adds
+    the same nonzero terms in the same order as the dense loops, starting
+    from [+0.0].  A skipped term is [±0], and adding [±0] to an
+    accumulator that started at [+0.0] never changes it, so every
+    multiplier, ftran column, dual and basic value — hence every pivot
+    decision — equals the dense computation bit for bit.  Only the sign
+    of zero entries inside [B^-1] can differ, and nothing reads it: every
+    reader adds into such an accumulator, multiplies and subtracts, or
+    compares. *)
 
 type status =
   | Optimal
@@ -29,7 +51,8 @@ type problem = {
   rhs : float array;
   obj : float array;
   lower : float array;  (** may be [neg_infinity] *)
-  upper : float array;  (** may be [infinity] *)
+  upper : float array;  (** may be [infinity], but not together with a
+                            [neg_infinity] lower bound *)
 }
 
 type result = {
@@ -45,4 +68,8 @@ type result = {
 
 val solve : ?max_iters:int -> problem -> result
 (** Solve the standard-form problem.  [max_iters] defaults to a generous
-    multiple of the problem size. *)
+    multiple of the problem size.
+
+    @raise Invalid_argument if a column is free (both bounds infinite):
+    the nonbasic start needs a finite bound on every column.  Split a
+    free variable into [x+ - x-] first, as {!Model} does. *)
