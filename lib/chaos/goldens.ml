@@ -209,6 +209,108 @@ let lp_kernel () =
         ]);
   Buffer.contents b
 
+(* The verifier's reports and the atom classifier's outputs: everything
+   here is read off BDDs (witness packets from [any_sat], rule counts
+   from [fold_paths], fractions from [sat_count]), so a change to the
+   BDD kernel that altered any diagram's structure shows up.  Four
+   gated installs, three faults injected into fresh Internet2 installs
+   the way test_verify does, and the bench micro 6-predicate atoms. *)
+module V = Apple_verify.Verify
+module Rule = Apple_dataplane.Rule
+module Tcam = Apple_dataplane.Tcam
+module Pred = Apple_classifier.Predicate
+module Header = Apple_classifier.Header
+
+let verify_reports () =
+  let b = Buffer.create 4096 in
+  let install i (topo, total) =
+    let tm =
+      Apple_traffic.Synth.gravity (Rng.create (300 + i))
+        ~n:(Apple_topology.Graph.num_nodes topo.Builders.graph)
+        ~total
+    in
+    let config =
+      { Apple_core.Scenario.default_config with max_classes = 32; ecmp = false }
+    in
+    let s = Apple_core.Scenario.build ~config ~seed:(400 + i) topo tm in
+    let ctrl = Apple_core.Controller.create ~jobs:1 ~gate:V.gate s in
+    let r = Apple_core.Controller.run_epoch ctrl in
+    (s, Option.get (Apple_core.Controller.assignment ctrl), r.Apple_core.Controller.rules)
+  in
+  let report title (s, asg, built) =
+    Printf.bprintf b "== %s ==\n%s" title
+      (Format.asprintf "%a" V.pp_report (V.check s asg built))
+  in
+  let topos =
+    [
+      (Builders.internet2 (), 6_000.0);
+      (Builders.geant (), 6_000.0);
+      (Builders.as3679 (), 12_000.0);
+      (Builders.fat_tree ~k:8, 6_000.0);
+    ]
+  in
+  List.iteri
+    (fun i ((topo, _) as rung) ->
+      report (topo.Builders.label ^ " gated install") (install i rung))
+    topos;
+  let faulted title inject =
+    let ((s, _, built) as cfg) = install 0 (List.hd topos) in
+    inject s built.Apple_core.Rule_generator.network;
+    report ("internet2 " ^ title) cfg
+  in
+  let is_classifier (r : Rule.phys_rule) =
+    match r.Rule.action with
+    | Rule.Tag_and_forward _ | Rule.Tag_and_deliver _ -> true
+    | Rule.Fwd_to_host _ | Rule.Set_host_and_forward _ | Rule.Goto_next -> false
+  in
+  faulted "higher-priority duplicate" (fun _ net ->
+      let t = List.find (fun t -> Tcam.phys_rules t <> []) (Array.to_list net) in
+      match Tcam.phys_rules t with
+      | r :: _ as rules ->
+          Tcam.set_phys t ({ r with Rule.priority = r.Rule.priority + 1 } :: rules)
+      | [] -> ());
+  faulted "overlapping classifier" (fun _ net ->
+      let t =
+        List.find
+          (fun t -> List.exists is_classifier (Tcam.phys_rules t))
+          (Array.to_list net)
+      in
+      let rules = Tcam.phys_rules t in
+      let r = List.find is_classifier rules in
+      let action =
+        match r.Rule.action with
+        | Rule.Tag_and_forward { subclass; host } ->
+            Rule.Tag_and_forward { subclass = subclass + 1; host }
+        | Rule.Tag_and_deliver { subclass; host } ->
+            Rule.Tag_and_deliver { subclass = subclass + 1; host }
+        | a -> a
+      in
+      Tcam.set_phys t ({ r with Rule.action } :: rules));
+  faulted "emptied first-hop table" (fun s net ->
+      let sw = s.Apple_core.Types.classes.(0).Apple_core.Types.path.(0) in
+      Tcam.set_phys net.(sw) []);
+  Buffer.add_string b "== atoms of the bench micro predicates ==\n";
+  let e = Pred.env () in
+  let preds =
+    [
+      Pred.src_prefix e "10.0.0.0" 8;
+      Pred.src_prefix e "10.1.0.0" 16;
+      Pred.dst_prefix e "192.168.0.0" 16;
+      Pred.proto e 6;
+      Pred.dst_port e 80;
+      Pred.dst_port_range e 1000 2000;
+    ]
+  in
+  List.iteri
+    (fun i a ->
+      Printf.bprintf b "atom %d rules=%d fraction=%h witness=%s\n" i
+        (Pred.wildcard_rules a) (Pred.fraction_of_space a)
+        (match Pred.witness a with
+        | Some p -> Format.asprintf "%a" Header.pp_packet p
+        | None -> "none"))
+    (Apple_classifier.Atoms.compute e preds);
+  Buffer.contents b
+
 let entries =
   [
     ("table3", fun () -> of_rendered (Core_exp.table3 Core_exp.default_opts));
@@ -219,6 +321,7 @@ let entries =
     ("chaos_internet2", chaos_internet2);
     ("trace_sim", trace_sim);
     ("lp_kernel", lp_kernel);
+    ("verify_reports", verify_reports);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,8 +1,8 @@
 (** Differential regression goldens.
 
     Each entry renders one canonical artifact (experiment tables, a
-    chaos drill and the LP kernel's solve corpus) deterministically at
-    fixed seeds.
+    chaos drill, the LP kernel's solve corpus, and the verifier reports
+    and atoms read off BDDs) deterministically at fixed seeds.
     [tools/make_goldens.exe] records them under [test/goldens/]; the
     tier-1 suite re-renders each entry and fails with a readable unified
     diff when the output drifts.  Refresh intentionally with
