@@ -124,6 +124,18 @@ let test_size () =
   Alcotest.(check int) "terminal size" 0 (B.size m (B.bdd_true m));
   Alcotest.(check int) "single var" 1 (B.size m (B.var m 2))
 
+let test_cube_edges () =
+  let m = B.man () in
+  Alcotest.(check bool) "empty cube is true" true (B.is_true m (B.cube m []));
+  Alcotest.(check bool) "repeated literal is idempotent" true
+    (B.equal (B.cube m [ (3, true); (1, false); (3, true) ])
+       (B.bdd_and m (B.var m 3) (B.nvar m 1)));
+  Alcotest.(check bool) "contradictory pair is false" true
+    (B.is_false m (B.cube m [ (2, true); (4, false); (2, false) ]));
+  Alcotest.check_raises "negative variable"
+    (Invalid_argument "Bdd.var: negative variable") (fun () ->
+      ignore (B.cube m [ (0, true); (-1, false) ]))
+
 (* Property: BDD operations agree with boolean evaluation on all envs. *)
 let prop_semantics =
   QCheck.Test.make ~name:"bdd agrees with boolean semantics" ~count:100
@@ -173,6 +185,135 @@ let prop_fold_paths_disjoint_cover =
       in
       abs_float (total -. B.sat_count m ~num_vars node) < 1e-6)
 
+(* --- growth scale ------------------------------------------------------ *)
+
+(* The properties above use 6 variables and a fresh manager per case, so
+   no table ever grows.  Here hundreds of random operations over 12
+   variables share one manager (well past its initial arena, unique
+   table and cache sizes), and every result is checked against its
+   truth table: a string whose character [k] is '1' iff the function
+   holds under the assignment "bit i is (k lsr i) land 1". *)
+let big_vars = 12
+let points = 1 lsl big_vars
+let bit k i = (k lsr i) land 1 = 1
+let tt_of f = String.init points (fun k -> if f k then '1' else '0')
+let holds tt k = tt.[k] = '1'
+
+(* One random operation on the pool of earlier results; returns the new
+   BDD and its truth table. *)
+let random_op m rs pool =
+  (* Half the operands come from the 16 newest results, so functions
+     compound instead of collapsing back to literals. *)
+  let pick () =
+    let n = Array.length pool in
+    let lo = if Random.State.bool rs then max 0 (n - 16) else 0 in
+    pool.(lo + Random.State.int rs (n - lo))
+  in
+  let binary op sem =
+    let a, ta = pick () and b, tb = pick () in
+    (op m a b, tt_of (fun k -> sem (holds ta k) (holds tb k)))
+  in
+  (* Weighted towards the operations that grow functions (or, xor, ite);
+     and, diff and exists mostly shrink them. *)
+  match Random.State.int rs 12 with
+  | 0 -> binary B.bdd_and ( && )
+  | 1 | 2 -> binary B.bdd_or ( || )
+  | 3 | 4 -> binary B.bdd_xor ( <> )
+  | 5 -> binary B.bdd_diff (fun a b -> a && not b)
+  | 6 -> binary B.bdd_imp (fun a b -> (not a) || b)
+  | 7 ->
+      let a, ta = pick () in
+      (B.bdd_not m a, tt_of (fun k -> not (holds ta k)))
+  | 8 | 9 ->
+      let f, tf = pick () and g, tg = pick () and h, th = pick () in
+      ( B.ite m f g h,
+        tt_of (fun k -> if holds tf k then holds tg k else holds th k) )
+  | 10 ->
+      (* Shuffled literals, with repeats and sometimes a contradiction. *)
+      let lits =
+        List.init (1 + Random.State.int rs 8) (fun _ ->
+            (Random.State.int rs big_vars, Random.State.bool rs))
+      in
+      let lits = lits @ List.filteri (fun i _ -> i mod 2 = 0) lits in
+      let lits =
+        if Random.State.int rs 4 = 0 then
+          match lits with (i, p) :: _ -> (i, not p) :: lits | [] -> lits
+        else lits
+      in
+      let lits =
+        List.map snd
+          (List.sort compare
+             (List.map (fun l -> (Random.State.bits rs, l)) lits))
+      in
+      ( B.cube m lits,
+        tt_of (fun k -> List.for_all (fun (i, p) -> bit k i = p) lits) )
+  | _ ->
+      let a, ta = pick () in
+      let vars = List.init (1 + Random.State.int rs 3) (fun _ -> Random.State.int rs big_vars) in
+      let tt =
+        List.fold_left
+          (fun tt v ->
+            let mask = 1 lsl v in
+            tt_of (fun k -> holds tt (k land lnot mask) || holds tt (k lor mask)))
+          ta vars
+      in
+      (B.exists m vars a, tt)
+
+(* [eval] at every point and [any_sat]'s partial assignment (every
+   completion of it) agree with the truth table. *)
+let agrees m node tt =
+  let eval_ok =
+    let rec go k = k >= points || (B.eval m node (bit k) = holds tt k && go (k + 1)) in
+    go 0
+  in
+  let sat_ok =
+    match B.any_sat m node with
+    | None -> not (String.contains tt '1')
+    | Some lits ->
+        let rec go k =
+          k >= points
+          || ((not (List.for_all (fun (i, p) -> bit k i = p) lits)) || holds tt k)
+             && go (k + 1)
+        in
+        go 0
+  in
+  eval_ok && sat_ok
+
+let prop_growth_scale =
+  QCheck.Test.make ~name:"one manager, 12 vars: truth tables and canonicity"
+    ~count:8 QCheck.small_nat (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let m = B.man () in
+      let pool =
+        ref
+          (Array.of_list
+             ((B.bdd_true m, tt_of (fun _ -> true))
+             :: (B.bdd_false m, tt_of (fun _ -> false))
+             :: List.concat
+                  (List.init big_vars (fun i ->
+                       [
+                         (B.var m i, tt_of (fun k -> bit k i));
+                         (B.nvar m i, tt_of (fun k -> not (bit k i)));
+                       ]))))
+      in
+      (* Distinct truth tables seen so far, each with its BDD. *)
+      let canon = ref [] in
+      let ok = ref true in
+      for _ = 1 to 400 do
+        let node, tt = random_op m rs !pool in
+        if not (agrees m node tt) then ok := false;
+        (* Canonicity: [equal] holds iff the truth tables are equal. *)
+        List.iter
+          (fun (tt', node') ->
+            if B.equal node node' <> String.equal tt tt' then ok := false)
+          !canon;
+        if not (List.exists (fun (tt', _) -> String.equal tt tt') !canon) then
+          canon := (tt, node) :: !canon;
+        pool := Array.append !pool [| (node, tt) |]
+      done;
+      (* Past the 1024-node initial arena: the unique table was rebuilt. *)
+      !ok && B.node_count m > 1024)
+
 let suite =
   [
     Alcotest.test_case "terminals" `Quick test_terminals;
@@ -184,9 +325,11 @@ let suite =
     Alcotest.test_case "any_sat" `Quick test_any_sat;
     Alcotest.test_case "fold_paths count" `Quick test_fold_paths_count;
     Alcotest.test_case "size" `Quick test_size;
+    Alcotest.test_case "cube edges" `Quick test_cube_edges;
     QCheck_alcotest.to_alcotest prop_semantics;
     QCheck_alcotest.to_alcotest prop_sat_count_complement;
     QCheck_alcotest.to_alcotest prop_de_morgan;
     QCheck_alcotest.to_alcotest prop_xor_definition;
     QCheck_alcotest.to_alcotest prop_fold_paths_disjoint_cover;
+    QCheck_alcotest.to_alcotest prop_growth_scale;
   ]
