@@ -83,12 +83,7 @@ let subset a b =
   check_env a b;
   B.is_false a.env (B.bdd_diff a.env a.node b.node)
 
-let matches a p =
-  (* The packet's full cube intersects the predicate iff the packet
-     satisfies it (the cube denotes exactly one point). *)
-  let cube_lits = List.init Header.total_bits (fun k -> (k, Header.packet_bit p k)) in
-  let cube = B.cube a.env cube_lits in
-  not (B.is_false a.env (B.bdd_and a.env cube a.node))
+let matches a p = B.eval a.env a.node (Header.packet_bit p)
 
 let fraction_of_space a =
   B.sat_count a.env ~num_vars:Header.total_bits a.node

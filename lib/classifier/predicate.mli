@@ -4,7 +4,7 @@
     algebra plus emptiness, membership, and conversion back to wildcard
     cubes (for TCAM rule counting). *)
 
-type env
+type env = Apple_bdd.Bdd.man
 (** Shared BDD manager for a family of predicates. *)
 
 type t
@@ -45,7 +45,8 @@ val equal : t -> t -> bool
 val subset : t -> t -> bool
 
 val matches : t -> Header.packet -> bool
-(** Concrete-packet membership (evaluates the BDD along one path). *)
+(** Concrete-packet membership: one root-to-terminal descent of the BDD,
+    O(depth), allocating no node in the environment. *)
 
 val fraction_of_space : t -> float
 (** |t| / 2^104 — the fraction of header space covered. *)

@@ -135,6 +135,74 @@ let test_atoms_same_atom () =
   Alcotest.(check bool) "different blocks" false
     (A.same_atom atoms (packet ~src:"10.1.1.1" ()) (packet ~src:"11.1.1.1" ()))
 
+(* [matches] must agree with its definition, a non-empty intersection
+   with the packet's point (the conjunction of exact field matches), and
+   must not grow the shared environment. *)
+let prop_matches_point =
+  QCheck.Test.make ~name:"matches = point intersection, no new nodes"
+    ~count:100 QCheck.int (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let e = P.env () in
+      let int n = Random.State.int rs n in
+      let bases =
+        List.map H.ip_of_string [ "10.0.0.0"; "10.1.0.0"; "192.168.0.0" ]
+      in
+      let ip () = List.nth bases (int 3) + int 65536 in
+      let rec pred depth =
+        match int (if depth = 0 then 4 else 8) with
+        | 0 -> P.src_prefix_int e (ip ()) (int 33)
+        | 1 -> P.dst_prefix_int e (ip ()) (int 33)
+        | 2 -> P.proto e (if int 2 = 0 then 6 else 17)
+        | 3 ->
+            let lo = int 3000 in
+            P.dst_port_range e lo (lo + int 3000)
+        | 4 -> P.(pred (depth - 1) &&& pred (depth - 1))
+        | 5 -> P.(pred (depth - 1) ||| pred (depth - 1))
+        | 6 -> P.diff (pred (depth - 1)) (pred (depth - 1))
+        | _ -> P.neg (pred (depth - 1))
+      in
+      let a = pred 3 in
+      (* Random packets, and the witness with one field redrawn, which
+         lands near the predicate's boundary. *)
+      let random () =
+        {
+          H.src_ip = ip ();
+          dst_ip = ip ();
+          proto = (if int 2 = 0 then 6 else 17);
+          src_port = int 65536;
+          dst_port = int 6000;
+        }
+      in
+      let near (w : H.packet) =
+        let r = random () in
+        match int 5 with
+        | 0 -> { w with H.src_ip = r.H.src_ip }
+        | 1 -> { w with H.dst_ip = r.H.dst_ip }
+        | 2 -> { w with H.proto = r.H.proto }
+        | 3 -> { w with H.src_port = r.H.src_port }
+        | _ -> { w with H.dst_port = r.H.dst_port }
+      in
+      let packets =
+        match P.witness a with
+        | None -> List.init 30 (fun _ -> random ())
+        | Some w -> w :: List.init 30 (fun i -> if i mod 2 = 0 then near w else random ())
+      in
+      let nodes = Apple_bdd.Bdd.node_count e in
+      let got = List.map (P.matches a) packets in
+      let grew = Apple_bdd.Bdd.node_count e <> nodes in
+      let point (p : H.packet) =
+        P.(
+          src_prefix_int e p.H.src_ip 32
+          &&& dst_prefix_int e p.H.dst_ip 32
+          &&& proto e p.H.proto
+          &&& src_port e p.H.src_port
+          &&& dst_port e p.H.dst_port)
+      in
+      (not grew)
+      && List.for_all2
+           (fun p m -> m = not (P.is_empty P.(a &&& point p)))
+           packets got)
+
 (* ---- prefix splitting ---- *)
 
 let test_prefix_parse () =
@@ -262,6 +330,7 @@ let suite =
     Alcotest.test_case "atoms partition" `Quick test_atoms_partition;
     Alcotest.test_case "atoms decompose" `Quick test_atoms_decompose_exact;
     Alcotest.test_case "atoms same_atom" `Quick test_atoms_same_atom;
+    QCheck_alcotest.to_alcotest prop_matches_point;
     Alcotest.test_case "prefix parse" `Quick test_prefix_parse;
     Alcotest.test_case "split half" `Quick test_split_half;
     Alcotest.test_case "split partition" `Quick test_split_partition_property;
