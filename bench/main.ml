@@ -311,6 +311,60 @@ let test_atoms =
          in
          ignore (Apple_classifier.Atoms.compute e preds)))
 
+(* The verifier's hot loop: its tag-collision check ANDs every pair of
+   classification-rule predicates at a switch.  The rules come from the
+   busiest switch (most classification rules) of the failover-heal
+   workload's GEANT install; each run starts from a fresh manager, as
+   Verify.check does. *)
+let overlap_rules =
+  lazy
+    (let module R = Apple_dataplane.Rule in
+     let topo = B.geant () in
+     let n = Apple_topology.Graph.num_nodes topo.B.graph in
+     let config = { C.Scenario.default_config with C.Scenario.max_classes = 120 } in
+     let s =
+       C.Scenario.build ~config ~seed:0 topo
+         (Tr.Synth.gravity (Rng.create 0) ~n ~total:6000.0)
+     in
+     let report =
+       C.Controller.run_epoch
+         (C.Controller.create ~gate:Apple_verify.Verify.gate s)
+     in
+     let classifiers t =
+       List.filter_map
+         (fun (r : R.phys_rule) ->
+           match r.R.action with
+           | R.Tag_and_deliver _ | R.Tag_and_forward _ ->
+               Some r.R.pmatch.R.m_prefixes
+           | R.Fwd_to_host _ | R.Set_host_and_forward _ | R.Goto_next -> None)
+         (Apple_dataplane.Tcam.phys_rules t)
+     in
+     Array.fold_left
+       (fun best t ->
+         let c = classifiers t in
+         if List.length c > List.length best then c else best)
+       [] report.C.Controller.rules.C.Rule_generator.network)
+
+let test_overlap =
+  Test.make ~name:"verifier overlap ANDs (GEANT busiest switch)"
+    (Staged.stage (fun () ->
+         let module P = Apple_classifier.Predicate in
+         let e = P.env () in
+         let pred = function
+           | [] -> P.always e
+           | ps ->
+               List.fold_left
+                 (fun acc (p : Apple_classifier.Prefix_split.prefix) ->
+                   P.(acc ||| src_prefix_int e p.addr p.len))
+                 (P.never e) ps
+         in
+         let preds = Array.of_list (List.map pred (Lazy.force overlap_rules)) in
+         for i = 0 to Array.length preds - 1 do
+           for j = i + 1 to Array.length preds - 1 do
+             ignore (P.is_empty P.(preds.(i) &&& preds.(j)))
+           done
+         done))
+
 let test_chash =
   Test.make ~name:"consistent-hash assign (one packet)"
     (Staged.stage
@@ -468,6 +522,8 @@ let run_slice () =
 
 let run_micro () =
   print_endline "== Micro-benchmarks (Bechamel, monotonic clock) ==";
+  Printf.printf "(overlap ANDs: %d classification rules at the busiest GEANT switch)\n%!"
+    (List.length (Lazy.force overlap_rules));
   let tests =
     [
       test_simplex_small;
@@ -475,6 +531,7 @@ let run_micro () =
       test_rulegen;
       test_walk;
       test_verify;
+      test_overlap;
       test_atoms;
       test_chash;
       test_drfq;
