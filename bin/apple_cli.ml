@@ -28,9 +28,10 @@ open Cmdliner
 
 let metrics_arg =
   let doc =
-    "Enable telemetry and print a metrics report (counters, per-phase span \
-     timings, pool utilization, event journal) after the command, in the \
-     given $(docv): $(b,text), $(b,json) (JSON-lines) or $(b,prom) \
+    "Enable telemetry and tracing and print a metrics report (counters, \
+     gauges such as pool utilization, histograms, and per-span wall \
+     timings from the causal tracer) after the command, in the given \
+     $(docv): $(b,text), $(b,json) (JSON-lines) or $(b,prom) \
      (Prometheus text format)."
   in
   let env = Cmd.Env.info "APPLE_METRICS" ~doc:"Same as $(b,--metrics)." in
@@ -48,7 +49,8 @@ let metrics_out_arg =
   let env = Cmd.Env.info "APPLE_METRICS_OUT" ~doc:"Same as $(b,--metrics-out)." in
   Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~env ~doc)
 
-(* Run [f] with telemetry enabled when a report was requested, then emit
+(* Run [f] with telemetry and tracing enabled when a report was
+   requested (the report's span block comes from the tracer), then emit
    the report — to stdout, or to [--metrics-out FILE] — also when [f]
    fails, so a crashed run still shows what the pipeline did up to that
    point. *)
@@ -58,6 +60,7 @@ let with_metrics metrics out f =
   | fmt, out ->
       let fmt = Option.value ~default:T.Text fmt in
       T.set_enabled true;
+      Trc.set_enabled true;
       let emit () =
         let report = T.render fmt in
         match out with

@@ -14,7 +14,6 @@ module Controller = Apple_core.Controller
 module Dynamic_handler = Apple_core.Dynamic_handler
 module Resource_orchestrator = Apple_core.Resource_orchestrator
 module Rule_generator = Apple_core.Rule_generator
-module T = Apple_telemetry.Telemetry
 module Tr = Apple_trace.Trace
 
 let tr_fault = Tr.span ~cat:"heal" "chaos.fault"
@@ -119,7 +118,6 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
       (fun m ->
         let line = Printf.sprintf "[%8.3f] %s" (Engine.now w) m in
         lines := line :: !lines;
-        T.Journal.recordf ~kind:"chaos" "%s" m;
         Log.info (fun f -> f "%s" line))
       fmt
   in

@@ -8,8 +8,6 @@ module T = Apple_telemetry.Telemetry
 
 module Tr = Apple_trace.Trace
 
-let sp_epoch = T.Span.create "controller.epoch"
-let sp_gate = T.Span.create "controller.verify_gate"
 let tr_epoch = Tr.span ~cat:"epoch" "controller.epoch"
 let tr_gate = Tr.span ~cat:"verify" "controller.verify_gate"
 let tr_heal = Tr.span ~cat:"heal" "controller.heal"
@@ -73,9 +71,6 @@ let create ?(objective = Optimization_engine.Min_instances) ?(engine = `Best)
 let set_load_source t src = t.load_source <- src
 
 let run_epoch t =
-  T.Journal.recordf ~kind:"epoch" "epoch started: %d classes"
-    (Array.length t.s.Types.classes);
-  T.Span.with_ sp_epoch @@ fun () ->
   Tr.with_ tr_epoch @@ fun () ->
   let placement =
     match t.engine with
@@ -97,15 +92,10 @@ let run_epoch t =
   (match t.gate with
   | None -> ()
   | Some gate -> (
-      match
-        Tr.with_ tr_gate (fun () ->
-            T.Span.with_ sp_gate (fun () -> gate t.s assignment rules))
-      with
+      match Tr.with_ tr_gate (fun () -> gate t.s assignment rules) with
       | Ok () -> ()
       | Error msg ->
           T.Counter.incr m_rejected;
-          T.Journal.recordf ~kind:"epoch" "epoch rejected by verify gate: %s"
-            msg;
           Log.err (fun m -> m "epoch rejected by verify gate: %s" msg);
           raise (Rejected msg)));
   let state = Netstate.of_assignment t.s assignment in
@@ -135,9 +125,6 @@ let run_epoch t =
   Apple_obs.Flight.record Apple_obs.Flight.Epoch
     ~a:(Array.length t.s.Types.classes)
     ~b:report.instances ~c:report.cores ();
-  T.Journal.recordf ~kind:"epoch"
-    "epoch done: %d instances, %d cores, %d TCAM entries in %.2fs"
-    report.instances report.cores report.tcam_entries report.solve_seconds;
   Log.info (fun m ->
       m "epoch: %d classes -> %d instances (%d cores), %d TCAM entries, %.2fs"
         (Array.length t.s.Types.classes)
@@ -165,8 +152,6 @@ let reinstall_rules t =
       t.report <-
         Some
           { report with rules; tcam_entries = rules.Rule_generator.tcam_with_tagging };
-      T.Journal.recordf ~kind:"epoch" "rules reinstalled: %d TCAM entries"
-        rules.Rule_generator.tcam_with_tagging;
       Apple_dataplane.Compiled.note_epoch ();
       rules
   | _ -> invalid_arg "Controller.reinstall_rules: run_epoch first"
@@ -177,8 +162,7 @@ let recheck_gate t =
   | Some gate -> (
       match (t.assignment, t.report) with
       | Some assignment, Some report ->
-          Tr.with_ tr_gate (fun () ->
-              T.Span.with_ sp_gate (fun () -> gate t.s assignment report.rules))
+          Tr.with_ tr_gate (fun () -> gate t.s assignment report.rules)
       | _ -> Error "no epoch has been run")
 
 let heal_instance t ~dead ~replacement =

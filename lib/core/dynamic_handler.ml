@@ -187,8 +187,6 @@ let spawn_pool_instance t episode template stage =
             let inst = Resource_orchestrator.launch orch kind ~host in
             t.n_spawns <- t.n_spawns + 1;
             T.Counter.incr m_spawns;
-            T.Journal.recordf ~kind:"failover" "spawned %s pool instance at switch %d"
-              (Nf.name kind) host;
             t.state.Netstate.extra_instances <-
               inst :: t.state.Netstate.extra_instances;
             episode.spawned <- (inst, ref []) :: episode.spawned;
@@ -268,10 +266,6 @@ let failover t hot =
   T.Counter.incr m_overloads;
   Flight.record Flight.Overload ~a:(Instance.id hot)
     ~b:(int_of_float (1000.0 *. Instance.utilization hot)) ();
-  T.Journal.recordf ~kind:"failover" "episode opened: %s#%d at switch %d (%.0f/%.0f Mbps)"
-    (Nf.name (Instance.kind hot)) (Instance.id hot) (Instance.host hot)
-    (Instance.offered hot)
-    (Instance.spec hot).Nf.capacity_mbps;
   Log.info (fun m ->
       m "overload: %s#%d at switch %d (%.0f/%.0f Mbps)"
         (Nf.name (Instance.kind hot)) (Instance.id hot) (Instance.host hot)
@@ -426,10 +420,6 @@ let rec rollback t episode =
   t.n_rollbacks <- t.n_rollbacks + 1;
   T.Counter.incr m_rollbacks;
   Flight.record Flight.Recover ~a:(Instance.id episode.instance) ();
-  T.Journal.recordf ~kind:"failover"
-    "rollback: instance %d recovered, %d failover instance(s) cancelled"
-    (Instance.id episode.instance)
-    (List.length episode.spawned);
   List.iter
     (fun p -> p.Netstate.weight <- p.Netstate.baseline)
     episode.touched;
@@ -540,11 +530,6 @@ let repair t ~dead =
           victims
       end)
     t.state.Netstate.per_class;
-  T.Journal.recordf ~kind:"repair"
-    "repair: instance %d dead, %d sub-class(es) touched, %.3f stranded"
-    dead_id
-    (List.length episode.r_touched)
-    !stranded;
   Log.info (fun m ->
       m "repair: instance %d dead, %d sub-class(es) touched, %.3f stranded"
         dead_id
@@ -581,8 +566,6 @@ let heal t ~dead ~replacement =
   t.n_heals <- t.n_heals + 1;
   T.Counter.incr m_heals;
   Flight.record Flight.Recover ~a:dead_id ~b:(Instance.id replacement) ();
-  T.Journal.recordf ~kind:"repair" "heal: instance %d replaced by %d" dead_id
-    (Instance.id replacement);
   Log.info (fun m ->
       m "heal: instance %d replaced by %d" dead_id (Instance.id replacement));
   Netstate.recompute_loads t.state

@@ -5,17 +5,11 @@ module Builders = Apple_topology.Builders
 module Pool = Apple_parallel.Pool
 module T = Apple_telemetry.Telemetry
 
-(* Per-phase spans around the solve pipeline and an "lp" journal entry
-   per relaxation solved.  Span bodies are the existing phase code; the
-   engine never reads telemetry back, so placements are unaffected. *)
+(* Per-phase spans around the solve pipeline.  Span bodies are the
+   existing phase code; the engine never reads telemetry or the trace
+   back, so placements are unaffected. *)
 module Tr = Apple_trace.Trace
 
-let sp_relax = T.Span.create "opt.relax"
-let sp_reweight = T.Span.create "opt.reweight"
-let sp_round = T.Span.create "opt.round"
-let sp_repair = T.Span.create "opt.repair"
-let sp_consolidate = T.Span.create "opt.consolidate"
-let sp_ilp = T.Span.create "opt.ilp"
 let tr_relax = Tr.span ~cat:"solve" "opt.relax"
 let tr_reweight = Tr.span ~cat:"solve" "opt.reweight"
 let tr_round = Tr.span ~cat:"solve" "opt.round"
@@ -23,13 +17,8 @@ let tr_repair = Tr.span ~cat:"solve" "opt.repair"
 let tr_consolidate = Tr.span ~cat:"solve" "opt.consolidate"
 let tr_ilp = Tr.span ~cat:"solve" "opt.ilp"
 let tr_class = Tr.span ~cat:"solve" "opt.class_lp"
-
-(* Telemetry aggregates and the causal trace observe the same region:
-   one combinator keeps every phase's two spans in lockstep. *)
-let timed tr sp f = Tr.with_ tr (fun () -> T.Span.with_ sp f)
 let m_per_class_rounds = T.Counter.create "apple.opt.per_class_rounds"
 let m_class_lps = T.Counter.create "apple.opt.class_lps"
-let m_lp_pivots = T.Counter.create "apple.lp.pivots"
 
 type objective = Min_instances | Min_cores
 
@@ -623,10 +612,7 @@ let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
   | Ilp max_nodes ->
       let model, q, d = build_model s ~objective ~integer:true in
       let model_size = Format.asprintf "%a" Model.pp_stats model in
-      let p0 = T.Counter.value m_lp_pivots in
-      let sol = timed tr_ilp sp_ilp (fun () -> Model.solve_ilp ~max_nodes model) in
-      T.Journal.recordf ~kind:"lp" "ilp solved: %s, %d pivots" model_size
-        (T.Counter.value m_lp_pivots - p0);
+      let sol = Tr.with_ tr_ilp (fun () -> Model.solve_ilp ~max_nodes model) in
       check_status sol;
       let dist = extract_distribution s d sol in
       let n = Graph.num_nodes s.Types.topo.Builders.graph in
@@ -650,10 +636,7 @@ let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
   | Lp_round ->
       let model1, _, d1 = build_model s ~objective ~integer:false in
       let model_size = Format.asprintf "%a" Model.pp_stats model1 in
-      let p0 = T.Counter.value m_lp_pivots in
-      let sol1 = timed tr_relax sp_relax (fun () -> Model.solve_lp model1) in
-      T.Journal.recordf ~kind:"lp" "relaxation solved: %s, %d pivots" model_size
-        (T.Counter.value m_lp_pivots - p0);
+      let sol1 = Tr.with_ tr_relax (fun () -> Model.solve_lp model1) in
       check_status sol1;
       let dist1 = extract_distribution s d1 sol1 in
       (* The fractional objective is degenerate — spreading load across
@@ -672,13 +655,13 @@ let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
         | Model.Infeasible | Model.Unbounded -> dist
       in
       let dist =
-        if reweight then timed tr_reweight sp_reweight (fun () -> refine dist1)
+        if reweight then Tr.with_ tr_reweight (fun () -> refine dist1)
         else dist1
       in
-      let counts = timed tr_repair sp_repair (fun () -> repair_resources s dist) in
+      let counts = Tr.with_ tr_repair (fun () -> repair_resources s dist) in
       let counts =
         if consolidate then
-          timed tr_consolidate sp_consolidate (fun () -> consolidate_pass s dist counts)
+          Tr.with_ tr_consolidate (fun () -> consolidate_pass s dist counts)
         else counts
       in
       {
@@ -716,10 +699,9 @@ let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
       in
       let rounds = if reweight then max 1 rounds else 1 in
       let dist = ref [||] in
-      for round = 1 to rounds do
+      for _ = 1 to rounds do
         let p = !prices in
-        let p0 = T.Counter.value m_lp_pivots in
-        timed tr_round sp_round (fun () ->
+        Tr.with_ tr_round (fun () ->
             dist :=
               Pool.run ~jobs
                 (fun c ->
@@ -728,9 +710,6 @@ let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
                 classes);
         T.Counter.incr m_per_class_rounds;
         T.Counter.add m_class_lps nclasses;
-        T.Journal.recordf ~kind:"lp" "per-class round %d/%d: %d class LPs, %d pivots"
-          round rounds nclasses
-          (T.Counter.value m_lp_pivots - p0);
         (* Repricing reads the merged distribution sequentially — float
            accumulation order is fixed regardless of [jobs]. *)
         prices := per_class_prices s !dist
@@ -748,10 +727,10 @@ let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
         done;
         !acc
       in
-      let counts = timed tr_repair sp_repair (fun () -> repair_resources s dist) in
+      let counts = Tr.with_ tr_repair (fun () -> repair_resources s dist) in
       let counts =
         if consolidate then
-          timed tr_consolidate sp_consolidate (fun () -> consolidate_pass s dist counts)
+          Tr.with_ tr_consolidate (fun () -> consolidate_pass s dist counts)
         else counts
       in
       {

@@ -276,11 +276,7 @@ let build ?(split_depth = 6) ?(tag_mode = `Auto) (s : Types.scenario)
   if T.enabled () then begin
     T.Counter.add m_tcam_tagged built.tcam_with_tagging;
     T.Counter.add m_tcam_untagged built.tcam_without_tagging;
-    T.Counter.add m_vswitch built.vswitch_rules;
-    T.Journal.recordf ~kind:"rules"
-      "rules installed: %d TCAM tagged (%d untagged), %d vswitch, %d global tags"
-      built.tcam_with_tagging built.tcam_without_tagging built.vswitch_rules
-      built.global_tags_used
+    T.Counter.add m_vswitch built.vswitch_rules
   end;
   Apple_obs.Flight.record Apple_obs.Flight.Rules ~a:built.tcam_with_tagging
     ~b:built.vswitch_rules ~c:built.global_tags_used ();

@@ -9,7 +9,6 @@ let under dir path =
 
 let in_lib = under "lib/"
 let in_obs = under "lib/obs/"
-let in_telemetry = under "lib/telemetry/"
 let in_trace = under "lib/trace/"
 let in_parallel = under "lib/parallel/"
 
@@ -86,11 +85,11 @@ let check_ident ctx lid (loc : Location.t) =
            fn)
   | [ "Sys"; "time" ]
   | [ "Unix"; ("gettimeofday" | "time" | "localtime" | "gmtime") ]
-    when not (in_telemetry ctx.path || in_trace ctx.path) ->
+    when not (in_trace ctx.path) ->
       emit ctx Rule.wallclock loc
         (Printf.sprintf
-           "%s reads the host clock outside lib/telemetry or lib/trace — \
-            inject the clock, or waive a perf-metadata read"
+           "%s reads the host clock outside lib/trace — inject the clock, \
+            or waive a perf-metadata read"
            (dotted p))
   | [ "Obj"; "magic" ] ->
       emit ctx Rule.obj_magic loc "Obj.magic defeats the type system"

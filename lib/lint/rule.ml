@@ -50,8 +50,8 @@ let wallclock =
     severity = Error;
     summary =
       "wall-clock read (Sys.time, Unix.gettimeofday, ...) outside \
-       lib/telemetry or lib/trace — results must not depend on the host \
-       clock; waive perf-metadata reads";
+       lib/trace — results must not depend on the host clock; waive \
+       perf-metadata reads";
   }
 
 let stdout =

@@ -1,5 +1,3 @@
-module T = Apple_telemetry.Telemetry
-
 type kind =
   | Walk_start
   | Rule_match
@@ -102,8 +100,10 @@ let clear () =
   Mutex.unlock lock
 
 let now () =
+  match Apple_trace.Trace.sim_now () with
+  | Some t -> t
   (* lint: L5 — wall fallback when no sim clock; timestamps are diagnostic metadata *)
-  match T.sim_now () with Some t -> t | None -> Unix.gettimeofday ()
+  | None -> Unix.gettimeofday ()
 
 let write_slot bytes ~off ~seq ~time ~kcode ~a ~b ~c ~d =
   Bytes.set_int64_le bytes off (Int64.of_int seq);

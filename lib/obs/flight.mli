@@ -9,7 +9,7 @@
     kind, four integer operands — written into a preallocated ring, so
     the enabled path allocates nothing and the disabled path is a
     load-and-branch.  Timestamps come from the simulation clock when one
-    is installed ({!Apple_telemetry.Telemetry.set_sim_clock}), else from
+    is installed ({!Apple_trace.Trace.set_sim_clock}), else from
     [Unix.gettimeofday].
 
     The operand meaning per kind (decoded by {!Provenance}):

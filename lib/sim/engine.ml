@@ -90,12 +90,13 @@ let every t ~period ?until action =
   schedule t ~delay:period tick
 
 let run ?until t =
-  (* Spans and journal entries opened inside event actions pick up
-     virtual timestamps; the previous hook is restored so nested or
+  (* Spans and flight records made inside event actions pick up virtual
+     timestamps; the previous hook is restored so nested or
      back-to-back engines do not clobber each other. *)
-  let prev_clock = T.current_sim_clock () in
-  T.set_sim_clock (Some (fun () -> t.clock));
-  Fun.protect ~finally:(fun () -> T.set_sim_clock prev_clock) @@ fun () ->
+  let prev_clock = Apple_trace.Trace.current_sim_clock () in
+  Apple_trace.Trace.set_sim_clock (Some (fun () -> t.clock));
+  Fun.protect ~finally:(fun () -> Apple_trace.Trace.set_sim_clock prev_clock)
+  @@ fun () ->
   let continue = ref true in
   while !continue do
     match pop t with

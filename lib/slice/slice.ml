@@ -685,8 +685,6 @@ let admit t spec =
   match commit t (existing @ [ cand ]) with
   | Error reason ->
       record_rejection t reason;
-      T.Journal.recordf ~kind:"slice" "rejected %s (%s): %s" (slice_key spec)
-        (reason_name reason) (reason_detail reason);
       Log.info (fun m ->
           m "rejected %s: %a" (slice_key spec) pp_reason reason);
       Error reason
@@ -714,9 +712,6 @@ let admit t spec =
           throttled = throttled_of st;
         }
       in
-      T.Journal.recordf ~kind:"slice"
-        "admitted %s: slice %d, %d resident(s), %d cores, %d TCAM"
-        (slice_key spec) adm.slice_id adm.residents adm.cores adm.tcam_rules;
       Log.info (fun m ->
           m "admitted %s as slice %d (%d resident(s))" (slice_key spec)
             adm.slice_id adm.residents);
@@ -744,9 +739,6 @@ let depart t ~tenant ~name =
             t.stats <-
               { t.stats with departed_total = t.stats.departed_total + 1 };
             T.Gauge.set (tenant_gauge tenant) 0.0;
-            T.Journal.recordf ~kind:"slice"
-              "departed %s: freed %d cores, %d TCAM, %d tags" key freed_cores
-              freed_tcam freed_tags;
             Ok
               { residents; freed_instances; freed_cores; freed_tcam; freed_tags }
           in

@@ -14,11 +14,6 @@ let enabled_flag = ref false
 let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
 
-let sim_clock : (unit -> float) option ref = ref None
-let set_sim_clock c = sim_clock := c
-let sim_now () = match !sim_clock with Some c -> Some (c ()) | None -> None
-let current_sim_clock () = !sim_clock
-
 (* ---- metric structures ------------------------------------------- *)
 
 type counter = { c_name : string; c_value : int Atomic.t }
@@ -34,20 +29,10 @@ type histogram = {
   mutable h_max : float;
 }
 
-type span = {
-  s_name : string;
-  s_mutex : Mutex.t;
-  mutable s_count : int;
-  mutable s_wall : float;
-  mutable s_wall_max : float;
-  mutable s_sim : float;
-}
-
 type metric =
   | M_counter of counter
   | M_gauge of gauge
   | M_histogram of histogram
-  | M_span of span
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
 let registry_mutex = Mutex.create ()
@@ -200,124 +185,6 @@ module Histogram = struct
   let name h = h.h_name
 end
 
-module Span = struct
-  type t = span
-
-  let create name =
-    intern name
-      ~make:(fun () ->
-        let s =
-          {
-            s_name = name;
-            s_mutex = Mutex.create ();
-            s_count = 0;
-            s_wall = 0.0;
-            s_wall_max = 0.0;
-            s_sim = 0.0;
-          }
-        in
-        (s, M_span s))
-      ~cast:(function M_span s -> Some s | _ -> None)
-
-  let record s ~wall ~sim =
-    Mutex.lock s.s_mutex;
-    s.s_count <- s.s_count + 1;
-    s.s_wall <- s.s_wall +. wall;
-    if wall > s.s_wall_max then s.s_wall_max <- wall;
-    (match sim with Some d -> s.s_sim <- s.s_sim +. d | None -> ());
-    Mutex.unlock s.s_mutex
-
-  let with_ s f =
-    if not !enabled_flag then f ()
-    else begin
-      let w0 = Unix.gettimeofday () in
-      let sim0 = sim_now () in
-      let finish () =
-        let wall = Unix.gettimeofday () -. w0 in
-        let sim =
-          match (sim0, sim_now ()) with
-          | Some a, Some b -> Some (b -. a)
-          | _ -> None
-        in
-        record s ~wall ~sim
-      in
-      match f () with
-      | v ->
-          finish ();
-          v
-      | exception e ->
-          finish ();
-          raise e
-    end
-
-  let time name f = with_ (create name) f
-  let count s = s.s_count
-  let wall_seconds s = s.s_wall
-  let wall_max s = s.s_wall_max
-  let sim_seconds s = s.s_sim
-  let name s = s.s_name
-end
-
-module Journal = struct
-  type entry = {
-    seq : int;
-    wall : float;
-    sim : float option;
-    kind : string;
-    detail : string;
-  }
-
-  let mutex = Mutex.create ()
-  let default_capacity = 1024
-  let ring : entry option array ref = ref (Array.make default_capacity None)
-  let total_recorded = ref 0
-
-  let set_capacity n =
-    if n < 1 then invalid_arg "Telemetry.Journal.set_capacity";
-    Mutex.lock mutex;
-    ring := Array.make n None;
-    total_recorded := 0;
-    Mutex.unlock mutex
-
-  let capacity () = Array.length !ring
-
-  let clear () =
-    Mutex.lock mutex;
-    Array.fill !ring 0 (Array.length !ring) None;
-    total_recorded := 0;
-    Mutex.unlock mutex
-
-  let record ~kind detail =
-    if !enabled_flag then begin
-      let wall = Unix.gettimeofday () in
-      let sim = sim_now () in
-      Mutex.lock mutex;
-      let seq = !total_recorded in
-      !ring.(seq mod Array.length !ring) <- Some { seq; wall; sim; kind; detail };
-      total_recorded := seq + 1;
-      Mutex.unlock mutex
-    end
-
-  let recordf ~kind fmt = Printf.ksprintf (fun s -> record ~kind s) fmt
-
-  let entries () =
-    Mutex.lock mutex;
-    let cap = Array.length !ring in
-    let total = !total_recorded in
-    let first = if total > cap then total - cap else 0 in
-    let out =
-      List.filter_map
-        (fun seq -> !ring.(seq mod cap))
-        (List.init (total - first) (fun i -> first + i))
-    in
-    Mutex.unlock mutex;
-    out
-
-  let total () = !total_recorded
-  let length () = min !total_recorded (Array.length !ring)
-  let dropped () = max 0 (!total_recorded - Array.length !ring)
-end
-
 (* ---- snapshots ---------------------------------------------------- *)
 
 let sorted_metrics () =
@@ -327,7 +194,6 @@ let sorted_metrics () =
     | M_counter c -> c.c_name
     | M_gauge g -> g.g_name
     | M_histogram h -> h.h_name
-    | M_span s -> s.s_name
   in
   List.sort (fun a b -> String.compare (name_of a) (name_of b)) all
 
@@ -365,28 +231,6 @@ let histograms () =
       | _ -> None)
     (sorted_metrics ())
 
-type span_summary = {
-  sp_count : int;
-  sp_wall : float;
-  sp_wall_max : float;
-  sp_sim : float;
-}
-
-let spans () =
-  List.filter_map
-    (function
-      | M_span s ->
-          Some
-            ( s.s_name,
-              {
-                sp_count = s.s_count;
-                sp_wall = s.s_wall;
-                sp_wall_max = s.s_wall_max;
-                sp_sim = s.s_sim;
-              } )
-      | _ -> None)
-    (sorted_metrics ())
-
 let reset () =
   with_registry (fun () ->
       (* lint: L3 — independent per-metric resets; order cannot leak *)
@@ -398,14 +242,8 @@ let reset () =
           | M_histogram h ->
               Array.iter (fun c -> Atomic.set c 0) h.h_counts;
               h.h_sum <- 0.0;
-              h.h_max <- neg_infinity
-          | M_span s ->
-              s.s_count <- 0;
-              s.s_wall <- 0.0;
-              s.s_wall_max <- 0.0;
-              s.s_sim <- 0.0)
-        registry);
-  Journal.clear ()
+              h.h_max <- neg_infinity)
+        registry)
 
 (* ---- exporters ---------------------------------------------------- *)
 
@@ -420,8 +258,14 @@ let format_of_string = function
 let format_to_string = function Text -> "text" | Json -> "json" | Prom -> "prom"
 
 module Table = Apple_prelude.Text_table
+module Trace = Apple_trace.Trace
 
-let journal_tail_shown = 20
+(* Span timings come from the tracer: one wall-time row per span name,
+   in name order like every other block. *)
+let span_rows () =
+  List.sort
+    (fun (a : Trace.row) b -> String.compare a.r_name b.r_name)
+    (Trace.rows ~mode:Trace.Wall ())
 
 let render_text () =
   let buf = Buffer.create 1024 in
@@ -456,48 +300,18 @@ let render_text () =
                Printf.sprintf "%.4g" s.h_max;
              ])
        (histograms ()));
-  section "spans"
-    (Table.create [ "span"; "count"; "wall total"; "wall mean"; "wall max"; "sim total" ])
-    (List.filter_map
-       (fun (n, s) ->
-         if s.sp_count = 0 then None
-         else
-           Some
-             [
-               n;
-               string_of_int s.sp_count;
-               Printf.sprintf "%.4f s" s.sp_wall;
-               Printf.sprintf "%.4f s" (s.sp_wall /. float_of_int s.sp_count);
-               Printf.sprintf "%.4f s" s.sp_wall_max;
-               (if s.sp_sim > 0.0 then Printf.sprintf "%.4f s" s.sp_sim else "-");
-             ])
-       (spans ()));
-  let entries = Journal.entries () in
-  let tail =
-    let n = List.length entries in
-    if n <= journal_tail_shown then entries
-    else List.filteri (fun i _ -> i >= n - journal_tail_shown) entries
-  in
-  if tail <> [] then begin
-    Buffer.add_string buf
-      (Printf.sprintf "-- journal (last %d of %d, %d dropped) --\n"
-         (List.length tail) (Journal.total ()) (Journal.dropped ()));
-    let t = Table.create [ "seq"; "sim"; "kind"; "event" ] in
-    List.iter
-      (fun (e : Journal.entry) ->
-        Table.add_row t
-          [
-            string_of_int e.Journal.seq;
-            (match e.Journal.sim with
-            | Some s -> Printf.sprintf "%.3f" s
-            | None -> "-");
-            e.Journal.kind;
-            e.Journal.detail;
-          ])
-      tail;
-    Buffer.add_string buf (Table.render t);
-    Buffer.add_char buf '\n'
-  end;
+  section
+    (Printf.sprintf "spans (%d dropped)" (Trace.dropped ()))
+    (Table.create [ "span"; "count"; "total s"; "self s" ])
+    (List.map
+       (fun (r : Trace.row) ->
+         [
+           r.r_name;
+           string_of_int r.r_count;
+           Printf.sprintf "%.4f" r.r_total;
+           Printf.sprintf "%.4f" r.r_self;
+         ])
+       (span_rows ()));
   Buffer.contents buf
 
 (* Minimal JSON helpers: we only emit, never parse. *)
@@ -547,22 +361,12 @@ let render_json_lines () =
         (json_float (if s.h_count = 0 then 0.0 else s.h_p95)))
     (histograms ());
   List.iter
-    (fun (n, s) ->
+    (fun (r : Trace.row) ->
       line
-        "{\"type\":\"span\",\"name\":%s,\"count\":%d,\"wall_seconds\":%s,\"wall_max\":%s,\"sim_seconds\":%s}"
-        (json_string n) s.sp_count (json_float s.sp_wall)
-        (json_float s.sp_wall_max) (json_float s.sp_sim))
-    (spans ());
-  List.iter
-    (fun (e : Journal.entry) ->
-      line
-        "{\"type\":\"journal\",\"seq\":%d,\"wall\":%s,\"sim\":%s,\"kind\":%s,\"detail\":%s}"
-        e.Journal.seq
-        (json_float e.Journal.wall)
-        (match e.Journal.sim with Some s -> json_float s | None -> "null")
-        (json_string e.Journal.kind)
-        (json_string e.Journal.detail))
-    (Journal.entries ());
+        "{\"type\":\"span\",\"name\":%s,\"count\":%d,\"total_seconds\":%s,\"self_seconds\":%s}"
+        (json_string r.r_name) r.r_count (json_float r.r_total)
+        (json_float r.r_self))
+    (span_rows ());
   Buffer.contents buf
 
 let prom_name n =
@@ -592,7 +396,6 @@ let render_prometheus () =
     | M_counter c -> c.c_name
     | M_gauge g -> g.g_name
     | M_histogram h -> h.h_name
-    | M_span s -> s.s_name
   in
   let emit = function
     | M_counter c ->
@@ -619,25 +422,32 @@ let render_prometheus () =
           h.h_counts;
         line "%s_sum %s" n (json_float h.h_sum);
         line "%s_count %d" n !cum
-    | M_span s ->
-        let n = prom_name s.s_name in
-        line "# TYPE %s_seconds_total counter" n;
-        line "%s_seconds_total %s" n (json_float s.s_wall);
-        line "# TYPE %s_count counter" n;
-        line "%s_count %d" n s.s_count
+  in
+  let emit_span (r : Trace.row) =
+    let n = prom_name r.r_name in
+    line "# TYPE %s_seconds_total counter" n;
+    line "%s_seconds_total %s" n (json_float r.r_total);
+    line "# TYPE %s_count counter" n;
+    line "%s_count %d" n r.r_count
   in
   (* One pass, globally ordered by exposition name (raw name breaks
      ties): the output is byte-stable regardless of metric kind or
      registry insertion order.  Sorting by [prom_name] rather than the
      raw name matters — the sanitizer maps '.'/'-' to '_', which does
-     not preserve [String.compare] order. *)
-  sorted_metrics ()
-  |> List.map (fun m -> ((prom_name (raw_name m), raw_name m), m))
+     not preserve [String.compare] order.  Spans join the same order. *)
+  let blocks =
+    List.map (fun m -> (raw_name m, fun () -> emit m)) (sorted_metrics ())
+    @ List.map
+        (fun (r : Trace.row) -> (r.r_name, fun () -> emit_span r))
+        (Trace.rows ~mode:Trace.Wall ())
+  in
+  blocks
+  |> List.map (fun (raw, out) -> ((prom_name raw, raw), out))
   |> List.sort (fun ((pa, ra), _) ((pb, rb), _) ->
          match String.compare pa pb with
          | 0 -> String.compare ra rb
          | c -> c)
-  |> List.iter (fun (_, m) -> emit m);
+  |> List.iter (fun (_, out) -> out ());
   Buffer.contents buf
 
 let render = function

@@ -1,5 +1,7 @@
-(** Process-wide observability: a metrics registry, timed spans and a
-    bounded event journal, with text / JSON-lines / Prometheus exporters.
+(** Process-wide observability: a metrics registry (counters, gauges,
+    histograms) with text / JSON-lines / Prometheus exporters.  Timed
+    regions are {!Apple_trace.Trace} spans; the exporters render their
+    per-name summary from [Trace.rows].  This module reads no clock.
 
     The subsystem is {b off by default} and every update site first reads
     one boolean, so instrumented hot paths (simplex pivots, pool chunk
@@ -19,20 +21,8 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val reset : unit -> unit
-(** Zero every registered metric and span and clear the journal.
-    Registered metric handles stay valid (the registry itself is kept). *)
-
-val set_sim_clock : (unit -> float) option -> unit
-(** Install (or remove) a virtual-time source.  While installed, spans
-    additionally record sim-time durations and journal entries carry a
-    sim timestamp.  [Apple_sim.Engine.run] installs its own clock for
-    the duration of a run. *)
-
-val sim_now : unit -> float option
-(** Current virtual time, when a sim clock is installed. *)
-
-val current_sim_clock : unit -> (unit -> float) option
-(** The installed clock itself, for save/restore around nested runs. *)
+(** Zero every registered metric.  Registered metric handles stay valid
+    (the registry itself is kept). *)
 
 (** Monotone integer counters (events, pivots, rules, chunks...). *)
 module Counter : sig
@@ -107,60 +97,6 @@ module Histogram : sig
   val name : t -> string
 end
 
-(** Named, nestable timed regions, aggregated per name.  Each completed
-    region adds its wall-clock duration — and its sim-time duration when
-    a sim clock is installed — to the span's totals. *)
-module Span : sig
-  type t
-
-  val create : string -> t
-  val with_ : t -> (unit -> 'a) -> 'a
-  (** Time [f] (exceptions included) and record the duration.  When
-      telemetry is disabled this is [f ()] with no clock reads. *)
-
-  val time : string -> (unit -> 'a) -> 'a
-  (** [with_ (create name) f]. *)
-
-  val count : t -> int
-  val wall_seconds : t -> float
-  val wall_max : t -> float
-  val sim_seconds : t -> float
-  val name : t -> string
-end
-
-(** Bounded ring-buffer event journal.  When full, the oldest entries
-    are overwritten; [dropped] counts the overwritten ones. *)
-module Journal : sig
-  type entry = {
-    seq : int;  (** 0-based global sequence number *)
-    wall : float;  (** [Unix.gettimeofday] at record time *)
-    sim : float option;  (** virtual time, when a sim clock is installed *)
-    kind : string;  (** e.g. ["epoch"], ["lp"], ["failover"] *)
-    detail : string;
-  }
-
-  val set_capacity : int -> unit
-  (** Resize (and clear) the ring.  Default capacity: 1024. *)
-
-  val capacity : unit -> int
-
-  val record : kind:string -> string -> unit
-
-  val recordf : kind:string -> ('a, unit, string, unit) format4 -> 'a
-  (** [recordf ~kind fmt ...]: like {!record} with a format string.  The
-      arguments are still evaluated when telemetry is disabled; prefer
-      {!record} with a literal (or guard with {!enabled}) on hot
-      paths. *)
-
-  val entries : unit -> entry list
-  (** Chronological (oldest surviving entry first). *)
-
-  val length : unit -> int
-  val total : unit -> int
-  val dropped : unit -> int
-  val clear : unit -> unit
-end
-
 (** Snapshot accessors (all sorted by metric name). *)
 
 val counters : unit -> (string * int) list
@@ -176,15 +112,6 @@ type histogram_summary = {
 
 val histograms : unit -> (string * histogram_summary) list
 
-type span_summary = {
-  sp_count : int;
-  sp_wall : float;
-  sp_wall_max : float;
-  sp_sim : float;
-}
-
-val spans : unit -> (string * span_summary) list
-
 (** Exporters. *)
 
 type format = Text | Json | Prom
@@ -193,9 +120,12 @@ val format_of_string : string -> (format, string) result
 val format_to_string : format -> string
 
 val render : format -> string
-(** {!render Text}: aligned tables (counters, gauges, histograms, spans,
-    journal tail) via [Apple_prelude.Text_table].  {!render Json}: one
-    JSON object per line — metrics first, then journal entries.
+(** {!render Text}: aligned tables (counters, gauges, histograms, spans)
+    via [Apple_prelude.Text_table]; the span block has one row per
+    traced span name (count, total and self wall seconds) and its
+    header states [Trace.dropped ()].  {!render Json}: one JSON object
+    per line — counters, gauges, histograms, then spans.
     {!render Prom}: Prometheus text exposition format (names sanitized
     to [[a-zA-Z0-9_]], histograms as cumulative [_bucket{le=...}]
-    series). *)
+    series, each span as [<name>_seconds_total] and [<name>_count]
+    families), in one global name order. *)

@@ -1,4 +1,4 @@
-(* Causal tracing: per-span events in per-domain rings.
+(* Causal tracing: per-span events in one shared ring.
 
    Determinism is structural, not temporal: every id below is a pure
    function of (trace, parent, seq) where sequence numbers are handed
@@ -7,14 +7,13 @@
    wall stamps, executing-domain ids and allocation counters are
    host-dependent, and the Sim render zeroes exactly those. *)
 
-module T = Apple_telemetry.Telemetry
-
 (* ------------------------------------------------------------------ *)
-(* Global switch                                                       *)
+(* Sim clock                                                           *)
 
-let enabled_flag = ref false
-let enabled () = !enabled_flag
-let set_enabled v = enabled_flag := v
+let sim_clock : (unit -> float) option ref = ref None
+let set_sim_clock c = sim_clock := c
+let sim_now () = match !sim_clock with Some c -> Some (c ()) | None -> None
+let current_sim_clock () = !sim_clock
 
 (* ------------------------------------------------------------------ *)
 (* Span descriptors (interned name + category)                         *)
@@ -70,12 +69,16 @@ let frame_key : frame option ref Domain.DLS.key =
 let trace_counter = Atomic.make 0
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain event rings                                              *)
+(* The event ring                                                      *)
 
+(* One struct-of-arrays ring shared by every domain.  A writer claims a
+   slot with [fetch_and_add] and owns it; claims past [cap] are counted
+   as dropped and never written, so a full ring keeps the first events
+   and no slot is written twice. *)
 type ring = {
-  born : int;  (* registry epoch this ring belongs to *)
   cap : int;
-  rg_domain : int;
+  claimed : int Atomic.t;  (* slots ever claimed, dropped ones included *)
+  rg_domain : int array;
   rg_trace : int array;
   rg_id : int array;
   rg_parent : int array;
@@ -88,24 +91,13 @@ type ring = {
   rg_s1 : float array;
   rg_minor : float array;
   rg_major : float array;
-  mutable total : int;  (* events ever recorded; ring keeps the last cap *)
 }
 
-let default_capacity = 65536
-let capacity = ref default_capacity
-let ring_capacity () = !capacity
-let epoch = Atomic.make 0
-let rings : ring list ref = ref []
-
-let ring_key : ring option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let make_ring () =
-  let cap = !capacity in
+let make_ring cap =
   {
-    born = Atomic.get epoch;
     cap;
-    rg_domain = (Domain.self () :> int);
+    claimed = Atomic.make 0;
+    rg_domain = Array.make cap 0;
     rg_trace = Array.make cap 0;
     rg_id = Array.make cap 0;
     rg_parent = Array.make cap 0;
@@ -118,65 +110,62 @@ let make_ring () =
     rg_s1 = Array.make cap 0.0;
     rg_minor = Array.make cap 0.0;
     rg_major = Array.make cap 0.0;
-    total = 0;
   }
 
-(* The ring a record lands in: this domain's, re-provisioned when a
-   [reset] has obsoleted the one cached in domain-local storage. *)
-let my_ring () =
-  let slot = Domain.DLS.get ring_key in
-  match !slot with
-  | Some r when r.born = Atomic.get epoch -> r
-  | Some _ | None ->
-      let r = make_ring () in
-      slot := Some r;
-      Mutex.lock registry_mu;
-      rings := r :: !rings;
-      Mutex.unlock registry_mu;
-      r
+let default_capacity = 65536
+let capacity = ref default_capacity
+let ring_capacity () = !capacity
+
+(* Empty until tracing is switched on: a process that never traces
+   never holds the ring. *)
+let ring = ref (make_ring 0)
 
 let reset () =
-  Mutex.lock registry_mu;
-  Atomic.incr epoch;
-  rings := [];
-  Atomic.set trace_counter 0;
-  Mutex.unlock registry_mu
+  Atomic.set !ring.claimed 0;
+  Atomic.set trace_counter 0
+
+let dropped () =
+  let r = !ring in
+  max 0 (Atomic.get r.claimed - r.cap)
+
+(* ------------------------------------------------------------------ *)
+(* Global switch                                                       *)
+
+let enabled_flag = ref false
+let enabled () = !enabled_flag
+
+let set_enabled v =
+  if v && !ring.cap <> !capacity then ring := make_ring !capacity;
+  enabled_flag := v
 
 let set_ring_capacity n =
   capacity := max 1 n;
-  reset ()
-
-let live_rings () =
-  Mutex.lock registry_mu;
-  let rs = !rings in
-  Mutex.unlock registry_mu;
-  let e = Atomic.get epoch in
-  List.filter (fun r -> r.born = e) rs
-
-let dropped () =
-  List.fold_left (fun acc r -> acc + max 0 (r.total - r.cap)) 0 (live_rings ())
+  ring := make_ring (if !enabled_flag then !capacity else 0);
+  Atomic.set trace_counter 0
 
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
 
-let sim_stamp () = match T.sim_now () with Some v -> v | None -> Float.nan
+let sim_stamp () = match !sim_clock with Some c -> c () | None -> Float.nan
 
 let record ~trace ~id ~parent ~seq ~sp ~cls ~w0 ~w1 ~s0 ~s1 ~minor ~major =
-  let r = my_ring () in
-  let i = r.total mod r.cap in
-  r.rg_trace.(i) <- trace;
-  r.rg_id.(i) <- id;
-  r.rg_parent.(i) <- parent;
-  r.rg_seq.(i) <- seq;
-  r.rg_span.(i) <- sp;
-  r.rg_cls.(i) <- cls;
-  r.rg_w0.(i) <- w0;
-  r.rg_w1.(i) <- w1;
-  r.rg_s0.(i) <- s0;
-  r.rg_s1.(i) <- s1;
-  r.rg_minor.(i) <- minor;
-  r.rg_major.(i) <- major;
-  r.total <- r.total + 1
+  let r = !ring in
+  let i = Atomic.fetch_and_add r.claimed 1 in
+  if i < r.cap then begin
+    r.rg_domain.(i) <- (Domain.self () :> int);
+    r.rg_trace.(i) <- trace;
+    r.rg_id.(i) <- id;
+    r.rg_parent.(i) <- parent;
+    r.rg_seq.(i) <- seq;
+    r.rg_span.(i) <- sp;
+    r.rg_cls.(i) <- cls;
+    r.rg_w0.(i) <- w0;
+    r.rg_w1.(i) <- w1;
+    r.rg_s0.(i) <- s0;
+    r.rg_s1.(i) <- s1;
+    r.rg_minor.(i) <- minor;
+    r.rg_major.(i) <- major
+  end
 
 let run_span ~slot ~saved ~trace ~id ~parent ~seq ~sp ~cls f =
   slot := Some { f_trace = trace; f_span = id; f_next = 0 };
@@ -290,34 +279,28 @@ let compare_event a b =
 
 let events () =
   let names = !span_names and cats = !span_cats in
-  let of_ring r acc =
-    let kept = min r.total r.cap in
-    let rec go i acc =
-      if i >= kept then acc
-      else
-        let sp = r.rg_span.(i) in
-        go (i + 1)
-          ({
-             ev_trace = r.rg_trace.(i);
-             ev_id = r.rg_id.(i);
-             ev_parent = r.rg_parent.(i);
-             ev_seq = r.rg_seq.(i);
-             ev_name = names.(sp);
-             ev_cat = cats.(sp);
-             ev_cls = r.rg_cls.(i);
-             ev_domain = r.rg_domain;
-             ev_wall0 = r.rg_w0.(i);
-             ev_wall1 = r.rg_w1.(i);
-             ev_sim0 = r.rg_s0.(i);
-             ev_sim1 = r.rg_s1.(i);
-             ev_minor = r.rg_minor.(i);
-             ev_major = r.rg_major.(i);
-           }
-          :: acc)
-    in
-    go 0 acc
-  in
-  List.sort compare_event (List.fold_left (fun acc r -> of_ring r acc) [] (live_rings ()))
+  let r = !ring in
+  List.init
+    (min (Atomic.get r.claimed) r.cap)
+    (fun i ->
+      let sp = r.rg_span.(i) in
+      {
+        ev_trace = r.rg_trace.(i);
+        ev_id = r.rg_id.(i);
+        ev_parent = r.rg_parent.(i);
+        ev_seq = r.rg_seq.(i);
+        ev_name = names.(sp);
+        ev_cat = cats.(sp);
+        ev_cls = r.rg_cls.(i);
+        ev_domain = r.rg_domain.(i);
+        ev_wall0 = r.rg_w0.(i);
+        ev_wall1 = r.rg_w1.(i);
+        ev_sim0 = r.rg_s0.(i);
+        ev_sim1 = r.rg_s1.(i);
+        ev_minor = r.rg_minor.(i);
+        ev_major = r.rg_major.(i);
+      })
+  |> List.sort compare_event
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -1,18 +1,21 @@
-(** Causal epoch tracing and continuous profiling.
+(** Causal epoch tracing and continuous profiling — the one span API.
 
-    Every pipeline unit of work — controller epoch, per-class LP solve,
-    rule generation, verifier gate, dataplane walk, heal — runs inside a
-    {!with_} region that records one event into a preallocated
-    per-domain ring: trace/span/parent ids, wall-clock and sim-clock
-    begin/end stamps, and [Gc] minor/major allocation deltas.  Causality
-    crosses the [lib/parallel] domain pool via {!capture}/{!branch}:
-    the submitter captures its span context once per map and every item
-    runs as a [pool.item] child span on whichever domain claimed it.
+    Every pipeline unit of work — controller epoch, optimization phase,
+    per-class LP solve, rule generation, verifier gate, dataplane walk,
+    heal — runs inside a {!with_} region that records one event into a
+    single ring shared by all domains: trace/span/parent ids, the
+    executing domain, wall-clock and sim-clock begin/end stamps, and
+    [Gc] minor/major allocation deltas.  Causality crosses the
+    [lib/parallel] domain pool via {!capture}/{!branch}: the submitter
+    captures its span context once per map and every item runs as a
+    [pool.item] child span on whichever domain claimed it.  The
+    telemetry report's span block is rendered from {!rows}.
 
-    Like telemetry, the subsystem is {b off by default} and every
-    entry point first reads one boolean, so instrumented hot paths cost
-    a load-and-branch when tracing is disabled.  Nothing recorded here
-    feeds back into engine decisions.
+    The subsystem is {b off by default} and every entry point first
+    reads one boolean, so instrumented hot paths cost a load-and-branch
+    when tracing is disabled.  The ring is allocated by
+    [set_enabled true], never at module initialisation.  Nothing
+    recorded here feeds back into engine decisions.
 
     {b Determinism.}  Span ids are deterministic mixes of
     [(trace, parent, seq)], sequence numbers are allocated on the
@@ -28,6 +31,9 @@ val enabled : unit -> bool
 (** Current state of the global switch (default [false]). *)
 
 val set_enabled : bool -> unit
+(** [set_enabled true] allocates the ring at {!ring_capacity} slots if
+    it is not allocated at that size yet; recorded events survive
+    switching tracing off and on. *)
 
 val reset : unit -> unit
 (** Drop every recorded event and restart trace-id allocation.  Span
@@ -35,13 +41,28 @@ val reset : unit -> unit
     flight on other domains. *)
 
 val set_ring_capacity : int -> unit
-(** Capacity (events per domain) used for rings created after the call;
-    implies {!reset}.  Default: 65536.  Clamped below at 1. *)
+(** Set the ring's capacity in events, clamped below at 1, and
+    re-allocate the ring (at once while tracing is on, else when it is
+    next switched on); implies {!reset}.  Default: 65536. *)
 
 val ring_capacity : unit -> int
 
 val dropped : unit -> int
-(** Events lost to ring overflow since the last {!reset}. *)
+(** Events lost to ring overflow since the last {!reset}.  A full ring
+    keeps its first events and drops later ones. *)
+
+(** {1 Sim clock} *)
+
+val set_sim_clock : (unit -> float) option -> unit
+(** Install (or remove) a virtual-time source.  While installed, spans
+    also record sim-time stamps.  [Apple_sim.Engine.run] installs its
+    own clock for the duration of a run. *)
+
+val sim_now : unit -> float option
+(** Current virtual time, when a sim clock is installed. *)
+
+val current_sim_clock : unit -> (unit -> float) option
+(** The installed clock itself, for save/restore around nested runs. *)
 
 (** {1 Spans} *)
 

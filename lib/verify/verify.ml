@@ -11,7 +11,6 @@ module Subclass = Apple_core.Subclass
 module Rule_generator = Apple_core.Rule_generator
 module T = Apple_telemetry.Telemetry
 
-let sp_check = T.Span.create "verify.check"
 let tr_check = Apple_trace.Trace.span ~cat:"verify" "verify.check"
 let m_walks = T.Counter.create "apple.verify.walks"
 let m_violations = T.Counter.create "apple.verify.violations"
@@ -187,7 +186,6 @@ let walk_branch_budget = 4096
 
 let check ?(slack = 1.0001) (s : Types.scenario) (asg : Subclass.assignment)
     (built : Rule_generator.built) =
-  T.Span.with_ sp_check @@ fun () ->
   Apple_trace.Trace.with_ tr_check @@ fun () ->
   let env = P.env () in
   let net = built.Rule_generator.network in
@@ -701,8 +699,7 @@ let check ?(slack = 1.0001) (s : Types.scenario) (asg : Subclass.assignment)
   if T.enabled () then begin
     T.Counter.add m_walks report.walks;
     T.Counter.add m_violations (List.length report.violations);
-    if ok report then T.Counter.incr m_certified;
-    T.Journal.recordf ~kind:"verify" "verify: %s" (summary report)
+    if ok report then T.Counter.incr m_certified
   end;
   report
 

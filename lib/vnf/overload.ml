@@ -27,14 +27,10 @@ let observe t ~rate =
   | Normal when rate > t.high_watermark ->
       t.state <- Overloaded;
       T.Counter.incr m_detections;
-      T.Journal.recordf ~kind:"overload" "detector tripped at rate %.3f (high %.3f)"
-        rate t.high_watermark;
       (Overloaded, `Went_overloaded)
   | Overloaded when rate <= t.low_watermark ->
       t.state <- Normal;
       T.Counter.incr m_recoveries;
-      T.Journal.recordf ~kind:"overload" "detector recovered at rate %.3f (low %.3f)"
-        rate t.low_watermark;
       (Normal, `Recovered)
   | s -> (s, `No_change)
 

@@ -1,10 +1,12 @@
 (* The telemetry subsystem's own contract: exact histogram bucket
-   boundaries, registry idempotence, journal ring wrap, disabled-path
-   no-ops, span aggregation and exporter sanity.  Every test runs with
-   the global switch restored to off, so the rest of the suite (and its
-   determinism checks) observes a disabled subsystem. *)
+   boundaries, registry idempotence, disabled-path no-ops and exporter
+   sanity, including the span block the exporters read from the tracer.
+   Every test runs with the global switches restored to off, so the
+   rest of the suite (and its determinism checks) observes a disabled
+   subsystem. *)
 
 module T = Apple_telemetry.Telemetry
+module Trace = Apple_trace.Trace
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
@@ -24,6 +26,19 @@ let with_telemetry f =
       T.set_enabled false;
       T.reset ())
     f
+
+(* Telemetry plus the tracer the exporters read spans from, starting
+   from an empty ring and leaving one behind. *)
+let with_spans f =
+  Trace.reset ();
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.reset ())
+    (fun () -> with_telemetry f)
+
+let sp_promgold = Trace.span ~cat:"test" "test.promgold.span"
 
 (* --- histogram buckets ---------------------------------------------- *)
 
@@ -148,28 +163,6 @@ let test_gauge_set_max () =
   T.Gauge.set g 1.0;
   Alcotest.(check (float 0.0)) "set overrides" 1.0 (T.Gauge.value g)
 
-(* --- journal --------------------------------------------------------- *)
-
-let test_journal_ring_wrap () =
-  with_telemetry @@ fun () ->
-  let saved = T.Journal.capacity () in
-  Fun.protect ~finally:(fun () -> T.Journal.set_capacity saved) @@ fun () ->
-  T.Journal.set_capacity 8;
-  for i = 0 to 19 do
-    T.Journal.recordf ~kind:"test" "event %d" i
-  done;
-  Alcotest.(check int) "length capped" 8 (T.Journal.length ());
-  Alcotest.(check int) "total counts everything" 20 (T.Journal.total ());
-  Alcotest.(check int) "dropped" 12 (T.Journal.dropped ());
-  let entries = T.Journal.entries () in
-  Alcotest.(check int) "entries returned" 8 (List.length entries);
-  (* Oldest surviving entry is seq 12; order is chronological. *)
-  Alcotest.(check (list int)) "surviving seqs"
-    [ 12; 13; 14; 15; 16; 17; 18; 19 ]
-    (List.map (fun e -> e.T.Journal.seq) entries);
-  Alcotest.(check string) "detail preserved" "event 19"
-    (List.nth entries 7).T.Journal.detail
-
 (* --- disabled path --------------------------------------------------- *)
 
 let test_disabled_is_noop () =
@@ -181,74 +174,19 @@ let test_disabled_is_noop () =
   T.Counter.add c 7;
   T.Gauge.set g 9.0;
   T.Histogram.observe h 1.0;
-  T.Journal.record ~kind:"test" "dropped";
-  let ran = ref false in
-  let v = T.Span.time "test.off.span" (fun () -> ran := true; 42) in
-  Alcotest.(check int) "span still runs body" 42 v;
-  Alcotest.(check bool) "body ran" true !ran;
   Alcotest.(check int) "counter untouched" 0 (T.Counter.value c);
   Alcotest.(check (float 0.0)) "gauge untouched" 0.0 (T.Gauge.value g);
-  Alcotest.(check int) "histogram untouched" 0 (T.Histogram.count h);
-  Alcotest.(check int) "journal untouched" 0 (T.Journal.total ())
+  Alcotest.(check int) "histogram untouched" 0 (T.Histogram.count h)
 
-(* --- spans ----------------------------------------------------------- *)
-
-let test_span_aggregates_and_exceptions () =
-  with_telemetry @@ fun () ->
-  let s = T.Span.create "test.span" in
-  ignore (T.Span.with_ s (fun () -> Sys.opaque_identity 1));
-  (try T.Span.with_ s (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "both runs counted" 2 (T.Span.count s);
-  Alcotest.(check bool) "wall accumulated" true (T.Span.wall_seconds s >= 0.0);
-  Alcotest.(check bool) "max <= total" true
-    (T.Span.wall_max s <= T.Span.wall_seconds s +. 1e-12)
-
-let test_span_sim_time () =
-  with_telemetry @@ fun () ->
-  let now = ref 10.0 in
-  T.set_sim_clock (Some (fun () -> !now));
-  Fun.protect ~finally:(fun () -> T.set_sim_clock None) @@ fun () ->
-  let s = T.Span.create "test.span.sim" in
-  T.Span.with_ s (fun () -> now := 13.5);
-  Alcotest.(check (float 1e-9)) "sim duration" 3.5 (T.Span.sim_seconds s);
-  (match T.Journal.entries () with _ -> ());
-  T.Journal.record ~kind:"test" "stamped";
-  match T.Journal.entries () with
-  | [ e ] -> Alcotest.(check (option (float 1e-9))) "sim stamp" (Some 13.5) e.T.Journal.sim
-  | l -> Alcotest.fail (Printf.sprintf "expected one entry, got %d" (List.length l))
-
-let test_span_sim_clock_mid_span () =
-  with_telemetry @@ fun () ->
-  let now = ref 100.0 in
-  Fun.protect ~finally:(fun () -> T.set_sim_clock None) @@ fun () ->
-  (* Clock installed mid-span: no start stamp, so the region records
-     wall time only — a partial sim delta would be meaningless. *)
-  let s1 = T.Span.create "test.span.midinstall" in
-  T.Span.with_ s1 (fun () ->
-      T.set_sim_clock (Some (fun () -> !now));
-      now := 107.0);
-  Alcotest.(check int) "run counted" 1 (T.Span.count s1);
-  Alcotest.(check (float 1e-9)) "no sim with half a stamp" 0.0
-    (T.Span.sim_seconds s1);
-  (* Clock removed mid-span: same rule from the other side. *)
-  let s2 = T.Span.create "test.span.midremove" in
-  T.Span.with_ s2 (fun () -> T.set_sim_clock None);
-  Alcotest.(check int) "run counted" 1 (T.Span.count s2);
-  Alcotest.(check (float 1e-9)) "no sim when removed mid-span" 0.0
-    (T.Span.sim_seconds s2);
-  (* Clock present at both ends again: deltas resume accumulating. *)
-  T.set_sim_clock (Some (fun () -> !now));
-  T.Span.with_ s2 (fun () -> now := !now +. 2.25);
-  Alcotest.(check (float 1e-9)) "sim resumes" 2.25 (T.Span.sim_seconds s2)
+(* --- spans ---------------------------------------------------------- *)
 
 let test_prometheus_span_golden () =
-  with_telemetry @@ fun () ->
+  with_spans @@ fun () ->
   (* A uniquely-prefixed span: its exposition block (TYPE lines and the
      deterministic _count sample) must appear verbatim; the
      _seconds_total sample is host-timed, so only its shape is checked. *)
-  let s = T.Span.create "test.promgold.span" in
-  ignore (T.Span.with_ s (fun () -> Sys.opaque_identity 1));
-  ignore (T.Span.with_ s (fun () -> Sys.opaque_identity 2));
+  ignore (Trace.with_ sp_promgold (fun () -> Sys.opaque_identity 1));
+  ignore (Trace.with_ sp_promgold (fun () -> Sys.opaque_identity 2));
   let prom = T.render T.Prom in
   List.iter
     (fun needle ->
@@ -270,6 +208,26 @@ let test_prometheus_span_golden () =
   in
   Alcotest.(check bool) "seconds_total sample well-formed" true has_sample
 
+let test_text_span_header_drops () =
+  (* The span block reads the tracer's ring, so a full ring shows in
+     its header. *)
+  let saved = Trace.ring_capacity () in
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled false;
+      Trace.set_ring_capacity saved)
+    (fun () ->
+      Trace.set_ring_capacity 8;
+      Trace.set_enabled true;
+      for _ = 1 to 20 do
+        Trace.with_ sp_promgold (fun () -> ())
+      done;
+      let text = T.render T.Text in
+      Alcotest.(check bool) "span header states the drops" true
+        (contains text "-- spans (12 dropped) --");
+      Alcotest.(check bool) "kept spans listed" true
+        (contains text "test.promgold.span  8"))
+
 (* --- exporters ------------------------------------------------------- *)
 
 let test_exporters_render () =
@@ -278,7 +236,6 @@ let test_exporters_render () =
   T.Counter.add c 3;
   let h = T.Histogram.create ~lo:1.0 ~buckets_per_decade:1 ~decades:2 "test.render.hist" in
   T.Histogram.observe h 5.0;
-  T.Journal.record ~kind:"test" "one event";
   let text = T.render T.Text in
   Alcotest.(check bool) "text names counter" true
     (contains text "test.render.counter");
@@ -286,8 +243,6 @@ let test_exporters_render () =
   Alcotest.(check bool) "json has counter line" true
     (contains json
        "{\"type\":\"counter\",\"name\":\"test.render.counter\",\"value\":3}");
-  Alcotest.(check bool) "json has journal line" true
-    (contains json "\"detail\":\"one event\"");
   let prom = T.render T.Prom in
   Alcotest.(check bool) "prom sanitizes names" true
     (contains prom "test_render_counter 3");
@@ -381,18 +336,12 @@ let suite =
     Alcotest.test_case "reset zeroes values, keeps handles" `Quick
       test_reset_keeps_registry;
     Alcotest.test_case "gauge: set_max high watermark" `Quick test_gauge_set_max;
-    Alcotest.test_case "journal: ring wrap keeps the newest entries" `Quick
-      test_journal_ring_wrap;
     Alcotest.test_case "disabled: all updates are no-ops" `Quick
       test_disabled_is_noop;
-    Alcotest.test_case "span: aggregates, survives exceptions" `Quick
-      test_span_aggregates_and_exceptions;
-    Alcotest.test_case "span: sim-time durations and stamps" `Quick
-      test_span_sim_time;
-    Alcotest.test_case "span: sim clock installed/removed mid-span" `Quick
-      test_span_sim_clock_mid_span;
     Alcotest.test_case "exporters: prometheus span summary block" `Quick
       test_prometheus_span_golden;
+    Alcotest.test_case "exporters: text span header states drops" `Quick
+      test_text_span_header_drops;
     Alcotest.test_case "exporters: text/json/prom sanity" `Quick
       test_exporters_render;
     Alcotest.test_case "exporters: prometheus golden block and ordering"
