@@ -595,37 +595,19 @@ let run_dataplane () =
   let network = built.C.Rule_generator.network in
   (* One walk request per sub-class representative prefix — the same
      population the verifier walks, covering every installed table. *)
-  let reqs = ref [] in
-  Array.iter
-    (fun c ->
-      let subs =
-        List.filter
-          (fun s -> s.C.Subclass.class_id = c.C.Types.id)
-          asg.C.Subclass.subclasses
-      in
-      if subs <> [] then begin
-        let prefixes =
-          C.Rule_generator.subclass_prefixes c subs
-            ~depth:built.C.Rule_generator.split_depth
-        in
-        List.iteri
-          (fun idx _sub ->
-            match prefixes.(idx) with
-            | [] -> ()
-            | p :: _ ->
-                reqs :=
-                  {
-                    Walk.rq_path = Array.to_list c.C.Types.path;
-                    rq_cls = c.C.Types.id;
-                    rq_src_ip = p.C.Types.Prefix.addr;
-                    rq_start_in_host = false;
-                    rq_flow = List.length !reqs;
-                  }
-                  :: !reqs)
-          subs
-      end)
-    scenario.C.Types.classes;
-  let requests = Array.of_list (List.rev !reqs) in
+  let requests =
+    C.Rule_generator.representatives scenario asg built
+    |> List.concat_map (fun (c, reps) -> List.map (fun (_, p) -> (c, p)) reps)
+    |> List.mapi (fun flow ((c : C.Types.flow_class), p) ->
+           {
+             Walk.rq_path = Array.to_list c.C.Types.path;
+             rq_cls = c.C.Types.id;
+             rq_src_ip = p.C.Types.Prefix.addr;
+             rq_start_in_host = false;
+             rq_flow = flow;
+           })
+    |> Array.of_list
+  in
   if Array.length requests = 0 then
     invalid_arg "dataplane bench: no walkable sub-classes";
   let tcam = Apple_dataplane.Tcam.total_tcam network in
@@ -647,7 +629,7 @@ let run_dataplane () =
   Dp.reset_stats ();
   let interp = measure Dp.Interp in
   let compiled = measure Dp.Compiled in
-  let compiles, _ = Dp.stats () in
+  let compiles = Dp.stats () in
   let speedup = compiled /. interp in
   (* Per-lookup stress on the paper's no-tagging strawman: every class
      classified at one central table, on AS-3679 (the evaluation's

@@ -1,3 +1,8 @@
+module Instance = Apple_vnf.Instance
+module Failmask = Apple_dataplane.Failmask
+module Types = Apple_core.Types
+module Netstate = Apple_core.Netstate
+
 type target = Hottest | Busiest | Id of int | Pair of int * int
 
 type fault =
@@ -216,3 +221,60 @@ let parse text =
   | Ok events -> (
       let sched = List.fold_left (fun s e -> add s ~at:e.at e.fault) empty events in
       match validate sched with Ok () -> Ok sched | Error m -> Error m)
+
+(* ---- symbolic target resolution (at injection time) --------------- *)
+
+let hottest_instance (st : Netstate.t) =
+  Netstate.recompute_loads st;
+  List.fold_left
+    (fun acc inst ->
+      if Failmask.instance_down st.Netstate.mask (Instance.id inst) then acc
+      else
+        match acc with
+        | None -> Some inst
+        | Some best ->
+            let c =
+              Float.compare (Instance.offered inst) (Instance.offered best)
+            in
+            if c > 0 || (c = 0 && Instance.id inst < Instance.id best) then
+              Some inst
+            else acc)
+    None
+    (Netstate.instances_in_use st)
+
+let rate_weighted (s : Types.scenario) fold =
+  let weights = Hashtbl.create 32 in
+  Array.iter
+    (fun (c : Types.flow_class) ->
+      if c.Types.rate > 0.0 then
+        fold c (fun key ->
+            Hashtbl.replace weights key
+              (c.Types.rate
+              +. Option.value ~default:0.0 (Hashtbl.find_opt weights key))))
+    s.Types.classes;
+  (* lint: L3 — order erased: consumers sort by (rate, key) *)
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) weights []
+
+let busiest_link s mask =
+  rate_weighted s (fun c add ->
+      let p = c.Types.path in
+      for i = 1 to Array.length p - 1 do
+        add (norm_pair (p.(i - 1), p.(i)))
+      done)
+  |> List.filter (fun ((u, v), _) -> not (Failmask.link_down mask u v))
+  |> List.sort (fun ((a1, a2), va) ((b1, b2), vb) ->
+         match Float.compare vb va with
+         | 0 -> ( match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c)
+         | c -> c)
+  |> function
+  | (k, _) :: _ -> Some k
+  | [] -> None
+
+let busiest_switch s mask =
+  rate_weighted s (fun c add -> Array.iter add c.Types.path)
+  |> List.filter (fun (sw, _) -> not (Failmask.switch_down mask sw))
+  |> List.sort (fun (a, va) (b, vb) ->
+         match Float.compare vb va with 0 -> Int.compare a b | c -> c)
+  |> function
+  | (k, _) :: _ -> Some k
+  | [] -> None

@@ -77,3 +77,28 @@ val fault_name : fault -> string
 
 val pp_fault : Format.formatter -> fault -> unit
 val pp_event : Format.formatter -> event -> unit
+
+val norm_pair : int * int -> int * int
+(** The undirected link key: the smaller endpoint first. *)
+
+(** {1 Symbolic target resolution}
+
+    Each selector reads the live network at injection time and breaks
+    ties by the smallest id, so a schedule resolves identically on every
+    run. *)
+
+val hottest_instance : Apple_core.Netstate.t -> Apple_vnf.Instance.t option
+(** [Hottest]: after recomputing loads, the in-use instance that is not
+    failed in the state's mask and carries the most offered load. *)
+
+val busiest_link :
+  Apple_core.Types.scenario -> Apple_dataplane.Failmask.t -> (int * int) option
+(** [Busiest] for link faults: the live link ({!norm_pair} key) summing
+    the most class rate over the positive-rate classes whose path
+    crosses it. *)
+
+val busiest_switch :
+  Apple_core.Types.scenario -> Apple_dataplane.Failmask.t -> int option
+(** [Busiest] for switch and TCAM faults: the live switch summing the
+    most class rate over the positive-rate classes whose path visits
+    it. *)

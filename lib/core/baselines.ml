@@ -141,39 +141,27 @@ let properties_table (s : Types.scenario) =
             (Apple_vnf.Instance.kind i))
         asg.Subclass.instances;
       let ok = ref true in
-      Array.iter
-        (fun c ->
-          let subs =
-            List.filter
-              (fun sub -> sub.Subclass.class_id = c.Types.id)
-              asg.Subclass.subclasses
-          in
-          let prefixes =
-            Rule_generator.subclass_prefixes c subs
-              ~depth:built.Rule_generator.split_depth
-          in
-          List.iteri
-            (fun idx _ ->
-              match prefixes.(idx) with
-              | [] -> ()
-              | p :: _ -> (
-                  let path = Array.to_list c.Types.path in
-                  match
-                    Apple_dataplane.Walk.run built.Rule_generator.network ~path
-                      ~cls:c.Types.id ~src_ip:p.Types.Prefix.addr ()
-                  with
-                  | Error _ -> ok := false
-                  | Ok trace ->
-                      if
-                        not
-                          (Apple_dataplane.Walk.policy_enforced trace
-                             ~instance_kind:(Hashtbl.find inst_kind)
-                             ~chain:(Array.to_list c.Types.chain))
-                      then ok := false;
-                      if not (Apple_dataplane.Walk.interference_free trace ~path)
-                      then ok := false))
-            subs)
-        s.Types.classes;
+      List.iter
+        (fun ((c : Types.flow_class), reps) ->
+          List.iter
+            (fun (_, p) ->
+              let path = Array.to_list c.Types.path in
+              match
+                Apple_dataplane.Walk.run built.Rule_generator.network ~path
+                  ~cls:c.Types.id ~src_ip:p.Types.Prefix.addr ()
+              with
+              | Error _ -> ok := false
+              | Ok trace ->
+                  if
+                    not
+                      (Apple_dataplane.Walk.policy_enforced trace
+                         ~instance_kind:(Hashtbl.find inst_kind)
+                         ~chain:(Array.to_list c.Types.chain))
+                  then ok := false;
+                  if not (Apple_dataplane.Walk.interference_free trace ~path)
+                  then ok := false)
+            reps)
+        (Rule_generator.representatives s asg built);
       !ok
     with Optimization_engine.Infeasible _ -> false
   in

@@ -118,10 +118,6 @@ let run_epoch t =
       (Dynamic_handler.create ~config:t.failover ~load_source:t.load_source
          state);
   T.Counter.incr m_epochs;
-  (* Dataplane epoch hook: the compiled engine accounts (switch, epoch)
-     compiles against this; the epoch's fresh tables carry fresh caches,
-     so stale compiles cannot survive an install. *)
-  Apple_dataplane.Compiled.note_epoch ();
   Apple_obs.Flight.record Apple_obs.Flight.Epoch
     ~a:(Array.length t.s.Types.classes)
     ~b:report.instances ~c:report.cores ();
@@ -152,7 +148,6 @@ let reinstall_rules t =
       t.report <-
         Some
           { report with rules; tcam_entries = rules.Rule_generator.tcam_with_tagging };
-      Apple_dataplane.Compiled.note_epoch ();
       rules
   | _ -> invalid_arg "Controller.reinstall_rules: run_epoch first"
 
@@ -220,42 +215,29 @@ let verify t =
       List.iter
         (fun i -> Hashtbl.replace inst_kind (Instance.id i) (Instance.kind i))
         assignment.Subclass.instances;
-      Array.iter
-        (fun c ->
-          let subs =
-            List.filter
-              (fun sub -> sub.Subclass.class_id = c.Types.id)
-              assignment.Subclass.subclasses
-          in
-          let prefixes =
-            Rule_generator.subclass_prefixes c subs
-              ~depth:report.rules.Rule_generator.split_depth
-          in
-          List.iteri
-            (fun idx _ ->
-              match prefixes.(idx) with
-              | [] -> ()
-              | p :: _ -> (
-                  let path = Array.to_list c.Types.path in
-                  match
-                    Apple_dataplane.Walk.run report.rules.Rule_generator.network
-                      ~path ~cls:c.Types.id ~src_ip:p.Types.Prefix.addr ()
-                  with
-                  | Error e ->
-                      fail "class %d: walk failed (%s)" c.Types.id
-                        (Format.asprintf "%a" Apple_dataplane.Walk.pp_error e)
-                  | Ok trace ->
-                      if
-                        not
-                          (Apple_dataplane.Walk.policy_enforced trace
-                             ~instance_kind:(Hashtbl.find inst_kind)
-                             ~chain:(Array.to_list c.Types.chain))
-                      then fail "class %d: policy chain violated" c.Types.id;
-                      if
-                        not (Apple_dataplane.Walk.interference_free trace ~path)
-                      then fail "class %d: forwarding path changed" c.Types.id))
-            subs)
-        t.s.Types.classes;
+      List.iter
+        (fun (c, reps) ->
+          List.iter
+            (fun (_, p) ->
+              let path = Array.to_list c.Types.path in
+              match
+                Apple_dataplane.Walk.run report.rules.Rule_generator.network
+                  ~path ~cls:c.Types.id ~src_ip:p.Types.Prefix.addr ()
+              with
+              | Error e ->
+                  fail "class %d: walk failed (%s)" c.Types.id
+                    (Format.asprintf "%a" Apple_dataplane.Walk.pp_error e)
+              | Ok trace ->
+                  if
+                    not
+                      (Apple_dataplane.Walk.policy_enforced trace
+                         ~instance_kind:(Hashtbl.find inst_kind)
+                         ~chain:(Array.to_list c.Types.chain))
+                  then fail "class %d: policy chain violated" c.Types.id;
+                  if not (Apple_dataplane.Walk.interference_free trace ~path)
+                  then fail "class %d: forwarding path changed" c.Types.id)
+            reps)
+        (Rule_generator.representatives t.s assignment report.rules);
       (match !errors with
       | [] -> Ok ()
       | msgs -> Error (String.concat "; " (List.rev msgs))))

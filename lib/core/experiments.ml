@@ -792,32 +792,20 @@ let ablation_tag_mode opts =
     (fun mode ->
       let built = Rule_generator.build ~tag_mode:mode s asg in
       let ok = ref 0 and total = ref 0 in
-      Array.iter
-        (fun c ->
-          let subs =
-            List.filter
-              (fun sub -> sub.Subclass.class_id = c.Types.id)
-              asg.Subclass.subclasses
-          in
-          let prefixes =
-            Rule_generator.subclass_prefixes c subs
-              ~depth:built.Rule_generator.split_depth
-          in
-          List.iteri
-            (fun idx _ ->
-              match prefixes.(idx) with
-              | [] -> ()
-              | p :: _ -> (
-                  incr total;
-                  match
-                    Apple_dataplane.Walk.run built.Rule_generator.network
-                      ~path:(Array.to_list c.Types.path)
-                      ~cls:c.Types.id ~src_ip:p.Types.Prefix.addr ~rewriters ()
-                  with
-                  | Ok _ -> incr ok
-                  | Error _ -> ()))
-            subs)
-        s.Types.classes;
+      List.iter
+        (fun ((c : Types.flow_class), reps) ->
+          List.iter
+            (fun (_, p) ->
+              incr total;
+              match
+                Apple_dataplane.Walk.run built.Rule_generator.network
+                  ~path:(Array.to_list c.Types.path)
+                  ~cls:c.Types.id ~src_ip:p.Types.Prefix.addr ~rewriters ()
+              with
+              | Ok _ -> incr ok
+              | Error _ -> ())
+            reps)
+        (Rule_generator.representatives s asg built);
       Table.add_row t
         [
           (match built.Rule_generator.tag_mode with

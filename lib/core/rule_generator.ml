@@ -33,6 +33,29 @@ let subclass_prefixes (cls : Types.flow_class) subs ~depth =
   let weights = Array.of_list (List.map (fun s -> s.Subclass.weight) subs) in
   Prefix.split ~base:cls.Types.src_block ~weights ~depth
 
+(* The assignment's sub-classes grouped by class id, each group in
+   assignment order. *)
+let by_class (s : Types.scenario) (assignment : Subclass.assignment) =
+  let groups = Array.make (Array.length s.Types.classes) [] in
+  List.iter
+    (fun sub ->
+      groups.(sub.Subclass.class_id) <- sub :: groups.(sub.Subclass.class_id))
+    assignment.Subclass.subclasses;
+  Array.map List.rev groups
+
+let representatives s assignment built =
+  let groups = by_class s assignment in
+  Array.to_list s.Types.classes
+  |> List.filter_map (fun (c : Types.flow_class) ->
+         match groups.(c.Types.id) with
+         | [] -> None
+         | subs ->
+             let prefixes = subclass_prefixes c subs ~depth:built.split_depth in
+             let first i sub =
+               match prefixes.(i) with [] -> None | p :: _ -> Some (sub, p)
+             in
+             Some (c, List.filter_map Fun.id (List.mapi first subs)))
+
 (* Distinct hops of a sub-class, in traversal order, with per-hop stage
    lists (consecutive stages processed in the same host). *)
 let hop_groups (sub : Subclass.subclass) =
@@ -88,13 +111,7 @@ let build ?(split_depth = 6) ?(tag_mode = `Auto) (s : Types.scenario)
         Rule.Per_class { cls = c.Types.id; subclass = sub.Subclass.sub_id }
     | `Global -> Rule.Global (tag_value sub)
   in
-  (* Group sub-classes by class. *)
-  let by_class = Array.make (Array.length classes) [] in
-  List.iter
-    (fun sub ->
-      by_class.(sub.Subclass.class_id) <- sub :: by_class.(sub.Subclass.class_id))
-    assignment.Subclass.subclasses;
-  Array.iteri (fun h subs -> by_class.(h) <- List.rev subs) by_class;
+  let by_class = by_class s assignment in
   (* Which hosts are referenced at each switch (for host-match rules). *)
   let host_used = Array.make n false in
   let vswitch_count = ref 0 in

@@ -71,3 +71,14 @@ val subclass_prefixes :
   Apple_classifier.Prefix_split.prefix list array
 (** The source-prefix realization of the sub-class weights (exposed for
     tests: realized weights must approximate the requested ones). *)
+
+val representatives :
+  Types.scenario -> Subclass.assignment -> built ->
+  (Types.flow_class
+  * (Subclass.subclass * Apple_classifier.Prefix_split.prefix) list)
+  list
+(** Per class in scenario order, each of its sub-classes in assignment
+    order with the first prefix of its {!subclass_prefixes} realization
+    at [built]'s split depth: the source address of the sub-class's
+    representative packet walk.  Classes without sub-classes and
+    sub-classes realized by no prefix are left out. *)

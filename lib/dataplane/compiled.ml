@@ -16,13 +16,8 @@ let mode_of_string = function
 let mode_to_string = function Interp -> "interp" | Compiled -> "compiled"
 
 let compile_count = ref 0
-let epoch_count = ref 0
-let note_epoch () = incr epoch_count
-let stats () = (!compile_count, !epoch_count)
-
-let reset_stats () =
-  compile_count := 0;
-  epoch_count := 0
+let stats () = !compile_count
+let reset_stats () = compile_count := 0
 
 (* ------------------------------------------------------------------ *)
 (* Compiled physical table.

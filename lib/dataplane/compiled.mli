@@ -58,15 +58,8 @@ val warm : Tcam.network -> unit
     {!Walk.run_batch} calls this so the batch loop itself never takes a
     compile hit. *)
 
-val note_epoch : unit -> unit
-(** Controller hook: called at every epoch install / rule reinstall.
-    Tables rebuilt by the epoch get fresh caches anyway (new
-    {!Tcam.t}); the hook keeps the (switch, epoch) compile accounting
-    honest in {!stats}. *)
-
-val stats : unit -> int * int
-(** [(compiles, epochs)] since the last {!reset_stats} — the number of
-    table compiles performed and epoch notes received.  Tests use the
-    first to pin the invalidate/rebuild lifecycle. *)
+val stats : unit -> int
+(** Table compiles performed since the last {!reset_stats}.  Tests use
+    it to pin the invalidate/rebuild lifecycle. *)
 
 val reset_stats : unit -> unit

@@ -398,68 +398,6 @@ let create ?stream_path cfg =
   | Error _ as e -> e
   | Ok () -> Ok (make_session ?stream_path cfg)
 
-(* ---- symbolic target resolution (mirrors the chaos engine) -------- *)
-
-let norm (u, v) = if u <= v then (u, v) else (v, u)
-
-let hottest_instance sess =
-  let st = state sess in
-  Netstate.recompute_loads st;
-  List.fold_left
-    (fun acc inst ->
-      if Failmask.instance_down st.Netstate.mask (Instance.id inst) then acc
-      else
-        match acc with
-        | None -> Some inst
-        | Some best ->
-            let c =
-              Float.compare (Instance.offered inst) (Instance.offered best)
-            in
-            if c > 0 || (c = 0 && Instance.id inst < Instance.id best) then
-              Some inst
-            else acc)
-    None
-    (Netstate.instances_in_use st)
-
-let rate_weighted sess fold =
-  let weights = Hashtbl.create 32 in
-  Array.iter
-    (fun (c : Types.flow_class) ->
-      if c.Types.rate > 0.0 then
-        fold c (fun key ->
-            Hashtbl.replace weights key
-              (c.Types.rate
-              +. Option.value ~default:0.0 (Hashtbl.find_opt weights key))))
-    sess.scenario.Types.classes;
-  (* lint: L3 — order erased: consumers sort by (rate, key) *)
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) weights []
-
-let busiest_link sess =
-  let mask = (state sess).Netstate.mask in
-  rate_weighted sess (fun c add ->
-      let p = c.Types.path in
-      for i = 1 to Array.length p - 1 do
-        add (norm (p.(i - 1), p.(i)))
-      done)
-  |> List.filter (fun ((u, v), _) -> not (Failmask.link_down mask u v))
-  |> List.sort (fun ((a1, a2), va) ((b1, b2), vb) ->
-         match Float.compare vb va with
-         | 0 -> ( match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c)
-         | c -> c)
-  |> function
-  | (k, _) :: _ -> Some k
-  | [] -> None
-
-let busiest_switch sess =
-  let mask = (state sess).Netstate.mask in
-  rate_weighted sess (fun c add -> Array.iter add c.Types.path)
-  |> List.filter (fun (sw, _) -> not (Failmask.switch_down mask sw))
-  |> List.sort (fun (a, va) (b, vb) ->
-         match Float.compare vb va with 0 -> Int.compare a b | c -> c)
-  |> function
-  | (k, _) :: _ -> Some k
-  | [] -> None
-
 let is_busiest = function Fault.Busiest -> true | _ -> false
 
 (* Pop the newest symbolic open fault of the wanted kind. *)
@@ -535,7 +473,7 @@ let inject_one sess e (ev : Fault.event) =
   | Fault.Kill_instance target -> (
       let victim =
         match target with
-        | Fault.Hottest -> hottest_instance sess
+        | Fault.Hottest -> Fault.hottest_instance (state sess)
         | Fault.Id i ->
             List.find_opt
               (fun inst -> Instance.id inst = i)
@@ -564,8 +502,9 @@ let inject_one sess e (ev : Fault.event) =
   | Fault.Link_down target -> (
       let link =
         match target with
-        | Fault.Pair (u, v) -> Some (norm (u, v))
-        | Fault.Busiest -> busiest_link sess
+        | Fault.Pair (u, v) -> Some (Fault.norm_pair (u, v))
+        | Fault.Busiest ->
+            Fault.busiest_link sess.scenario (state sess).Netstate.mask
         | Fault.Hottest | Fault.Id _ -> None
       in
       match link with
@@ -581,7 +520,7 @@ let inject_one sess e (ev : Fault.event) =
       let link =
         match target with
         | Fault.Pair (u, v) ->
-            let u, v = norm (u, v) in
+            let u, v = Fault.norm_pair (u, v) in
             remove_open_link sess u v;
             Some (u, v)
         | Fault.Busiest -> (
@@ -601,7 +540,8 @@ let inject_one sess e (ev : Fault.event) =
       let sw =
         match target with
         | Fault.Id i -> Some i
-        | Fault.Busiest -> busiest_switch sess
+        | Fault.Busiest ->
+            Fault.busiest_switch sess.scenario (state sess).Netstate.mask
         | Fault.Hottest | Fault.Pair _ -> None
       in
       match sw with
@@ -636,7 +576,8 @@ let inject_one sess e (ev : Fault.event) =
       let sw =
         match target with
         | Fault.Id i -> Some i
-        | Fault.Busiest -> busiest_switch sess
+        | Fault.Busiest ->
+            Fault.busiest_switch sess.scenario (state sess).Netstate.mask
         | Fault.Hottest | Fault.Pair _ -> None
       in
       match (sw, Controller.last_report sess.ctrl) with

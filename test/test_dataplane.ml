@@ -221,11 +221,11 @@ let test_compiled_invalidated_by_retain_phys () =
   (match Compiled.lookup_phys_entry table tags ~src_ip with
   | Some (0, Rule.Tag_and_forward { subclass = 7; _ }) -> ()
   | _ -> Alcotest.fail "expected the classification rule (uid 0) to match");
-  let compiles_after_first, _ = Compiled.stats () in
+  let compiles_after_first = Compiled.stats () in
   Alcotest.(check int) "first lookup compiled the table" 1 compiles_after_first;
   (* Second lookup from the warm cache: no recompile. *)
   ignore (Compiled.lookup_phys_entry table tags ~src_ip);
-  let compiles_warm, _ = Compiled.stats () in
+  let compiles_warm = Compiled.stats () in
   Alcotest.(check int) "warm lookup reuses the compile" 1 compiles_warm;
   (* TCAM loss: drop the classification rule (uid 0), keep the pass-by. *)
   let lost = Tcam.retain_phys table ~keep:(fun uid -> uid <> 0) in
@@ -234,7 +234,7 @@ let test_compiled_invalidated_by_retain_phys () =
   | Some (1, Rule.Goto_next) -> ()
   | Some (uid, _) -> Alcotest.failf "stale compile: matched uid %d" uid
   | None -> Alcotest.fail "expected the surviving pass-by rule");
-  let compiles_after_mutation, _ = Compiled.stats () in
+  let compiles_after_mutation = Compiled.stats () in
   Alcotest.(check int) "mutation forced a recompile" 2 compiles_after_mutation
 
 (* set_phys must equally invalidate (fresh uids, fresh structure). *)
