@@ -24,7 +24,18 @@ module Paths = Apple_prelude.Paths
 
 open Cmdliner
 
-(* --- telemetry options (shared by every subcommand) ----------------- *)
+(* --- run context ------------------------------------------------------ *)
+
+(* An output path whose parent directory must exist.  The check runs when
+   the argument is parsed, so a bad path is a one-line argument error
+   before any work, not a [Sys_error] at the end of the run. *)
+let output_conv what =
+  Arg.conv'
+    ( (fun path -> Result.map (fun () -> path) (Paths.check_parent ~what path)),
+      Format.pp_print_string )
+
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
 let metrics_arg =
   let doc =
@@ -47,33 +58,10 @@ let metrics_out_arg =
      artifact collection."
   in
   let env = Cmd.Env.info "APPLE_METRICS_OUT" ~doc:"Same as $(b,--metrics-out)." in
-  Arg.(value & opt (some string) None & info [ "metrics-out" ] ~docv:"FILE" ~env ~doc)
-
-(* Run [f] with telemetry and tracing enabled when a report was
-   requested (the report's span block comes from the tracer), then emit
-   the report — to stdout, or to [--metrics-out FILE] — also when [f]
-   fails, so a crashed run still shows what the pipeline did up to that
-   point. *)
-let with_metrics metrics out f =
-  match (metrics, out) with
-  | None, None -> f ()
-  | fmt, out ->
-      let fmt = Option.value ~default:T.Text fmt in
-      T.set_enabled true;
-      Trc.set_enabled true;
-      let emit () =
-        let report = T.render fmt in
-        match out with
-        | None -> print_string report
-        | Some path ->
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> output_string oc report)
-      in
-      Fun.protect ~finally:emit f
-
-(* --- dataplane engine option (solve / chaos / soak / slice) --------- *)
+  Arg.(
+    value
+    & opt (some (output_conv "metrics report")) None
+    & info [ "metrics-out" ] ~docv:"FILE" ~env ~doc)
 
 let dataplane_arg =
   let doc =
@@ -90,22 +78,16 @@ let dataplane_arg =
     & opt (enum [ ("interp", Dp.Interp); ("compiled", Dp.Compiled) ]) Dp.Interp
     & info [ "dataplane" ] ~docv:"ENGINE" ~env ~doc)
 
-(* Run [f] under the chosen dataplane engine, restoring the previous
-   mode afterwards so library defaults never leak across commands. *)
-let with_dataplane mode f =
-  let saved = Dp.mode () in
-  Dp.set_mode mode;
-  Fun.protect ~finally:(fun () -> Dp.set_mode saved) f
-
-(* --- causal tracing options (solve / chaos / soak / slice / profile) - *)
-
 let trace_out_arg =
   let doc =
     "Record a causal trace of the run and write it to $(docv) as Chrome \
      trace-event JSON (schema $(b,apple-trace/1)) — load it in Perfetto \
      (ui.perfetto.dev), speedscope or chrome://tracing."
   in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+  Arg.(
+    value
+    & opt (some (output_conv "trace")) None
+    & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
 let trace_mode_arg =
   let doc =
@@ -119,31 +101,96 @@ let trace_mode_arg =
     & opt (enum [ ("sim", Trc.Sim); ("wall", Trc.Wall) ]) Trc.Sim
     & info [ "trace-mode" ] ~docv:"MODE" ~doc)
 
-(* Run [f] under the causal tracer when [--trace-out] was given, then
-   write the Chrome export — also when [f] fails, so a crashed run still
-   leaves the trace of what it did. *)
-let with_trace trace_out mode f =
-  match trace_out with
-  | None -> f ()
-  | Some path ->
-      Trc.reset ();
-      Trc.set_enabled true;
-      let emit () =
-        Trc.set_enabled false;
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc (Trc.render_chrome ~mode ()))
-      in
-      Fun.protect ~finally:emit f
+(* The instrumentation a subcommand runs under. *)
+type context = {
+  dataplane : Dp.mode option;  (* [None] keeps the current engine *)
+  report : (T.format * string option) option;
+      (* metrics report format, and its file ([None]: stdout) *)
+  trace : (string option * Trc.mode) option;
+      (* tracing on: the Chrome export file, if any, and its clock *)
+}
 
-(* Validate every [--*-out] path before doing any work: a missing parent
-   directory is a one-line argument error, not a [Sys_error] at the end
-   of the run. *)
-let checked_outputs outputs k =
-  match Paths.check_outputs outputs with
-  | Error m -> `Error (false, m)
-  | Ok () -> k ()
+let report_term =
+  let report metrics out =
+    match (metrics, out) with
+    | None, None -> None
+    | fmt, out -> Some (Option.value ~default:T.Text fmt, out)
+  in
+  Term.(const report $ metrics_arg $ metrics_out_arg)
+
+let metrics_context =
+  Term.(
+    const (fun report -> { dataplane = None; report; trace = None })
+    $ report_term)
+
+(* Tracing is always on; [--trace-out] adds the Chrome export. *)
+let profile_context =
+  Term.(
+    const (fun report out mode ->
+        { dataplane = None; report; trace = Some (out, mode) })
+    $ report_term $ trace_out_arg $ trace_mode_arg)
+
+let full_context =
+  Term.(
+    const (fun dataplane report out mode ->
+        {
+          dataplane = Some dataplane;
+          report;
+          trace = Option.map (fun path -> (Some path, mode)) out;
+        })
+    $ dataplane_arg $ report_term $ trace_out_arg $ trace_mode_arg)
+
+(* Run [f] under [ctx]: the dataplane engine outermost, restored
+   afterwards so library defaults never leak across commands; then the
+   metrics report, which switches telemetry and tracing on (the report's
+   span block comes from the tracer); then the tracer.  The report (to
+   stdout or its file) and the Chrome export are written also when [f]
+   fails, so a crashed run still shows what it did up to that point. *)
+let run ctx f =
+  let dataplane_scope f =
+    match ctx.dataplane with
+    | None -> f ()
+    | Some mode ->
+        let saved = Dp.mode () in
+        Dp.set_mode mode;
+        Fun.protect ~finally:(fun () -> Dp.set_mode saved) f
+  in
+  let report_scope f =
+    match ctx.report with
+    | None -> f ()
+    | Some (fmt, out) ->
+        T.set_enabled true;
+        Trc.set_enabled true;
+        let emit () =
+          let report = T.render fmt in
+          match out with
+          | None -> print_string report
+          | Some path -> write_file path report
+        in
+        Fun.protect ~finally:emit f
+  in
+  let trace_scope f =
+    match ctx.trace with
+    | None -> f ()
+    | Some (out, mode) ->
+        Trc.reset ();
+        Trc.set_enabled true;
+        let emit () =
+          Trc.set_enabled false;
+          Option.iter
+            (fun path -> write_file path (Trc.render_chrome ~mode ()))
+            out
+        in
+        Fun.protect ~finally:emit f
+  in
+  dataplane_scope @@ fun () -> report_scope @@ fun () -> trace_scope f
+
+(* A subcommand whose action runs under [context]; the action term leaves
+   the action's last, unit argument to [run]. *)
+let command name ~doc context action =
+  Cmd.v (Cmd.info name ~doc) Term.(ret (const run $ context $ action))
+
+(* --- shared options --------------------------------------------------- *)
 
 let topology_of_string = function
   | "internet2" -> Ok (B.internet2 ())
@@ -157,6 +204,10 @@ let topology_conv =
     ( (fun s -> topology_of_string s),
       fun ppf t -> Format.pp_print_string ppf t.B.label )
 
+let topology_arg =
+  let doc = "Topology: internet2, geant, univ1 or as3679." in
+  Arg.(value & opt topology_conv (B.internet2 ()) & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
+
 let seed_arg =
   let doc = "Random seed; every run is deterministic for a given seed." in
   Arg.(value & opt int 20160627 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -168,50 +219,109 @@ let scale_arg =
   in
   Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"SCALE" ~doc)
 
+let jobs_arg =
+  let doc =
+    "Worker domains for the parallel engine sections (default: the \
+     APPLE_JOBS environment variable, else the machine's core count).  \
+     Results are byte-identical for every value."
+  in
+  Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+
+let engine_conv =
+  Arg.enum
+    [ ("best", `Best); ("lp", `Lp); ("per-class", `Per_class); ("greedy", `Greedy) ]
+
+let engine_info =
+  let doc =
+    "Placement engine: $(b,best) (LP/greedy selector), $(b,lp) \
+     (monolithic LP pipeline), $(b,per-class) (parallel per-class \
+     decomposition) or $(b,greedy)."
+  in
+  Arg.info [ "engine" ] ~docv:"ENGINE" ~doc
+
+let engine_arg = Arg.(value & opt engine_conv `Best & engine_info)
+
+let total_arg default =
+  let doc = "Network-wide offered load in Mbps." in
+  Arg.(value & opt float default & info [ "total" ] ~docv:"MBPS" ~doc)
+
+let max_classes_arg default =
+  let doc = "Maximum number of origin-destination pairs carrying policies." in
+  Arg.(value & opt int default & info [ "max-classes" ] ~docv:"N" ~doc)
+
+let flight_conv = output_conv "flight dump"
+
+let flight_info =
+  let doc =
+    "Dump the flight recorder (binary event ring) to $(docv) after the \
+     run ($(b,verify) dumps it only when the verifier rejects the \
+     configuration); inspect it with $(b,apple trace)."
+  in
+  Arg.info [ "flight-out" ] ~docv:"FILE" ~doc
+
+let flight_out_arg = Arg.(value & opt (some flight_conv) None & flight_info)
+
+(* The scenario solve, verify and top run on: [max_classes] classes over
+   [tm], by default a gravity matrix of [total] Mbps drawn from [seed]. *)
+let build_scenario ?tm topo ~seed ~total ~max_classes =
+  let tm =
+    match tm with
+    | Some tm -> tm
+    | None ->
+        let n = Apple_topology.Graph.num_nodes topo.B.graph in
+        Tr.Synth.gravity (Rng.create seed) ~n ~total
+  in
+  let config = { C.Scenario.default_config with C.Scenario.max_classes } in
+  C.Scenario.build ~config ~seed topo tm
+
 (* --- experiment command ------------------------------------------- *)
 
 let experiment_names =
   [ "table1"; "table3"; "table4"; "table5"; "fig6"; "fig7"; "fig8"; "fig9";
     "fig10"; "fig11"; "fig12"; "jobs"; "ablations"; "all" ]
 
-let run_experiment name seed scale load_source =
+let run_experiment name seed scale load_source () =
   let opts = { C.Experiments.seed; scale } in
   let first (r, _) = r in
   match name with
-  | "table1" -> C.Experiments.print (C.Experiments.table1 opts); Ok ()
-  | "table3" -> C.Experiments.print (C.Experiments.table3 opts); Ok ()
-  | "table4" -> C.Experiments.print (C.Experiments.table4 opts); Ok ()
-  | "table5" -> C.Experiments.print (first (C.Experiments.table5 opts)); Ok ()
-  | "fig6" -> C.Experiments.print (C.Experiments.fig6 opts); Ok ()
-  | "fig7" -> C.Experiments.print (C.Experiments.fig7 opts); Ok ()
-  | "fig8" -> C.Experiments.print (C.Experiments.fig8 opts); Ok ()
+  | "table1" -> C.Experiments.print (C.Experiments.table1 opts); `Ok ()
+  | "table3" -> C.Experiments.print (C.Experiments.table3 opts); `Ok ()
+  | "table4" -> C.Experiments.print (C.Experiments.table4 opts); `Ok ()
+  | "table5" -> C.Experiments.print (first (C.Experiments.table5 opts)); `Ok ()
+  | "fig6" -> C.Experiments.print (C.Experiments.fig6 opts); `Ok ()
+  | "fig7" -> C.Experiments.print (C.Experiments.fig7 opts); `Ok ()
+  | "fig8" -> C.Experiments.print (C.Experiments.fig8 opts); `Ok ()
   | "fig9" ->
       (match load_source with
       | `Oracle -> C.Experiments.print (C.Experiments.fig9 opts)
       | `Polled -> C.Experiments.print (C.Experiments.fig9_polled opts));
-      Ok ()
-  | "fig10" -> C.Experiments.print (first (C.Experiments.fig10 opts)); Ok ()
-  | "fig11" -> C.Experiments.print (first (C.Experiments.fig11 opts)); Ok ()
-  | "fig12" -> C.Experiments.print (first (C.Experiments.fig12 opts)); Ok ()
-  | "jobs" -> C.Experiments.print (first (C.Experiments.jobs_table opts)); Ok ()
+      `Ok ()
+  | "fig10" -> C.Experiments.print (first (C.Experiments.fig10 opts)); `Ok ()
+  | "fig11" -> C.Experiments.print (first (C.Experiments.fig11 opts)); `Ok ()
+  | "fig12" -> C.Experiments.print (first (C.Experiments.fig12 opts)); `Ok ()
+  | "jobs" -> C.Experiments.print (first (C.Experiments.jobs_table opts)); `Ok ()
   | "ablations" ->
       List.iter C.Experiments.print (C.Experiments.ablations opts);
-      Ok ()
+      `Ok ()
   | "all" ->
       List.iter C.Experiments.print (C.Experiments.all opts);
       List.iter C.Experiments.print (C.Experiments.ablations opts);
-      Ok ()
+      `Ok ()
   | other ->
-      Error (`Msg (Printf.sprintf "unknown experiment %S (expected %s)" other
-                     (String.concat "|" experiment_names)))
+      `Error (false, Printf.sprintf "unknown experiment %S (expected %s)" other
+                       (String.concat "|" experiment_names))
+
+(* [Arg.enum] gives the conventional cmdliner error — non-zero exit plus
+   the list of valid names — on an unknown experiment. *)
+let experiment_conv = Arg.enum (List.map (fun n -> (n, n)) experiment_names)
 
 let experiment_cmd =
   let name_arg =
     let doc = "Experiment to reproduce: " ^ String.concat ", " experiment_names in
-    (* [Arg.enum] gives the conventional cmdliner error — non-zero exit
-       plus the list of valid names — on an unknown experiment. *)
-    let exp_conv = Arg.enum (List.map (fun n -> (n, n)) experiment_names) in
-    Arg.(required & pos 0 (some exp_conv) None & info [] ~docv:"EXPERIMENT" ~doc)
+    Arg.(
+      required
+      & pos 0 (some experiment_conv) None
+      & info [] ~docv:"EXPERIMENT" ~doc)
   in
   let load_source_arg =
     let doc =
@@ -226,51 +336,27 @@ let experiment_cmd =
       & opt (enum [ ("oracle", `Oracle); ("polled", `Polled) ]) `Oracle
       & info [ "load-source" ] ~docv:"SOURCE" ~doc)
   in
-  let action name seed scale load_source metrics out =
-    match
-      with_metrics metrics out (fun () ->
-          run_experiment name seed scale load_source)
-    with
-    | Ok () -> `Ok ()
-    | Error (`Msg m) -> `Error (false, m)
-  in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Reproduce one of the paper's tables or figures")
+  command "experiment" ~doc:"Reproduce one of the paper's tables or figures"
+    metrics_context
     Term.(
-      ret
-        (const action $ name_arg $ seed_arg $ scale_arg $ load_source_arg
-       $ metrics_arg $ metrics_out_arg))
+      const run_experiment $ name_arg $ seed_arg $ scale_arg $ load_source_arg)
 
 (* --- solve command ------------------------------------------------- *)
 
-let engine_conv =
-  Arg.enum
-    [ ("best", `Best); ("lp", `Lp); ("per-class", `Per_class); ("greedy", `Greedy) ]
-
-let solve_action topo seed total max_classes engine jobs verify tm_file
-    dataplane metrics out trace_out trace_mode =
-  checked_outputs [ ("metrics report", out); ("trace", trace_out) ]
-  @@ fun () ->
-  with_dataplane dataplane @@ fun () ->
-  with_metrics metrics out @@ fun () ->
-  with_trace trace_out trace_mode @@ fun () ->
+let solve_action topo seed total max_classes engine jobs verify tm_file () =
   let n = Apple_topology.Graph.num_nodes topo.B.graph in
-  let tm =
-    match tm_file with
-    | None ->
-        let rng = Rng.create seed in
-        Tr.Synth.gravity rng ~n ~total
-    | Some path -> (
-        match Tr.Io.load ~path with
-        | Ok tm when Tr.Matrix.size tm = n -> tm
-        | Ok tm ->
-            failwith
-              (Printf.sprintf "matrix is %dx%d but %s has %d nodes"
-                 (Tr.Matrix.size tm) (Tr.Matrix.size tm) topo.B.label n)
-        | Error e -> failwith e)
+  let load path =
+    match Tr.Io.load ~path with
+    | Ok tm when Tr.Matrix.size tm = n -> tm
+    | Ok tm ->
+        failwith
+          (Printf.sprintf "matrix is %dx%d but %s has %d nodes"
+             (Tr.Matrix.size tm) (Tr.Matrix.size tm) topo.B.label n)
+    | Error e -> failwith e
   in
-  let config = { C.Scenario.default_config with C.Scenario.max_classes } in
-  let scenario = C.Scenario.build ~config ~seed topo tm in
+  let scenario =
+    build_scenario ?tm:(Option.map load tm_file) topo ~seed ~total ~max_classes
+  in
   let gate = if verify then Some V.gate else None in
   let controller = C.Controller.create ~engine ?jobs ?gate scenario in
   (try
@@ -308,34 +394,6 @@ let solve_action topo seed total max_classes engine jobs verify tm_file
    | Failure msg -> `Error (false, msg))
 
 let solve_cmd =
-  let topo_arg =
-    let doc = "Topology: internet2, geant, univ1 or as3679." in
-    Arg.(value & opt topology_conv (B.internet2 ()) & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
-  in
-  let total_arg =
-    let doc = "Network-wide offered load in Mbps." in
-    Arg.(value & opt float 6000.0 & info [ "total" ] ~docv:"MBPS" ~doc)
-  in
-  let classes_arg =
-    let doc = "Maximum number of origin-destination pairs carrying policies." in
-    Arg.(value & opt int 120 & info [ "max-classes" ] ~docv:"N" ~doc)
-  in
-  let engine_arg =
-    let doc =
-      "Placement engine: $(b,best) (LP/greedy selector), $(b,lp) \
-       (monolithic LP pipeline), $(b,per-class) (parallel per-class \
-       decomposition) or $(b,greedy)."
-    in
-    Arg.(value & opt engine_conv `Best & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
-  let jobs_arg =
-    let doc =
-      "Worker domains for the per-class/greedy engines' parallel sections \
-       (default: the APPLE_JOBS environment variable, else the machine's \
-       core count).  The placement is byte-identical for every value."
-    in
-    Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
   let verify_arg =
     let doc = "Run the end-to-end packet-walk verification after solving." in
     Arg.(value & flag & info [ "verify" ] ~doc)
@@ -347,45 +405,30 @@ let solve_cmd =
     in
     Arg.(value & opt (some file) None & info [ "tm" ] ~docv:"FILE" ~doc)
   in
-  Cmd.v
-    (Cmd.info "solve"
-       ~doc:"Run the Optimization Engine once and print the placement summary")
-    Term.(ret (const solve_action $ topo_arg $ seed_arg $ total_arg $ classes_arg $ engine_arg $ jobs_arg $ verify_arg $ tm_arg $ dataplane_arg $ metrics_arg $ metrics_out_arg $ trace_out_arg $ trace_mode_arg))
+  command "solve"
+    ~doc:"Run the Optimization Engine once and print the placement summary"
+    full_context
+    Term.(
+      const solve_action $ topology_arg $ seed_arg $ total_arg 6000.0
+      $ max_classes_arg 120 $ engine_arg $ jobs_arg $ verify_arg $ tm_arg)
 
 (* --- verify command ------------------------------------------------ *)
 
 (* One representative packet walk per sub-class, labelled with the
    sub-class key as its flow id so the flight recorder (and [apple
    trace]) can attribute each event to a flow. *)
-let walk_representatives scenario asg (built : C.Rule_generator.built)
-    ~on_result =
-  Array.iter
-    (fun c ->
-      let subs =
-        List.filter
-          (fun sub -> sub.C.Subclass.class_id = c.C.Types.id)
-          asg.C.Subclass.subclasses
-      in
-      if subs <> [] then begin
-        let prefixes =
-          C.Rule_generator.subclass_prefixes c subs
-            ~depth:built.C.Rule_generator.split_depth
-        in
-        List.iteri
-          (fun idx sub ->
-            match prefixes.(idx) with
-            | [] -> ()
-            | p :: _ ->
-                let flow = C.Subclass.key sub in
-                let r =
-                  Walk.run built.C.Rule_generator.network
-                    ~path:(Array.to_list c.C.Types.path)
-                    ~cls:c.C.Types.id ~src_ip:p.C.Types.Prefix.addr ~flow ()
-                in
-                on_result c sub p r)
-          subs
-      end)
-    scenario.C.Types.classes
+let walk_representatives scenario asg (built : C.Rule_generator.built) =
+  List.iter
+    (fun ((c : C.Types.flow_class), reps) ->
+      List.iter
+        (fun (sub, p) ->
+          ignore
+            (Walk.run built.C.Rule_generator.network
+               ~path:(Array.to_list c.C.Types.path)
+               ~cls:c.C.Types.id ~src_ip:p.C.Types.Prefix.addr
+               ~flow:(C.Subclass.key sub) ()))
+        reps)
+    (C.Rule_generator.representatives scenario asg built)
 
 let code_ordinal = function
   | V.Chain_order -> 0
@@ -406,7 +449,7 @@ let dump_flight_evidence ~path scenario asg built (r : V.report) =
   Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Obs.set_enabled saved) @@ fun () ->
   Flight.clear ();
-  walk_representatives scenario asg built ~on_result:(fun _ _ _ _ -> ());
+  walk_representatives scenario asg built;
   List.iter
     (fun v ->
       Flight.record Flight.Violation
@@ -418,26 +461,8 @@ let dump_flight_evidence ~path scenario asg built (r : V.report) =
     r.V.violations;
   Flight.dump ~path
 
-let flight_out_arg =
-  let doc =
-    "Where to dump the flight recorder (binary event ring) when the \
-     verifier rejects the configuration; inspect it with $(b,apple trace)."
-  in
-  Arg.(
-    value
-    & opt string "apple-flight.bin"
-    & info [ "flight-out" ] ~docv:"FILE" ~doc)
-
-let verify_action topo seed total max_classes engine jobs flight_out metrics
-    out =
-  checked_outputs [ ("flight dump", Some flight_out); ("metrics report", out) ]
-  @@ fun () ->
-  with_metrics metrics out @@ fun () ->
-  let n = Apple_topology.Graph.num_nodes topo.B.graph in
-  let rng = Rng.create seed in
-  let tm = Tr.Synth.gravity rng ~n ~total in
-  let config = { C.Scenario.default_config with C.Scenario.max_classes } in
-  let scenario = C.Scenario.build ~config ~seed topo tm in
+let verify_action topo seed total max_classes engine jobs flight_out () =
+  let scenario = build_scenario topo ~seed ~total ~max_classes in
   (* Capture the full report through the controller's admission gate so
      the command exercises the same code path as a gated epoch. *)
   let captured = ref None in
@@ -451,12 +476,12 @@ let verify_action topo seed total max_classes engine jobs flight_out metrics
     match !captured with
     | None -> `Error (false, "internal error: the verifier gate never ran")
     | Some (r, asg, built) ->
-        Format.printf "topology:  %s (%d nodes), %d classes, engine %s@."
-          topo.B.label n
+        Format.printf "topology:  %s (%d nodes), %d classes, engine %a@."
+          topo.B.label
+          (Apple_topology.Graph.num_nodes topo.B.graph)
           (Array.length scenario.C.Types.classes)
-          (match engine with
-          | `Best -> "best" | `Lp -> "lp" | `Per_class -> "per-class"
-          | `Greedy -> "greedy");
+          (Arg.conv_printer engine_conv)
+          engine;
         Format.printf "placement: %d instances (%d cores), %d TCAM entries@."
           report.C.Controller.instances report.C.Controller.cores
           report.C.Controller.tcam_entries;
@@ -472,38 +497,22 @@ let verify_action topo seed total max_classes engine jobs flight_out metrics
     `Error (false, "infeasible: " ^ msg)
 
 let verify_cmd =
-  let topo_arg =
-    let doc = "Topology: internet2, geant, univ1 or as3679." in
-    Arg.(value & opt topology_conv (B.internet2 ()) & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
+  let flight_out_arg =
+    Arg.(value & opt flight_conv "apple-flight.bin" & flight_info)
   in
-  let total_arg =
-    let doc = "Network-wide offered load in Mbps." in
-    Arg.(value & opt float 6000.0 & info [ "total" ] ~docv:"MBPS" ~doc)
-  in
-  let classes_arg =
-    let doc = "Maximum number of origin-destination pairs carrying policies." in
-    Arg.(value & opt int 120 & info [ "max-classes" ] ~docv:"N" ~doc)
-  in
-  let engine_arg =
-    let doc = "Placement engine to generate the configuration under test." in
-    Arg.(value & opt engine_conv `Best & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
-  let jobs_arg =
-    let doc = "Worker domains for the parallel engines." in
-    Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:
-         "Statically certify a generated configuration: chain order, \
-          interference freedom, isolation, capacity and table \
-          well-formedness, with a concrete witness per violation")
-    Term.(ret (const verify_action $ topo_arg $ seed_arg $ total_arg $ classes_arg $ engine_arg $ jobs_arg $ flight_out_arg $ metrics_arg $ metrics_out_arg))
+  command "verify"
+    ~doc:
+      "Statically certify a generated configuration: chain order, \
+       interference freedom, isolation, capacity and table \
+       well-formedness, with a concrete witness per violation"
+    metrics_context
+    Term.(
+      const verify_action $ topology_arg $ seed_arg $ total_arg 6000.0
+      $ max_classes_arg 120 $ engine_arg $ jobs_arg $ flight_out_arg)
 
 (* --- replay command ------------------------------------------------ *)
 
-let replay_action topo seed snapshots metrics out =
-  with_metrics metrics out @@ fun () ->
+let replay_action topo seed snapshots () =
   let profile =
     { Tr.Synth.default_profile with Tr.Synth.snapshots; total_rate = 3000.0;
       burst_probability = 0.06; burst_factor = 25.0; burst_length = 6 }
@@ -527,23 +536,18 @@ let replay_action topo seed snapshots metrics out =
   `Ok ()
 
 let replay_cmd =
-  let topo_arg =
-    let doc = "Topology: internet2, geant or univ1." in
-    Arg.(value & opt topology_conv (B.internet2 ()) & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
-  in
   let snapshots_arg =
     let doc = "Number of traffic snapshots to replay." in
     Arg.(value & opt int 672 & info [ "snapshots" ] ~docv:"N" ~doc)
   in
-  Cmd.v
-    (Cmd.info "replay"
-       ~doc:"Replay time-varying traffic with and without fast failover")
-    Term.(ret (const replay_action $ topo_arg $ seed_arg $ snapshots_arg $ metrics_arg $ metrics_out_arg))
+  command "replay"
+    ~doc:"Replay time-varying traffic with and without fast failover"
+    metrics_context
+    Term.(const replay_action $ topology_arg $ seed_arg $ snapshots_arg)
 
 (* --- policies command ----------------------------------------------- *)
 
-let policies_action topo file verify metrics out =
-  with_metrics metrics out @@ fun () ->
+let policies_action topo file verify () =
   let env = Apple_classifier.Predicate.env () in
   match C.Policy_file.parse_file ~env ~topology:topo ~path:file with
   | Error e -> `Error (false, Format.asprintf "%s: %a" file C.Policy_file.pp_error e)
@@ -587,10 +591,6 @@ let policies_action topo file verify metrics out =
           `Error (false, "rejected by static verifier: " ^ m))
 
 let policies_cmd =
-  let topo_arg =
-    let doc = "Topology the node names refer to." in
-    Arg.(value & opt topology_conv (B.internet2 ()) & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
-  in
   let file_arg =
     let doc = "Policy file (see Apple_core.Policy_file for the grammar)." in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
@@ -599,23 +599,15 @@ let policies_cmd =
     let doc = "Packet-walk every class after solving." in
     Arg.(value & flag & info [ "verify" ] ~doc)
   in
-  Cmd.v
-    (Cmd.info "policies"
-       ~doc:"Aggregate a policy file into classes, place VNFs and verify")
-    Term.(ret (const policies_action $ topo_arg $ file_arg $ verify_arg $ metrics_arg $ metrics_out_arg))
+  command "policies"
+    ~doc:"Aggregate a policy file into classes, place VNFs and verify"
+    metrics_context
+    Term.(const policies_action $ topology_arg $ file_arg $ verify_arg)
 
 (* --- top command ---------------------------------------------------- *)
 
-let top_action topo seed total max_classes duration once flight_out metrics
-    out =
-  checked_outputs [ ("flight dump", flight_out); ("metrics report", out) ]
-  @@ fun () ->
-  with_metrics metrics out @@ fun () ->
-  let n = Apple_topology.Graph.num_nodes topo.B.graph in
-  let rng = Rng.create seed in
-  let tm = Tr.Synth.gravity rng ~n ~total in
-  let config = { C.Scenario.default_config with C.Scenario.max_classes } in
-  let scenario = C.Scenario.build ~config ~seed topo tm in
+let top_action topo seed total max_classes duration once flight_out () =
+  let scenario = build_scenario topo ~seed ~total ~max_classes in
   let controller = C.Controller.create scenario in
   try
     let report = C.Controller.run_epoch controller in
@@ -627,44 +619,29 @@ let top_action topo seed total max_classes duration once flight_out metrics
     let built = report.C.Controller.rules in
     (* One CBR flow per sub-class, offered at the sub-class's pinned
        share of its class rate (1500 B packets). *)
-    let flows = ref [] in
-    Array.iter
-      (fun c ->
-        let subs =
-          List.filter
-            (fun sub -> sub.C.Subclass.class_id = c.C.Types.id)
-            asg.C.Subclass.subclasses
-        in
-        if subs <> [] then begin
-          let prefixes =
-            C.Rule_generator.subclass_prefixes c subs
-              ~depth:built.C.Rule_generator.split_depth
-          in
-          List.iteri
-            (fun idx sub ->
-              match prefixes.(idx) with
-              | [] -> ()
-              | p :: _ ->
-                  let mbps = c.C.Types.rate *. sub.C.Subclass.weight in
-                  let pps = mbps *. 1e6 /. 8.0 /. 1500.0 in
-                  if pps >= 1.0 then
-                    flows :=
-                      {
-                        PS.flow_name =
-                          Printf.sprintf "c%d.s%d" c.C.Types.id
-                            sub.C.Subclass.sub_id;
-                        cls = c.C.Types.id;
-                        src_ip = p.C.Types.Prefix.addr;
-                        path = Array.to_list c.C.Types.path;
-                        source = PS.Cbr pps;
-                        start_at = 0.0;
-                        stop_at = duration;
-                      }
-                      :: !flows)
-            subs
-        end)
-      scenario.C.Types.classes;
-    let flows = List.rev !flows in
+    let flows =
+      List.concat_map
+        (fun ((c : C.Types.flow_class), reps) ->
+          List.filter_map
+            (fun (sub, p) ->
+              let mbps = c.C.Types.rate *. sub.C.Subclass.weight in
+              let pps = mbps *. 1e6 /. 8.0 /. 1500.0 in
+              if pps >= 1.0 then
+                Some
+                  {
+                    PS.flow_name =
+                      Printf.sprintf "c%d.s%d" c.C.Types.id sub.C.Subclass.sub_id;
+                    cls = c.C.Types.id;
+                    src_ip = p.C.Types.Prefix.addr;
+                    path = Array.to_list c.C.Types.path;
+                    source = PS.Cbr pps;
+                    start_at = 0.0;
+                    stop_at = duration;
+                  }
+              else None)
+            reps)
+        (C.Rule_generator.representatives scenario asg built)
+    in
     if flows = [] then failwith "no sub-class carries measurable traffic";
     let saved = Obs.enabled () in
     Obs.reset ();
@@ -704,18 +681,6 @@ let top_action topo seed total max_classes duration once flight_out metrics
   | Failure msg -> `Error (false, msg)
 
 let top_cmd =
-  let topo_arg =
-    let doc = "Topology: internet2, geant, univ1 or as3679." in
-    Arg.(value & opt topology_conv (B.internet2 ()) & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
-  in
-  let total_arg =
-    let doc = "Network-wide offered load in Mbps." in
-    Arg.(value & opt float 2000.0 & info [ "total" ] ~docv:"MBPS" ~doc)
-  in
-  let classes_arg =
-    let doc = "Maximum number of origin-destination pairs carrying policies." in
-    Arg.(value & opt int 40 & info [ "max-classes" ] ~docv:"N" ~doc)
-  in
   let duration_arg =
     let doc = "Virtual seconds of packet traffic to simulate." in
     Arg.(value & opt float 0.25 & info [ "duration" ] ~docv:"SECONDS" ~doc)
@@ -727,20 +692,15 @@ let top_cmd =
     in
     Arg.(value & flag & info [ "once" ] ~doc)
   in
-  let flight_arg =
-    let doc = "Also dump the flight recorder to $(docv) after the run." in
-    Arg.(value & opt (some string) None & info [ "flight-out" ] ~docv:"FILE" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Solve an epoch, drive packet traffic through the installed rule \
-          tables, and render per-switch and per-VNF-instance load from \
-          polled dataplane counters")
+  command "top"
+    ~doc:
+      "Solve an epoch, drive packet traffic through the installed rule \
+       tables, and render per-switch and per-VNF-instance load from \
+       polled dataplane counters"
+    metrics_context
     Term.(
-      ret
-        (const top_action $ topo_arg $ seed_arg $ total_arg $ classes_arg
-       $ duration_arg $ once_arg $ flight_arg $ metrics_arg $ metrics_out_arg))
+      const top_action $ topology_arg $ seed_arg $ total_arg 2000.0
+      $ max_classes_arg 40 $ duration_arg $ once_arg $ flight_out_arg)
 
 (* --- trace command --------------------------------------------------- *)
 
@@ -801,17 +761,7 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let chaos_action topo seed schedule_file duration round jobs boot flight_out
-    dataplane metrics out trace_out trace_mode =
-  checked_outputs
-    [
-      ("flight dump", flight_out);
-      ("metrics report", out);
-      ("trace", trace_out);
-    ]
-  @@ fun () ->
-  with_dataplane dataplane @@ fun () ->
-  with_metrics metrics out @@ fun () ->
-  with_trace trace_out trace_mode @@ fun () ->
+    () =
   let schedule =
     match schedule_file with
     | Some path -> Ch.Fault.parse (read_file path)
@@ -847,13 +797,6 @@ let chaos_action topo seed schedule_file duration round jobs boot flight_out
       | C.Optimization_engine.Infeasible m -> `Error (false, "infeasible: " ^ m))
 
 let chaos_cmd =
-  let topo_arg =
-    let doc = "Topology: internet2, geant, univ1 or as3679." in
-    Arg.(
-      value
-      & opt topology_conv (B.internet2 ())
-      & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
-  in
   let schedule_arg =
     let doc =
       "Fault schedule file (lines $(b,at TIME KIND ARGS); see \
@@ -874,13 +817,6 @@ let chaos_cmd =
     let doc = "Control-round period in simulated seconds." in
     Arg.(value & opt float 0.05 & info [ "round" ] ~docv:"SECONDS" ~doc)
   in
-  let jobs_arg =
-    let doc =
-      "Worker domains for the placement engine; the outcome is \
-       byte-identical for every value."
-    in
-    Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
   let boot_arg =
     let doc =
       "Respawn boot path: $(b,clickos) (30 ms), $(b,openstack) (3.9-4.6 s), \
@@ -900,63 +836,37 @@ let chaos_cmd =
           None
       & info [ "boot" ] ~docv:"PATH" ~doc)
   in
-  let chaos_flight_arg =
-    let doc =
-      "Dump the flight recorder (blackholes, repairs, heals) to $(docv) \
-       after the run; inspect it with $(b,apple trace)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "flight-out" ] ~docv:"FILE" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Inject a deterministic fault schedule (VM deaths, link/switch \
-          failures, TCAM rule loss, poller blackouts) into a running \
-          scenario and report recovery times, packet loss and verifier \
-          status per fault")
+  command "chaos"
+    ~doc:
+      "Inject a deterministic fault schedule (VM deaths, link/switch \
+       failures, TCAM rule loss, poller blackouts) into a running \
+       scenario and report recovery times, packet loss and verifier \
+       status per fault"
+    full_context
     Term.(
-      ret
-        (const chaos_action $ topo_arg $ seed_arg $ schedule_arg
-       $ duration_arg $ round_arg $ jobs_arg $ boot_arg $ chaos_flight_arg
-       $ dataplane_arg $ metrics_arg $ metrics_out_arg $ trace_out_arg
-       $ trace_mode_arg))
+      const chaos_action $ topology_arg $ seed_arg $ schedule_arg
+      $ duration_arg $ round_arg $ jobs_arg $ boot_arg $ flight_out_arg)
 
 (* --- failover experiment command ------------------------------------ *)
 
-let failover_action seed scale metrics out =
-  with_metrics metrics out @@ fun () ->
+let failover_action seed scale () =
   C.Experiments.print (Ch.Experiments.fig_failover { C.Experiments.seed; scale });
   `Ok ()
 
 let failover_cmd =
-  Cmd.v
-    (Cmd.info "failover"
-       ~doc:
-         "Run the failover table: recovery time, packets lost and verifier \
-          status per fault kind and schedule density on Internet2 and GEANT")
-    Term.(
-      ret (const failover_action $ seed_arg $ scale_arg $ metrics_arg
-         $ metrics_out_arg))
+  command "failover"
+    ~doc:
+      "Run the failover table: recovery time, packets lost and verifier \
+       status per fault kind and schedule density on Internet2 and GEANT"
+    metrics_context
+    Term.(const failover_action $ seed_arg $ scale_arg)
 
 (* --- soak command --------------------------------------------------- *)
 
 let soak_action topo seed epochs reopt cycle total classes heal
     loss_band window_band mem_slack engine jobs load_source schedule_file
     state_dir resume halt_at stream_path summary_out bench_json_out flight_out
-    dataplane metrics out trace_out trace_mode =
-  checked_outputs
-    [
-      ("summary", summary_out);
-      ("bench snapshot", bench_json_out);
-      ("flight dump", flight_out);
-      ("metrics report", out);
-      ("trace", trace_out);
-    ]
-  @@ fun () ->
-  with_dataplane dataplane @@ fun () ->
-  with_metrics metrics out @@ fun () ->
-  with_trace trace_out trace_mode @@ fun () ->
+    () =
   let schedule =
     match schedule_file with
     | Some path -> Ch.Fault.parse (read_file path)
@@ -1007,19 +917,10 @@ let soak_action topo seed epochs reopt cycle total classes heal
           let o = Sk.run ?halt_at ?state_dir sess in
           print_string o.Sk.summary;
           print_string o.Sk.perf;
-          (match summary_out with
-          | Some path ->
-              let oc = open_out path in
-              Fun.protect
-                ~finally:(fun () -> close_out oc)
-                (fun () -> output_string oc o.Sk.summary)
-          | None -> ());
+          Option.iter (fun path -> write_file path o.Sk.summary) summary_out;
           (match bench_json_out with
           | Some path ->
-              let oc = open_out path in
-              Fun.protect
-                ~finally:(fun () -> close_out oc)
-                (fun () -> output_string oc (Sk.bench_json sess o));
+              write_file path (Sk.bench_json sess o);
               Format.printf "bench trajectory written to %s@." path
           | None -> ());
           (match flight_out with
@@ -1040,13 +941,6 @@ let soak_action topo seed epochs reopt cycle total classes heal
               else `Ok ()))
 
 let soak_cmd =
-  let topo_arg =
-    let doc = "Topology: internet2, geant, univ1 or as3679." in
-    Arg.(
-      value
-      & opt topology_conv (B.internet2 ())
-      & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
-  in
   let epochs_arg =
     let doc = "Total epochs (traffic snapshots) to run." in
     Arg.(value & opt int 2000 & info [ "epochs" ] ~docv:"N" ~doc)
@@ -1061,14 +955,6 @@ let soak_cmd =
   let cycle_arg =
     let doc = "Traffic snapshots before the diurnal sequence repeats." in
     Arg.(value & opt int 672 & info [ "cycle" ] ~docv:"N" ~doc)
-  in
-  let total_arg =
-    let doc = "Network-wide offered load in Mbps (diurnal mean)." in
-    Arg.(value & opt float 3000.0 & info [ "total" ] ~docv:"MBPS" ~doc)
-  in
-  let classes_arg =
-    let doc = "Maximum number of flow classes." in
-    Arg.(value & opt int 40 & info [ "max-classes" ] ~docv:"N" ~doc)
   in
   let heal_arg =
     let doc = "Epochs between a kill fault and its respawn heal." in
@@ -1088,17 +974,6 @@ let soak_cmd =
        sample (perf verdict)."
     in
     Arg.(value & opt float 1.5 & info [ "mem-slack" ] ~docv:"FACTOR" ~doc)
-  in
-  let engine_arg =
-    let doc = "Placement engine: $(b,best), $(b,lp), $(b,per-class) or $(b,greedy)." in
-    Arg.(value & opt engine_conv `Best & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
-  let jobs_arg =
-    let doc =
-      "Worker domains for the parallel engines; artifacts are byte-identical \
-       for every value."
-    in
-    Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
   let load_source_arg =
     let doc =
@@ -1121,7 +996,10 @@ let soak_cmd =
     let doc =
       "Directory for checkpoint.apple and stream.log; enables kill/resume."
     in
-    Arg.(value & opt (some string) None & info [ "state-dir" ] ~docv:"DIR" ~doc)
+    Arg.(
+      value
+      & opt (some (output_conv "state directory")) None
+      & info [ "state-dir" ] ~docv:"DIR" ~doc)
   in
   let resume_arg =
     let doc = "Resume from $(b,--state-dir)'s last checkpoint." in
@@ -1136,11 +1014,17 @@ let soak_cmd =
       "Write the deterministic per-epoch stream to $(docv) (default: \
        $(b,--state-dir)/stream.log when a state dir is given)."
     in
-    Arg.(value & opt (some string) None & info [ "stream" ] ~docv:"FILE" ~doc)
+    Arg.(
+      value
+      & opt (some (output_conv "stream")) None
+      & info [ "stream" ] ~docv:"FILE" ~doc)
   in
   let summary_out_arg =
     let doc = "Also write the deterministic summary to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "summary-out" ] ~docv:"FILE" ~doc)
+    Arg.(
+      value
+      & opt (some (output_conv "summary")) None
+      & info [ "summary-out" ] ~docv:"FILE" ~doc)
   in
   let bench_json_arg =
     let doc =
@@ -1148,39 +1032,28 @@ let soak_cmd =
        apple-bench-soak/1) to $(docv)."
     in
     Arg.(
-      value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE" ~doc)
+      value
+      & opt (some (output_conv "bench snapshot")) None
+      & info [ "bench-json" ] ~docv:"FILE" ~doc)
   in
-  let soak_flight_arg =
-    let doc = "Dump the flight recorder to $(docv) after the run." in
-    Arg.(
-      value & opt (some string) None & info [ "flight-out" ] ~docv:"FILE" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "soak"
-       ~doc:
-         "Thousands-of-epochs endurance run: diurnal traffic, periodic \
-          re-optimization, scheduled faults, per-epoch invariant checks, \
-          and checkpoint/restore with byte-identical continuation")
+  command "soak"
+    ~doc:
+      "Thousands-of-epochs endurance run: diurnal traffic, periodic \
+       re-optimization, scheduled faults, per-epoch invariant checks, \
+       and checkpoint/restore with byte-identical continuation"
+    full_context
     Term.(
-      ret
-        (const soak_action $ topo_arg $ seed_arg $ epochs_arg $ reopt_arg
-       $ cycle_arg $ total_arg $ classes_arg $ heal_arg
-       $ loss_band_arg $ window_band_arg $ mem_slack_arg $ engine_arg
-       $ jobs_arg $ load_source_arg $ schedule_arg $ state_dir_arg
-       $ resume_arg $ halt_arg $ stream_arg $ summary_out_arg
-       $ bench_json_arg $ soak_flight_arg $ dataplane_arg $ metrics_arg
-       $ metrics_out_arg $ trace_out_arg $ trace_mode_arg))
+      const soak_action $ topology_arg $ seed_arg $ epochs_arg $ reopt_arg
+      $ cycle_arg $ total_arg 3000.0 $ max_classes_arg 40 $ heal_arg
+      $ loss_band_arg $ window_band_arg $ mem_slack_arg $ engine_arg
+      $ jobs_arg $ load_source_arg $ schedule_arg $ state_dir_arg
+      $ resume_arg $ halt_arg $ stream_arg $ summary_out_arg
+      $ bench_json_arg $ flight_out_arg)
 
 (* --- slice command -------------------------------------------------- *)
 
 let slice_action mode topo seed trace_file synth_events tenant name rate demand
-    classes weight isolated nat slice_seed host_cores no_gate engine jobs
-    dataplane metrics out trace_out trace_mode =
-  checked_outputs [ ("metrics report", out); ("trace", trace_out) ]
-  @@ fun () ->
-  with_dataplane dataplane @@ fun () ->
-  with_metrics metrics out @@ fun () ->
-  with_trace trace_out trace_mode @@ fun () ->
+    classes weight isolated nat slice_seed host_cores no_gate engine jobs () =
   let gate = not no_gate in
   let load_trace () =
     match (trace_file, synth_events) with
@@ -1261,13 +1134,6 @@ let slice_cmd =
       & pos 0 (enum [ ("run-trace", `Run); ("admit", `Admit); ("depart", `Depart) ]) `Run
       & info [] ~docv:"MODE" ~doc)
   in
-  let topo_arg =
-    let doc = "Topology: internet2, geant, univ1 or as3679." in
-    Arg.(
-      value
-      & opt topology_conv (B.internet2 ())
-      & info [ "topology"; "t" ] ~docv:"TOPO" ~doc)
-  in
   let trace_arg =
     let doc =
       "Slice arrival/departure trace file (see \
@@ -1335,30 +1201,18 @@ let slice_cmd =
     in
     Arg.(value & flag & info [ "no-gate" ] ~doc)
   in
-  let engine_arg =
-    let doc = "Placement engine: $(b,best), $(b,lp), $(b,per-class) or $(b,greedy)." in
-    Arg.(value & opt (some engine_conv) None & info [ "engine" ] ~docv:"ENGINE" ~doc)
-  in
-  let jobs_arg =
-    let doc =
-      "Worker domains for the parallel engines; admission decisions and the \
-       rendered report are byte-identical for every value."
-    in
-    Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "slice"
-       ~doc:
-         "Multi-tenant slice lifecycle: admit/depart slices online against \
-          substrate headroom with the static verifier as the admission gate, \
-          weighted cross-slice fairness and per-tenant accounting")
+  let engine_arg = Arg.(value & opt (some engine_conv) None & engine_info) in
+  command "slice"
+    ~doc:
+      "Multi-tenant slice lifecycle: admit/depart slices online against \
+       substrate headroom with the static verifier as the admission gate, \
+       weighted cross-slice fairness and per-tenant accounting"
+    full_context
     Term.(
-      ret
-        (const slice_action $ mode_arg $ topo_arg $ seed_arg $ trace_arg
-       $ synth_arg $ tenant_arg $ name_arg $ rate_arg $ demand_arg
-       $ classes_arg $ weight_arg $ isolated_arg $ nat_arg $ slice_seed_arg
-       $ host_cores_arg $ no_gate_arg $ engine_arg $ jobs_arg $ dataplane_arg
-       $ metrics_arg $ metrics_out_arg $ trace_out_arg $ trace_mode_arg))
+      const slice_action $ mode_arg $ topology_arg $ seed_arg $ trace_arg
+      $ synth_arg $ tenant_arg $ name_arg $ rate_arg $ demand_arg
+      $ classes_arg $ weight_arg $ isolated_arg $ nat_arg $ slice_seed_arg
+      $ host_cores_arg $ no_gate_arg $ engine_arg $ jobs_arg)
 
 (* --- topologies command -------------------------------------------- *)
 
@@ -1379,37 +1233,15 @@ let topologies_cmd =
 
 (* --- profile command ------------------------------------------------ *)
 
-let profile_action name seed scale jobs trace_out trace_mode metrics out =
-  checked_outputs [ ("metrics report", out); ("trace", trace_out) ]
-  @@ fun () ->
+let profile_action name seed scale jobs () =
   (* The experiment drivers size their pools from APPLE_JOBS; pinning it
      here makes `apple profile --jobs N` reach every parallel section. *)
   Option.iter (fun j -> Unix.putenv "APPLE_JOBS" (string_of_int (max 1 j))) jobs;
-  with_metrics metrics out @@ fun () ->
-  Trc.reset ();
-  Trc.set_enabled true;
-  let finish () =
-    Trc.set_enabled false;
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc (Trc.render_chrome ~mode:trace_mode ())));
-    (* The attribution table is a profiler: always wall time. *)
-    print_string (Trc.render_table ~mode:Trc.Wall ())
-  in
-  match
-    Fun.protect ~finally:finish (fun () ->
-        run_experiment name seed scale `Oracle)
-  with
-  | Ok () -> `Ok ()
-  | Error (`Msg m) -> `Error (false, m)
+  (* The attribution table is a profiler: always wall time. *)
+  let table () = print_string (Trc.render_table ~mode:Trc.Wall ()) in
+  Fun.protect ~finally:table (run_experiment name seed scale `Oracle)
 
 let profile_cmd =
-  let exp_conv = Arg.enum (List.map (fun n -> (n, n)) experiment_names) in
   let exp_arg =
     let doc =
       "Experiment workload to profile: "
@@ -1417,27 +1249,16 @@ let profile_cmd =
       ^ "."
     in
     Arg.(
-      value & opt exp_conv "table3"
+      value & opt experiment_conv "table3"
       & info [ "experiment" ] ~docv:"EXPERIMENT" ~doc)
   in
-  let jobs_arg =
-    let doc =
-      "Worker domains for the parallel engine sections (sets APPLE_JOBS \
-       for the run).  The $(b,sim)-mode trace is byte-identical for every \
-       value."
-    in
-    Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run an experiment under the causal tracer and print the \
-          per-span/per-phase self-time attribution table; optionally \
-          export the Chrome trace (apple-trace/1) for Perfetto")
-    Term.(
-      ret
-        (const profile_action $ exp_arg $ seed_arg $ scale_arg $ jobs_arg
-       $ trace_out_arg $ trace_mode_arg $ metrics_arg $ metrics_out_arg))
+  command "profile"
+    ~doc:
+      "Run an experiment under the causal tracer and print the \
+       per-span/per-phase self-time attribution table; optionally \
+       export the Chrome trace (apple-trace/1) for Perfetto"
+    profile_context
+    Term.(const profile_action $ exp_arg $ seed_arg $ scale_arg $ jobs_arg)
 
 let main =
   let doc = "APPLE: interference-free NFV policy enforcement (ICDCS 2016 reproduction)" in

@@ -16,14 +16,3 @@ let check_parent ~what path =
          "cannot write %s %s: parent directory %s does not exist (create it \
           or pass a different path)"
          what path dir)
-
-let check_outputs outputs =
-  List.fold_left
-    (fun acc (what, path) ->
-      match acc with
-      | Error _ -> acc
-      | Ok () -> (
-          match path with
-          | None -> Ok ()
-          | Some p -> check_parent ~what p))
-    (Ok ()) outputs

@@ -1,11 +1,7 @@
-(** Output-path validation shared by the CLI's [--*-out] options. *)
+(** Output-path validation for the CLI's report-writing options. *)
 
 val check_parent : what:string -> string -> (unit, string) result
 (** [check_parent ~what path] is [Ok ()] when [path]'s parent directory
     exists and is a directory; otherwise an [Error] with a one-line
     actionable message naming [what] (e.g. ["metrics report"],
     ["trace"]) and the missing directory. *)
-
-val check_outputs : (string * string option) list -> (unit, string) result
-(** [check_outputs [(what, path_opt); ...]]: {!check_parent} over every
-    [Some] path, returning the first error. *)
