@@ -31,7 +31,7 @@ soak:
 # (tools/check_bench_schema.sh gates that).
 bench-snapshots:
 	APPLE_BENCH_SCALE=0.2 dune exec bench/main.exe -- table5 fig10 fig11 fig12 \
-	  dataplane profile --json BENCH_core.json
+	  profile --json BENCH_core.json
 	dune exec bin/apple_cli.exe -- soak -t internet2 --seed 42 --epochs 2000 \
 	  --schedule examples/soak_internet2.soak --bench-json BENCH_soak.json \
 	  > /dev/null

@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- table5 --json bench.json
 
    Positional arguments select what runs: a section (paper | ablations |
-   jobs | failover | soak | slice | profile | dataplane | micro) or an
+   jobs | failover | soak | slice | profile | micro) or an
    individual artifact (table1 | table3 | table4 | table5 | fig6 ... fig12).  Without arguments,
    APPLE_BENCH_ONLY filters sections (comma-separated); unknown names in
    either place abort with the valid vocabulary.  --json FILE
@@ -42,7 +42,7 @@ let seed =
 
 let section_names =
   [ "paper"; "ablations"; "jobs"; "micro"; "failover"; "soak"; "slice";
-    "profile"; "dataplane" ]
+    "profile" ]
 
 let experiment_names =
   [ "table1"; "table3"; "table4"; "table5"; "fig6"; "fig7"; "fig8"; "fig9";
@@ -565,153 +565,6 @@ let run_micro () =
         results)
     tests
 
-(* Compiled dataplane vs the reference interpreter: the same packet
-   walks over Internet2-scale rule tables under both engines.  The
-   differential QCheck suite (test/test_dataplane_diff.ml) holds the two
-   engines equal on results, counters and flight events; this section
-   holds the compiled path to its raw-speed goal (>= 10x on the full
-   walk).  Throughput is wall-clock (machine-dependent, like
-   lp_seconds); the request count and table sizes are deterministic. *)
-let run_dataplane () =
-  print_endline "---- dataplane (compiled tables vs interpreter) ----\n";
-  let module Dp = Apple_dataplane.Compiled in
-  let module Walk = Apple_dataplane.Walk in
-  let topo = B.internet2 () in
-  let n = Apple_topology.Graph.num_nodes topo.B.graph in
-  let rng = Rng.create seed in
-  let tm = Tr.Synth.gravity rng ~n ~total:6000.0 in
-  let config =
-    { C.Scenario.default_config with C.Scenario.max_classes = 120 }
-  in
-  let scenario = C.Scenario.build ~config ~seed topo tm in
-  let ctrl = C.Controller.create scenario in
-  let report = C.Controller.run_epoch ctrl in
-  let asg =
-    match C.Controller.assignment ctrl with
-    | Some a -> a
-    | None -> invalid_arg "dataplane bench: epoch left no assignment"
-  in
-  let built = report.C.Controller.rules in
-  let network = built.C.Rule_generator.network in
-  (* One walk request per sub-class representative prefix — the same
-     population the verifier walks, covering every installed table. *)
-  let requests =
-    C.Rule_generator.representatives scenario asg built
-    |> List.concat_map (fun (c, reps) -> List.map (fun (_, p) -> (c, p)) reps)
-    |> List.mapi (fun flow ((c : C.Types.flow_class), p) ->
-           {
-             Walk.rq_path = Array.to_list c.C.Types.path;
-             rq_cls = c.C.Types.id;
-             rq_src_ip = p.C.Types.Prefix.addr;
-             rq_start_in_host = false;
-             rq_flow = flow;
-           })
-    |> Array.of_list
-  in
-  if Array.length requests = 0 then
-    invalid_arg "dataplane bench: no walkable sub-classes";
-  let tcam = Apple_dataplane.Tcam.total_tcam network in
-  let rounds = max 4 (int_of_float (200.0 *. scale)) in
-  let measure mode =
-    let saved = Dp.mode () in
-    Dp.set_mode mode;
-    Fun.protect ~finally:(fun () -> Dp.set_mode saved) @@ fun () ->
-    (* One untimed pass warms the caches, so compile time (reported
-       separately via Dp.stats) never skews the steady-state rate. *)
-    ignore (Walk.run_batch network ~requests ());
-    let t0 = Unix.gettimeofday () in (* lint: L5 — throughput measurement; the bench metric itself *)
-    for _ = 1 to rounds do
-      ignore (Walk.run_batch network ~requests ())
-    done;
-    let dt = Unix.gettimeofday () -. t0 in (* lint: L5 — throughput measurement; the bench metric itself *)
-    float_of_int (rounds * Array.length requests) /. dt
-  in
-  Dp.reset_stats ();
-  let interp = measure Dp.Interp in
-  let compiled = measure Dp.Compiled in
-  let compiles = Dp.stats () in
-  let speedup = compiled /. interp in
-  (* Per-lookup stress on the paper's no-tagging strawman: every class
-     classified at one central table, on AS-3679 (the evaluation's
-     largest topology — ~600 classes).  This is the regime the paper's
-     tcam_without_tagging counts; the per-switch walk above carries
-     fixed per-hop overhead shared by both engines, while this isolates
-     a single provider-scale table lookup, where the compiled dispatch
-     must clear the 10x raw-speed goal over the interpreter's linear
-     scan. *)
-  let module Tcam = Apple_dataplane.Tcam in
-  let module Tag = Apple_dataplane.Tag in
-  let module Rule = Apple_dataplane.Rule in
-  let stress_topo = B.as3679 () in
-  let sn = Apple_topology.Graph.num_nodes stress_topo.B.graph in
-  let stm = Tr.Synth.gravity (Rng.create seed) ~n:sn ~total:12000.0 in
-  let sconfig =
-    { C.Scenario.default_config with C.Scenario.max_classes = 400 }
-  in
-  let sscenario = C.Scenario.build ~config:sconfig ~seed stress_topo stm in
-  let merged = Tcam.create ~switch:0 in
-  let probes = ref [] in
-  Array.iter
-    (fun c ->
-      let p = c.C.Types.src_block in
-      probes := p.C.Types.Prefix.addr :: !probes;
-      Tcam.add_phys merged
-        {
-          Rule.priority = 100;
-          pmatch =
-            { Rule.m_host = `Empty; m_subclass = `Any; m_prefixes = [ p ] };
-          action =
-            Rule.Tag_and_forward
-              { subclass = c.C.Types.id; host = Tag.Fin };
-        })
-    sscenario.C.Types.classes;
-  let probes = Array.of_list (List.rev !probes) in
-  let merged_entries = Tcam.tcam_entries merged in
-  let tags = Tag.fresh () in
-  let lk_rounds = rounds * 50 in
-  let measure_lookup use_compiled =
-    let lookup ip =
-      if use_compiled then Dp.lookup_phys_entry merged tags ~src_ip:ip
-      else Tcam.lookup_phys_entry merged tags ~src_ip:ip
-    in
-    Array.iter (fun ip -> ignore (lookup ip)) probes;
-    let t0 = Unix.gettimeofday () in (* lint: L5 — throughput measurement; the bench metric itself *)
-    for _ = 1 to lk_rounds do
-      Array.iter (fun ip -> ignore (lookup ip)) probes
-    done;
-    let dt = Unix.gettimeofday () -. t0 in (* lint: L5 — throughput measurement; the bench metric itself *)
-    float_of_int (lk_rounds * Array.length probes) /. dt
-  in
-  let lk_interp = measure_lookup false in
-  let lk_compiled = measure_lookup true in
-  let lk_speedup = lk_compiled /. lk_interp in
-  Printf.printf
-    "internet2: %d request(s) x %d round(s), %d TCAM entries, %d table \
-     compile(s)\n"
-    (Array.length requests) rounds tcam compiles;
-  Printf.printf "  walk  interp:   %10.0f walks/sec\n" interp;
-  Printf.printf "  walk  compiled: %10.0f walks/sec\n" compiled;
-  Printf.printf "  walk  speedup:  %10.1fx\n" speedup;
-  Printf.printf "no-tagging strawman table (as3679, %d entries, one switch):\n"
-    merged_entries;
-  Printf.printf "  lookup interp:   %10.0f lookups/sec\n" lk_interp;
-  Printf.printf "  lookup compiled: %10.0f lookups/sec\n" lk_compiled;
-  Printf.printf "  lookup speedup:  %10.1fx\n\n%!" lk_speedup;
-  record "dataplane"
-    [
-      ("requests", float_of_int (Array.length requests));
-      ("rounds", float_of_int rounds);
-      ("tcam_entries", float_of_int tcam);
-      ("compiles", float_of_int compiles);
-      ("interp_walks_per_sec", interp);
-      ("compiled_walks_per_sec", compiled);
-      ("walk_speedup", speedup);
-      ("strawman_entries", float_of_int merged_entries);
-      ("interp_lookups_per_sec", lk_interp);
-      ("compiled_lookups_per_sec", lk_compiled);
-      ("lookup_speedup", lk_speedup);
-    ]
-
 (* Phase-budget profile: one gated per-class epoch plus the full
    verification walk on Internet2 under the causal tracer, attributing
    wall self time to pipeline phases.  The workload is {e fixed-size}
@@ -768,7 +621,6 @@ let () =
   if wants "failover" then run_failover opts;
   if wants "soak" then run_soak ();
   if wants "slice" then run_slice ();
-  if wants "dataplane" then run_dataplane ();
   if wants "micro" then run_micro ();
   if wants "profile" then run_profile ();
   Option.iter write_snapshot json_path;

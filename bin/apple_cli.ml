@@ -13,7 +13,6 @@ module Poller = Apple_obs.Poller
 module Provenance = Apple_obs.Provenance
 module Top = Apple_obs.Top
 module Walk = Apple_dataplane.Walk
-module Dp = Apple_dataplane.Compiled
 module PS = Apple_packetsim.Packet_sim
 module I = Apple_vnf.Instance
 module Ch = Apple_chaos
@@ -63,21 +62,6 @@ let metrics_out_arg =
     & opt (some (output_conv "metrics report")) None
     & info [ "metrics-out" ] ~docv:"FILE" ~env ~doc)
 
-let dataplane_arg =
-  let doc =
-    "Dataplane engine for packet walks: $(b,interp) interprets each \
-     lookup over the priority-sorted rule list (the reference \
-     semantics), $(b,compiled) dispatches through per-switch compiled \
-     tables (tag-keyed dispatch with BDD prefix guards).  Results, \
-     counters and flight events are byte-identical; compiled is the \
-     fast path for packet-level runs."
-  in
-  let env = Cmd.Env.info "APPLE_DATAPLANE" ~doc:"Same as $(b,--dataplane)." in
-  Arg.(
-    value
-    & opt (enum [ ("interp", Dp.Interp); ("compiled", Dp.Compiled) ]) Dp.Interp
-    & info [ "dataplane" ] ~docv:"ENGINE" ~env ~doc)
-
 let trace_out_arg =
   let doc =
     "Record a causal trace of the run and write it to $(docv) as Chrome \
@@ -103,7 +87,6 @@ let trace_mode_arg =
 
 (* The instrumentation a subcommand runs under. *)
 type context = {
-  dataplane : Dp.mode option;  (* [None] keeps the current engine *)
   report : (T.format * string option) option;
       (* metrics report format, and its file ([None]: stdout) *)
   trace : (string option * Trc.mode) option;
@@ -119,42 +102,26 @@ let report_term =
   Term.(const report $ metrics_arg $ metrics_out_arg)
 
 let metrics_context =
-  Term.(
-    const (fun report -> { dataplane = None; report; trace = None })
-    $ report_term)
+  Term.(const (fun report -> { report; trace = None }) $ report_term)
 
 (* Tracing is always on; [--trace-out] adds the Chrome export. *)
 let profile_context =
   Term.(
-    const (fun report out mode ->
-        { dataplane = None; report; trace = Some (out, mode) })
+    const (fun report out mode -> { report; trace = Some (out, mode) })
     $ report_term $ trace_out_arg $ trace_mode_arg)
 
 let full_context =
   Term.(
-    const (fun dataplane report out mode ->
-        {
-          dataplane = Some dataplane;
-          report;
-          trace = Option.map (fun path -> (Some path, mode)) out;
-        })
-    $ dataplane_arg $ report_term $ trace_out_arg $ trace_mode_arg)
+    const (fun report out mode ->
+        { report; trace = Option.map (fun path -> (Some path, mode)) out })
+    $ report_term $ trace_out_arg $ trace_mode_arg)
 
-(* Run [f] under [ctx]: the dataplane engine outermost, restored
-   afterwards so library defaults never leak across commands; then the
-   metrics report, which switches telemetry and tracing on (the report's
-   span block comes from the tracer); then the tracer.  The report (to
-   stdout or its file) and the Chrome export are written also when [f]
-   fails, so a crashed run still shows what it did up to that point. *)
+(* Run [f] under [ctx]: the metrics report outermost, which switches
+   telemetry and tracing on (the report's span block comes from the
+   tracer); then the tracer.  The report (to stdout or its file) and the
+   Chrome export are written also when [f] fails, so a crashed run still
+   shows what it did up to that point. *)
 let run ctx f =
-  let dataplane_scope f =
-    match ctx.dataplane with
-    | None -> f ()
-    | Some mode ->
-        let saved = Dp.mode () in
-        Dp.set_mode mode;
-        Fun.protect ~finally:(fun () -> Dp.set_mode saved) f
-  in
   let report_scope f =
     match ctx.report with
     | None -> f ()
@@ -183,7 +150,7 @@ let run ctx f =
         in
         Fun.protect ~finally:emit f
   in
-  dataplane_scope @@ fun () -> report_scope @@ fun () -> trace_scope f
+  report_scope @@ fun () -> trace_scope f
 
 (* A subcommand whose action runs under [context]; the action term leaves
    the action's last, unit argument to [run]. *)

@@ -260,9 +260,8 @@ let equal (a : t) (b : t) = a = b
 let is_true (_ : man) a = a = 1
 let is_false (_ : man) a = a = 0
 
-(* One root-to-terminal descent: O(depth), allocation-free.  This is the
-   hot-path primitive the compiled dataplane uses to test a concrete
-   header against a predicate. *)
+(* One root-to-terminal descent: O(depth), allocation-free; tests a
+   concrete header against a predicate. *)
 let eval m a f =
   let n = ref a in
   while !n > 1 do

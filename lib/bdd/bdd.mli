@@ -70,7 +70,8 @@ val is_false : man -> t -> bool
 val eval : man -> t -> (int -> bool) -> bool
 (** [eval m a f] decides [a] under the total assignment [f] (bit [i] is
     [f i]) by a single root-to-terminal descent: O(depth),
-    allocation-free.  The compiled dataplane's per-entry matcher. *)
+    allocation-free.  The classifier's [Predicate.matches] tests a
+    concrete packet with it. *)
 
 val cube : man -> (int * bool) list -> t
 (** Conjunction of literals: [(i, true)] means bit i set. *)

@@ -98,7 +98,8 @@ let validate sched =
               (fun m -> err "event %d (at %g): %s" i e.at m)
               fmt
           in
-          if e.at < 0.0 then fail "negative time"
+          if not (Float.is_finite e.at) then fail "time not finite"
+          else if e.at < 0.0 then fail "negative time"
           else if not (legal_target e.fault) then
             fail "target not legal for %s" (fault_name e.fault)
           else begin
@@ -106,8 +107,8 @@ let validate sched =
               match e.fault with
               | Tcam_loss (_, p) when not (p > 0.0 && p <= 1.0) ->
                   fail "loss probability %g outside (0, 1]" p
-              | Poller_blackout d when not (d > 0.0) ->
-                  fail "blackout duration %g not positive" d
+              | Poller_blackout d when not (d > 0.0 && Float.is_finite d) ->
+                  fail "blackout duration %g not positive and finite" d
               | Link_down (Pair (u, v)) ->
                   bump link_downs (norm_pair (u, v)) 1;
                   Ok ()
@@ -175,8 +176,8 @@ let parse_line line =
   | "at" :: time :: kind :: args -> (
       let* at =
         match float_of_string_opt time with
-        | Some t -> Ok t
-        | None -> Error (Printf.sprintf "bad time %S" time)
+        | Some t when Float.is_finite t -> Ok t
+        | Some _ | None -> Error (Printf.sprintf "bad time %S" time)
       in
       let one mk = function
         | [ t ] ->
@@ -198,8 +199,8 @@ let parse_line line =
       | "tcam-loss", _ -> Error "tcam-loss takes a target and a probability"
       | "poller-blackout", [ d ] -> (
           match float_of_string_opt d with
-          | Some d -> Ok { at; fault = Poller_blackout d }
-          | None -> Error (Printf.sprintf "bad duration %S" d))
+          | Some d when Float.is_finite d -> Ok { at; fault = Poller_blackout d }
+          | Some _ | None -> Error (Printf.sprintf "bad duration %S" d))
       | "poller-blackout", _ -> Error "poller-blackout takes a duration"
       | k, _ -> Error (Printf.sprintf "unknown fault kind %S" k))
   | _ -> Error "expected: at TIME KIND ARGS"

@@ -58,8 +58,8 @@ val add : schedule -> at:float -> fault -> schedule
     order. *)
 
 val validate : schedule -> (unit, string) result
-(** Checks: non-negative times; TCAM-loss probability in (0, 1];
-    positive blackout durations; targets legal for their fault kind
+(** Checks: finite, non-negative times; TCAM-loss probability in
+    (0, 1]; positive, finite blackout durations; targets legal for their fault kind
     (e.g. [Hottest] only kills instances); and pairing — at every prefix
     of the schedule, up/restart events never outnumber the matching
     down/crash events (per explicit element, and in aggregate for the

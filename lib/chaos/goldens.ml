@@ -46,21 +46,12 @@ let trace_sim () =
 let of_rendered (r : Core_exp.rendered) =
   Printf.sprintf "== %s ==\n%s\n" r.Core_exp.title r.Core_exp.body
 
-(* The Fig-6 packet experiment (packet-level ablation) under a chosen
-   dataplane engine, at a reduced scale so runtest stays fast.  The
-   recorded golden uses the compiled engine; test_goldens additionally
-   renders the interpreter's output against the same file, so the golden
-   pins byte-identity of the two engines end-to-end, not just the
-   compiled engine's stability. *)
-let fig6_packet_opts = { Core_exp.default_opts with Core_exp.scale = 0.1 }
-
-let fig6_packet ~mode () =
-  let module Compiled = Apple_dataplane.Compiled in
-  let saved = Compiled.mode () in
-  Compiled.set_mode mode;
-  Fun.protect
-    ~finally:(fun () -> Compiled.set_mode saved)
-    (fun () -> of_rendered (Core_exp.ablation_packet_level fig6_packet_opts))
+(* The Fig-6 packet experiment (packet-level ablation), at a reduced
+   scale so runtest stays fast. *)
+let fig6_packet () =
+  of_rendered
+    (Core_exp.ablation_packet_level
+       { Core_exp.default_opts with Core_exp.scale = 0.1 })
 
 (* The LP kernel corpus: one line per solve, floats as [%h] (exact) and
    vectors as the MD5 of their [%h] rendering, so any change to a pivot
@@ -316,8 +307,7 @@ let entries =
     ("table3", fun () -> of_rendered (Core_exp.table3 Core_exp.default_opts));
     ("table4", fun () -> of_rendered (Core_exp.table4 Core_exp.default_opts));
     ("fig6", fun () -> of_rendered (Core_exp.fig6 Core_exp.default_opts));
-    ( "fig6_compiled",
-      fig6_packet ~mode:Apple_dataplane.Compiled.Compiled );
+    ("fig6_packet", fig6_packet);
     ("chaos_internet2", chaos_internet2);
     ("trace_sim", trace_sim);
     ("lp_kernel", lp_kernel);

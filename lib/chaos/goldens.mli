@@ -11,12 +11,6 @@
 val entries : (string * (unit -> string)) list
 (** [(name, render)] pairs; the golden file is [test/goldens/NAME.txt]. *)
 
-val fig6_packet : mode:Apple_dataplane.Compiled.mode -> unit -> string
-(** The Fig-6 packet experiment (packet-level ablation, reduced scale)
-    rendered under the given dataplane engine.  The [fig6_compiled]
-    golden records the compiled engine's output; the test suite renders
-    the interpreter against the same file to pin byte-identity. *)
-
 val drill_schedule : Fault.schedule
 (** The all-fault-kinds drill behind the [chaos_internet2] entry —
     the programmatic twin of [examples/chaos_internet2.sched]. *)

@@ -36,15 +36,27 @@ let parse_int token =
   | Some v -> v
   | None -> fail "expected a number, got %S" token
 
+(* A number that must fit its header field: 8-bit protocol, 16-bit port. *)
+let parse_field what ~max token =
+  let v = parse_int token in
+  if v < 0 || v > max then fail "%s %d out of range 0-%d" what v max;
+  v
+
+let parse_proto = parse_field "protocol" ~max:255
+let parse_port = parse_field "port" ~max:65535
+
 let parse_port_spec token =
-  match String.index_opt token '-' with
-  | Some i ->
-      let lo = parse_int (String.sub token 0 i) in
-      let hi = parse_int (String.sub token (i + 1) (String.length token - i - 1)) in
-      (lo, hi)
-  | None ->
-      let v = parse_int token in
-      (v, v)
+  let lo, hi =
+    match String.index_opt token '-' with
+    | Some i ->
+        ( parse_port (String.sub token 0 i),
+          parse_port (String.sub token (i + 1) (String.length token - i - 1)) )
+    | None ->
+        let v = parse_port token in
+        (v, v)
+  in
+  if lo > hi then fail "empty port range %S" token;
+  (lo, hi)
 
 (* Parse the match clauses up to the 'from' keyword, returning the
    predicate and the remaining tokens. *)
@@ -57,7 +69,7 @@ let rec parse_matches ~env acc = function
       let addr, len = parse_prefix v in
       parse_matches ~env (P.( &&& ) acc (P.dst_prefix_int env addr len)) rest
   | "proto" :: v :: rest ->
-      parse_matches ~env (P.( &&& ) acc (P.proto env (parse_int v))) rest
+      parse_matches ~env (P.( &&& ) acc (P.proto env (parse_proto v))) rest
   | "sport" :: v :: rest ->
       let lo, hi = parse_port_spec v in
       parse_matches ~env (P.( &&& ) acc (P.src_port_range env lo hi)) rest

@@ -14,8 +14,9 @@
     {v <name> ':' <match>* 'from' <node> 'to' <node> 'via' <chain> 'rate' <mbps> v}
 
     where [<match>] is any of [src A.B.C.D/L], [dst A.B.C.D/L],
-    [proto N], [sport N], [dport N], [dport N-M], [sport N-M] (no match
-    clause means "all traffic"), [<node>] is a node name or numeric id of
+    [proto N], [sport N], [dport N], [dport N-M], [sport N-M] (protocols
+    0-255, ports 0-65535 with [N <= M]; no match clause means "all
+    traffic"), [<node>] is a node name or numeric id of
     the topology, and [<chain>] is a comma-separated NF list accepted by
     {!Apple_vnf.Nf.chain_of_string}.
 

@@ -1,15 +1,6 @@
 module Prefix_split = Apple_classifier.Prefix_split
 module Counters = Apple_obs.Counters
 
-(* A compiled representation of the table may be cached on it by a
-   higher layer (Compiled).  The slot is an extensible variant so this
-   module needs no dependency on the compiler; [gen] counts structural
-   mutations, so any cached structure stamped with an older generation
-   is stale by construction — every mutator below goes through
-   [touch]. *)
-type cache = ..
-type cache += No_cache
-
 (* Every installed physical rule gets a per-table uid at install time,
    the key under which Apple_obs.Counters accumulates its match/byte
    counters (the moral equivalent of an OpenFlow cookie). *)
@@ -18,21 +9,10 @@ type t = {
   mutable next_uid : int;
   mutable phys : (int * Rule.phys_rule) list;  (* kept sorted by descending priority *)
   mutable vsw : Rule.vswitch_rule list;
-  mutable gen : int;
-  mutable cache : cache;
 }
 
-let create ~switch =
-  { sw = switch; next_uid = 0; phys = []; vsw = []; gen = 0; cache = No_cache }
-
+let create ~switch = { sw = switch; next_uid = 0; phys = []; vsw = [] }
 let switch t = t.sw
-let generation t = t.gen
-let cache_slot t = t.cache
-let set_cache_slot t c = t.cache <- c
-
-let touch t =
-  t.gen <- t.gen + 1;
-  t.cache <- No_cache
 
 let fresh_uid t =
   let uid = t.next_uid in
@@ -44,30 +24,21 @@ let sort_phys entries =
     (fun (_, a) (_, b) -> Int.compare b.Rule.priority a.Rule.priority)
     entries
 
-let add_phys t r =
-  t.phys <- sort_phys ((fresh_uid t, r) :: t.phys);
-  touch t
-
-let add_vswitch t r =
-  t.vsw <- r :: t.vsw;
-  touch t
+let add_phys t r = t.phys <- sort_phys ((fresh_uid t, r) :: t.phys)
+let add_vswitch t r = t.vsw <- r :: t.vsw
 
 let phys_rules t = List.map snd t.phys
 let phys_entries t = t.phys
 let vswitch_rules t = List.rev t.vsw
 
 let set_phys t rules =
-  t.phys <- sort_phys (List.map (fun r -> (fresh_uid t, r)) rules);
-  touch t
+  t.phys <- sort_phys (List.map (fun r -> (fresh_uid t, r)) rules)
 
-let set_vswitch t rules =
-  t.vsw <- List.rev rules;
-  touch t
+let set_vswitch t rules = t.vsw <- List.rev rules
 
 let retain_phys t ~keep =
   let before = List.length t.phys in
   t.phys <- List.filter (fun (uid, _) -> keep uid) t.phys;
-  touch t;
   before - List.length t.phys
 
 let tcam_entries t =

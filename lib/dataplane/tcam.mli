@@ -11,22 +11,6 @@ type t
 val create : switch:int -> t
 val switch : t -> int
 
-type cache = ..
-(** Slot for a compiled representation of the table, owned by a higher
-    layer ({!Compiled}).  Extensible so this module carries no
-    dependency on the compiler. *)
-
-type cache += No_cache
-
-val generation : t -> int
-(** Structural mutation counter: every {!add_phys}, {!add_vswitch},
-    {!set_phys}, {!set_vswitch} and {!retain_phys} bumps it (and resets
-    the cache slot to {!No_cache}), so a compiled structure stamped with
-    an older generation is stale by construction. *)
-
-val cache_slot : t -> cache
-val set_cache_slot : t -> cache -> unit
-
 val add_phys : t -> Rule.phys_rule -> unit
 val add_vswitch : t -> Rule.vswitch_rule -> unit
 

@@ -46,20 +46,6 @@ let error_switch = function
   | Link_dead { from; _ } -> from
   | Instance_dead { switch; _ } -> switch
 
-(* Engine dispatch: the interpreted walker is the reference
-   implementation, the compiled tables its drop-in replacement; the
-   process-wide Compiled.mode (CLI: --dataplane) picks per lookup, so
-   every caller — and every Flight/Counter side effect — is shared. *)
-let phys_lookup table tags ~src_ip =
-  match Compiled.mode () with
-  | Compiled.Interp -> Tcam.lookup_phys_entry table tags ~src_ip
-  | Compiled.Compiled -> Compiled.lookup_phys_entry table tags ~src_ip
-
-let vswitch_lookup table port ~cls ~subclass =
-  match Compiled.mode () with
-  | Compiled.Interp -> Tcam.lookup_vswitch table port ~cls ~subclass
-  | Compiled.Compiled -> Compiled.lookup_vswitch table port ~cls ~subclass
-
 (* Process the packet inside the APPLE host attached to [sw]: follow
    vSwitch rules from [entry_port] until a Back_to_network action.
    [header_valid] reflects whether header-derived class matching is still
@@ -77,7 +63,7 @@ let host_processing net ~sw ~cls ~tags ~entry_port ~record_instance ~rewriters
     decr budget;
     if !budget <= 0 then raise (Walk_error (Host_loop sw));
     let cls_match = if !header_valid then Some cls else None in
-    match vswitch_lookup table port ~cls:cls_match ~subclass with
+    match Tcam.lookup_vswitch table port ~cls:cls_match ~subclass with
     | None -> raise (Walk_error (Vswitch_miss sw))
     | Some (Rule.To_instance inst) ->
         if inst_dead inst then
@@ -121,7 +107,7 @@ let run_one net ~preds ~path ~cls ~src_ip ~start_in_host ~rewriters ~flow () =
   (* Physical lookup with per-rule provenance: remember (switch, uid)
      and emit a flight event for every match. *)
   let lookup table ~sw =
-    match phys_lookup table tags ~src_ip with
+    match Tcam.lookup_phys_entry table tags ~src_ip with
     | None -> None
     | Some (uid, action) ->
         rules := (sw, uid) :: !rules;
@@ -234,12 +220,9 @@ type request = {
 }
 
 let run_batch net ~requests ?(rewriters = fun _ -> false) ?mask () =
-  (* Per-batch amortization: compile every table once up front (a no-op
-     under the interpreter) and build the failmask predicates once, so
-     the per-walk loop touches only warmed structures.  Each walk still
+  (* The failmask predicates are built once per batch.  Each walk still
      opens its own dataplane.walk span and emits the same Flight events
      as a standalone [run] — batch vs sequential is byte-identical. *)
-  Compiled.warm net;
   let preds = mask_preds mask in
   Array.map
     (fun rq ->

@@ -78,9 +78,7 @@ val run_batch :
 (** Walk a whole batch against one (network, epoch) snapshot.
     Equivalent to mapping {!run} over [requests] — same results, same
     spans, same Flight/Counter side effects, in the same order — but
-    the batch compiles every table once up front (under [--dataplane
-    compiled]; see {!Compiled.warm}) and builds the failmask predicates
-    once, so the per-packet loop runs over warmed structures only.
+    the failmask predicates are built once for the whole batch.
     {!Packet_sim} routes all its flows through this. *)
 
 val policy_enforced :

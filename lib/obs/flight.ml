@@ -179,7 +179,9 @@ let load ~path =
               let count_bytes = Bytes.create 8 in
               really_input ic count_bytes 0 8;
               let count = Int64.to_int (Bytes.get_int64_le count_bytes 0) in
-              if count < 0 || file_len - head_len < count * slot_bytes then
+              (* Divide rather than multiply: a forged count overflows
+                 [count * slot_bytes]. *)
+              if count < 0 || count > (file_len - head_len) / slot_bytes then
                 Error (path ^ ": truncated flight dump")
               else begin
                 let body = Bytes.create (count * slot_bytes) in

@@ -60,11 +60,19 @@ let test_parse_matches_example () =
     (Ch.Fault.to_string from_file)
 
 let test_parse_rejects () =
-  (match Ch.Fault.parse "at x kill-instance hottest" with
-  | Error m ->
-      check Alcotest.bool "line numbered" true
-        (String.length m >= 6 && String.sub m 0 6 = "line 1")
-  | Ok _ -> fail "bad time accepted");
+  let expect_line_error text =
+    match Ch.Fault.parse text with
+    | Error m ->
+        check Alcotest.bool "line numbered" true
+          (String.length m >= 6 && String.sub m 0 6 = "line 1")
+    | Ok _ -> fail (text ^ " accepted")
+  in
+  expect_line_error "at x kill-instance hottest";
+  (* Non-finite numbers: an infinite time would never end the run, a
+     NaN time would fire at t=0, an infinite blackout would never lift. *)
+  expect_line_error "at inf kill-instance hottest";
+  expect_line_error "at nan kill-instance hottest";
+  expect_line_error "at 1.0 poller-blackout inf";
   (match Ch.Fault.parse "at 1.0 link-up 2-3" with
   | Error _ -> ()
   | Ok _ -> fail "unpaired link-up accepted");
@@ -121,7 +129,11 @@ let test_validate_rejects () =
     (one 1.0 (Ch.Fault.Switch_crash (Ch.Fault.Pair (1, 2))));
   expect_invalid "restart before crash"
     (one 1.0 (Ch.Fault.Switch_restart (Ch.Fault.Id 4)));
-  expect_invalid "zero blackout" (one 1.0 (Ch.Fault.Poller_blackout 0.0))
+  expect_invalid "zero blackout" (one 1.0 (Ch.Fault.Poller_blackout 0.0));
+  expect_invalid "infinite time"
+    (one Float.infinity (Ch.Fault.Kill_instance Ch.Fault.Hottest));
+  expect_invalid "NaN time" (one Float.nan (Ch.Fault.Kill_instance Ch.Fault.Hottest));
+  expect_invalid "infinite blackout" (one 1.0 (Ch.Fault.Poller_blackout Float.infinity))
 
 (* ---- fault-mask semantics (Walk + Blackhole flight pinning) ------- *)
 

@@ -2,6 +2,10 @@ module Tag = Apple_dataplane.Tag
 module Rule = Apple_dataplane.Rule
 module Tcam = Apple_dataplane.Tcam
 module Walk = Apple_dataplane.Walk
+module Failmask = Apple_dataplane.Failmask
+module Counters = Apple_obs.Counters
+module Flight = Apple_obs.Flight
+module Rng = Apple_prelude.Rng
 module Pfx = Apple_classifier.Prefix_split
 
 let prefix s = Pfx.prefix_of_string s
@@ -189,20 +193,12 @@ let test_network_totals () =
   Alcotest.(check int) "vswitch rules" 3 (Tcam.total_vswitch net);
   Alcotest.(check bool) "tcam entries counted" true (Tcam.total_tcam net >= 5)
 
-(* ---- compiled-table lifecycle (stale-compile hazard) -------------- *)
+(* ---- table mutation and rule uids --------------------------------- *)
 
-module Compiled = Apple_dataplane.Compiled
-
-let with_compiled f =
-  let saved = Compiled.mode () in
-  Compiled.set_mode Compiled.Compiled;
-  Fun.protect ~finally:(fun () -> Compiled.set_mode saved) f
-
-(* Mutating a table through retain_phys after its first compiled lookup
-   must invalidate the compiled structure: the second lookup has to see
-   the shrunken table (and be a fresh compile, not a stale cache hit). *)
-let test_compiled_invalidated_by_retain_phys () =
-  with_compiled @@ fun () ->
+(* TCAM loss through retain_phys keeps the survivors' uids: the next
+   lookup sees the shrunken table and credits the surviving rule under
+   its original uid. *)
+let test_retain_phys_keeps_uids () =
   let table = Tcam.create ~switch:0 in
   Tcam.add_phys table
     {
@@ -217,29 +213,19 @@ let test_compiled_invalidated_by_retain_phys () =
       action = Rule.Goto_next;
     };
   let tags = Tag.fresh () in
-  Compiled.reset_stats ();
-  (match Compiled.lookup_phys_entry table tags ~src_ip with
+  (match Tcam.lookup_phys_entry table tags ~src_ip with
   | Some (0, Rule.Tag_and_forward { subclass = 7; _ }) -> ()
   | _ -> Alcotest.fail "expected the classification rule (uid 0) to match");
-  let compiles_after_first = Compiled.stats () in
-  Alcotest.(check int) "first lookup compiled the table" 1 compiles_after_first;
-  (* Second lookup from the warm cache: no recompile. *)
-  ignore (Compiled.lookup_phys_entry table tags ~src_ip);
-  let compiles_warm = Compiled.stats () in
-  Alcotest.(check int) "warm lookup reuses the compile" 1 compiles_warm;
   (* TCAM loss: drop the classification rule (uid 0), keep the pass-by. *)
   let lost = Tcam.retain_phys table ~keep:(fun uid -> uid <> 0) in
   Alcotest.(check int) "one rule lost" 1 lost;
-  (match Compiled.lookup_phys_entry table tags ~src_ip with
+  match Tcam.lookup_phys_entry table tags ~src_ip with
   | Some (1, Rule.Goto_next) -> ()
-  | Some (uid, _) -> Alcotest.failf "stale compile: matched uid %d" uid
-  | None -> Alcotest.fail "expected the surviving pass-by rule");
-  let compiles_after_mutation = Compiled.stats () in
-  Alcotest.(check int) "mutation forced a recompile" 2 compiles_after_mutation
+  | Some (uid, _) -> Alcotest.failf "lost rule still matches: uid %d" uid
+  | None -> Alcotest.fail "expected the surviving pass-by rule"
 
-(* set_phys must equally invalidate (fresh uids, fresh structure). *)
-let test_compiled_invalidated_by_set_phys () =
-  with_compiled @@ fun () ->
+(* set_phys re-installs: the replacement rules get fresh uids. *)
+let test_set_phys_renumbers () =
   let table = Tcam.create ~switch:3 in
   Tcam.add_phys table
     {
@@ -248,7 +234,7 @@ let test_compiled_invalidated_by_set_phys () =
       action = Rule.Goto_next;
     };
   let tags = Tag.fresh () in
-  (match Compiled.lookup_phys_entry table tags ~src_ip with
+  (match Tcam.lookup_phys_entry table tags ~src_ip with
   | Some (0, Rule.Goto_next) -> ()
   | _ -> Alcotest.fail "expected pass-by");
   Tcam.set_phys table
@@ -259,9 +245,9 @@ let test_compiled_invalidated_by_set_phys () =
         action = Rule.Fwd_to_host 3;
       };
     ];
-  match Compiled.lookup_phys_entry table tags ~src_ip with
+  match Tcam.lookup_phys_entry table tags ~src_ip with
   | Some (1, Rule.Fwd_to_host 3) -> ()
-  | _ -> Alcotest.fail "stale compile survived set_phys"
+  | _ -> Alcotest.fail "set_phys must replace the table under a fresh uid"
 
 (* ---- host_matches / crossproduct edges ---------------------------- *)
 
@@ -311,48 +297,288 @@ let test_crossproduct_edges () =
 
 (* Colliding priorities: add_phys prepends the new entry before the
    stable re-sort, so within a priority band the most recently installed
-   rule sorts (and matches) first.  The test pins that tie-break — for
-   phys_entries, for lookups, and for the compiled engine, which must
-   inherit it exactly. *)
+   rule sorts (and matches) first.  The test pins that tie-break for
+   phys_entries and for lookups. *)
 let test_colliding_priorities_stable () =
-  let build () =
-    let table = Tcam.create ~switch:0 in
-    (* uid 0 and uid 1 both at priority 10 and both matching: uid 1 wins *)
-    Tcam.add_phys table
-      {
-        Rule.priority = 10;
-        pmatch = { Rule.m_host = `Any; m_subclass = `Any; m_prefixes = [] };
-        action = Rule.Fwd_to_host 0;
-      };
-    Tcam.add_phys table
-      {
-        Rule.priority = 10;
-        pmatch = { Rule.m_host = `Any; m_subclass = `Any; m_prefixes = [] };
-        action = Rule.Fwd_to_host 1;
-      };
-    (* a later, higher-priority band still lands on top *)
-    Tcam.add_phys table
-      {
-        Rule.priority = 20;
-        pmatch = { Rule.m_host = `Empty; m_subclass = `Any; m_prefixes = [ prefix "10.5.0.0/24" ] };
-        action = Rule.Goto_next;
-      };
-    table
-  in
-  let table = build () in
+  let table = Tcam.create ~switch:0 in
+  (* uid 0 and uid 1 both at priority 10 and both matching: uid 1 wins *)
+  Tcam.add_phys table
+    {
+      Rule.priority = 10;
+      pmatch = { Rule.m_host = `Any; m_subclass = `Any; m_prefixes = [] };
+      action = Rule.Fwd_to_host 0;
+    };
+  Tcam.add_phys table
+    {
+      Rule.priority = 10;
+      pmatch = { Rule.m_host = `Any; m_subclass = `Any; m_prefixes = [] };
+      action = Rule.Fwd_to_host 1;
+    };
+  (* a later, higher-priority band still lands on top *)
+  Tcam.add_phys table
+    {
+      Rule.priority = 20;
+      pmatch = { Rule.m_host = `Empty; m_subclass = `Any; m_prefixes = [ prefix "10.5.0.0/24" ] };
+      action = Rule.Goto_next;
+    };
   Alcotest.(check (list int)) "descending priority, newest first in a band"
     [ 2; 1; 0 ]
     (List.map fst (Tcam.phys_entries table));
   let miss = Apple_classifier.Header.ip_of_string "11.0.0.1" in
-  (match Tcam.lookup_phys_entry table (Tag.fresh ()) ~src_ip:miss with
+  match Tcam.lookup_phys_entry table (Tag.fresh ()) ~src_ip:miss with
   | Some (1, Rule.Fwd_to_host 1) -> ()
-  | _ -> Alcotest.fail "last-installed rule must win the tie");
-  match
-    with_compiled (fun () ->
-        Compiled.lookup_phys_entry (build ()) (Tag.fresh ()) ~src_ip:miss)
-  with
-  | Some (1, Rule.Fwd_to_host 1) -> ()
-  | _ -> Alcotest.fail "compiled engine broke the stable tie-break"
+  | _ -> Alcotest.fail "last-installed rule must win the tie"
+
+(* ---- batches and the seven walk errors ---------------------------- *)
+
+let gen_prefix rng =
+  let len = 4 + Rng.int rng 21 (* /4 .. /24 *) in
+  let addr =
+    (Rng.int rng 256 lsl 24)
+    lor (Rng.int rng 256 lsl 16)
+    lor (Rng.int rng 256 lsl 8)
+    lor Rng.int rng 256
+  in
+  let addr = addr land lnot ((1 lsl (32 - len)) - 1) in
+  { Pfx.addr; len }
+
+let gen_host_field rng ~n =
+  match Rng.int rng 3 with
+  | 0 -> Tag.Empty
+  | 1 -> Tag.Fin
+  | _ -> Tag.Host (Rng.int rng n)
+
+let gen_host_pattern rng ~n =
+  match Rng.int rng 4 with
+  | 0 -> `Any
+  | 1 -> `Empty
+  | 2 -> `Fin
+  | _ -> `Host (Rng.int rng n)
+
+let gen_subclass_pattern rng =
+  if Rng.int rng 2 = 0 then `Any else `Subclass (Rng.int rng 6)
+
+let gen_action rng ~n =
+  match Rng.int rng 5 with
+  | 0 -> Rule.Fwd_to_host (Rng.int rng n)
+  | 1 -> Rule.Tag_and_deliver { subclass = Rng.int rng 6; host = Rng.int rng n }
+  | 2 ->
+      Rule.Tag_and_forward
+        { subclass = Rng.int rng 6; host = gen_host_field rng ~n }
+  | 3 -> Rule.Set_host_and_forward (gen_host_field rng ~n)
+  | _ -> Rule.Goto_next
+
+let gen_phys_rule rng ~n =
+  let n_prefixes = Rng.int rng 4 in
+  {
+    (* Priorities drawn from a tiny range so collisions (and the stable
+       sort's install-order tie-break) are the common case, not the
+       exception. *)
+    Rule.priority = Rng.int rng 4;
+    pmatch =
+      {
+        Rule.m_host = gen_host_pattern rng ~n;
+        m_subclass = gen_subclass_pattern rng;
+        m_prefixes = List.init n_prefixes (fun _ -> gen_prefix rng);
+      };
+    action = gen_action rng ~n;
+  }
+
+let gen_vswitch_rule rng ~n =
+  let port =
+    match Rng.int rng 3 with
+    | 0 -> Rule.From_network
+    | 1 -> Rule.From_production_vm
+    | _ -> Rule.From_instance (Rng.int rng 5)
+  in
+  let key =
+    if Rng.int rng 2 = 0 then
+      Rule.Per_class { cls = Rng.int rng 4; subclass = Rng.int rng 6 }
+    else Rule.Global (Rng.int rng 6)
+  in
+  let action =
+    if Rng.int rng 3 = 0 then
+      Rule.Back_to_network (gen_host_field rng ~n)
+    else Rule.To_instance (Rng.int rng 5)
+  in
+  { Rule.v_port = port; v_key = key; v_action = action }
+
+let gen_network rng =
+  let n = 2 + Rng.int rng 3 in
+  let net = Tcam.network ~num_switches:n in
+  Array.iter
+    (fun table ->
+      for _ = 1 to Rng.int rng 9 do
+        Tcam.add_phys table (gen_phys_rule rng ~n)
+      done;
+      for _ = 1 to Rng.int rng 7 do
+        Tcam.add_vswitch table (gen_vswitch_rule rng ~n)
+      done)
+    net;
+  (net, n)
+
+(* A mask drawn to actually bite: elements of the walked path and the
+   instance id range, not arbitrary ints. *)
+let gen_mask rng ~n =
+  let m = Failmask.create () in
+  if Rng.int rng 2 = 0 then begin
+    if Rng.int rng 3 = 0 then Failmask.fail_switch m (Rng.int rng n);
+    if Rng.int rng 3 = 0 then
+      Failmask.fail_link m (Rng.int rng n) (Rng.int rng n);
+    if Rng.int rng 3 = 0 then Failmask.fail_instance m (Rng.int rng 5)
+  end;
+  m
+
+let gen_ip rng =
+  (Rng.int rng 256 lsl 24)
+  lor (Rng.int rng 256 lsl 16)
+  lor (Rng.int rng 256 lsl 8)
+  lor Rng.int rng 256
+
+let event_tuple (e : Flight.event) = (e.Flight.kind, e.a, e.b, e.c, e.d)
+
+(* Run [f] with counters + flight recording on, from a clean slate, and
+   return (result, rule counter snapshot, flight event tuples). *)
+let observed f =
+  Counters.reset ();
+  Flight.clear ();
+  Counters.set_enabled true;
+  let r =
+    Fun.protect ~finally:(fun () -> Counters.set_enabled false) f
+  in
+  (r, Counters.rule_snapshot (), List.map event_tuple (Flight.events ()))
+
+(* Batching must not change observable behaviour. *)
+let prop_batch =
+  QCheck.Test.make ~name:"run_batch ≡ sequential runs" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let net, n = gen_network rng in
+      let mask = gen_mask rng ~n in
+      let requests =
+        Array.init
+          (1 + Rng.int rng 6)
+          (fun i ->
+            {
+              Walk.rq_path = List.init (1 + Rng.int rng n) (fun _ -> Rng.int rng n);
+              rq_cls = Rng.int rng 4;
+              rq_src_ip = gen_ip rng;
+              rq_start_in_host = Rng.int rng 4 = 0;
+              rq_flow = i;
+            })
+      in
+      let batched, bc, be =
+        observed (fun () -> Walk.run_batch net ~requests ~mask ())
+      in
+      let sequential, sc, se =
+        observed (fun () ->
+            Array.map
+              (fun rq ->
+                Walk.run net ~path:rq.Walk.rq_path ~cls:rq.Walk.rq_cls
+                  ~src_ip:rq.Walk.rq_src_ip
+                  ~start_in_host:rq.Walk.rq_start_in_host
+                  ~flow:rq.Walk.rq_flow ~mask ())
+              requests)
+      in
+      batched = sequential && bc = sc && be = se)
+
+(* The seven error variants, deterministically. *)
+
+let classify ~to_host =
+  {
+    Rule.priority = 100;
+    pmatch =
+      { Rule.m_host = `Empty; m_subclass = `Any; m_prefixes = [ prefix "10.0.0.0/8" ] };
+    action = to_host;
+  }
+
+(* One network per error variant. *)
+let error_scenarios () =
+  let src_ip = Apple_classifier.Header.ip_of_string "10.1.2.3" in
+  let scenarios = ref [] in
+  let add name net ?mask path expect_code =
+    scenarios := (name, net, mask, path, expect_code) :: !scenarios
+  in
+  (* 1: no matching rule — empty table *)
+  add "no_matching_rule" (Tcam.network ~num_switches:2) [ 0; 1 ] 1;
+  (* 2: vswitch miss — delivered to a host with no vswitch pipeline *)
+  let net2 = Tcam.network ~num_switches:1 in
+  Tcam.add_phys net2.(0)
+    (classify ~to_host:(Rule.Tag_and_deliver { subclass = 0; host = 0 }));
+  add "vswitch_miss" net2 [ 0 ] 2;
+  (* 3: host loop — a vswitch cycle *)
+  let net3 = Tcam.network ~num_switches:1 in
+  Tcam.add_phys net3.(0)
+    (classify ~to_host:(Rule.Tag_and_deliver { subclass = 0; host = 0 }));
+  Tcam.add_vswitch net3.(0)
+    {
+      Rule.v_port = Rule.From_network;
+      v_key = Rule.Global 0;
+      v_action = Rule.To_instance 1;
+    };
+  Tcam.add_vswitch net3.(0)
+    {
+      Rule.v_port = Rule.From_instance 1;
+      v_key = Rule.Global 0;
+      v_action = Rule.To_instance 1;
+    };
+  add "host_loop" net3 [ 0 ] 3;
+  (* 4: wrong host — deliver names a non-local host *)
+  let net4 = Tcam.network ~num_switches:2 in
+  Tcam.add_phys net4.(0)
+    (classify ~to_host:(Rule.Tag_and_deliver { subclass = 0; host = 1 }));
+  add "wrong_host" net4 [ 0; 1 ] 4;
+  (* 5/6/7: blackholes via the failmask *)
+  let healthy () =
+    let net = Tcam.network ~num_switches:2 in
+    Tcam.add_phys net.(0)
+      (classify ~to_host:(Rule.Tag_and_deliver { subclass = 0; host = 0 }));
+    Array.iter
+      (fun table ->
+        Tcam.add_phys table
+          {
+            Rule.priority = 0;
+            pmatch = { Rule.m_host = `Any; m_subclass = `Any; m_prefixes = [] };
+            action = Rule.Goto_next;
+          })
+      net;
+    Tcam.add_vswitch net.(0)
+      {
+        Rule.v_port = Rule.From_network;
+        v_key = Rule.Global 0;
+        v_action = Rule.To_instance 7;
+      };
+    Tcam.add_vswitch net.(0)
+      {
+        Rule.v_port = Rule.From_instance 7;
+        v_key = Rule.Global 0;
+        v_action = Rule.Back_to_network Tag.Fin;
+      };
+    net
+  in
+  let m5 = Failmask.create () in
+  Failmask.fail_link m5 0 1;
+  add "link_dead" (healthy ()) ~mask:m5 [ 0; 1 ] 5;
+  let m6 = Failmask.create () in
+  Failmask.fail_switch m6 1;
+  add "switch_dead" (healthy ()) ~mask:m6 [ 0; 1 ] 6;
+  let m7 = Failmask.create () in
+  Failmask.fail_instance m7 7;
+  add "instance_dead" (healthy ()) ~mask:m7 [ 0; 1 ] 7;
+  (List.rev !scenarios, src_ip)
+
+let test_all_error_variants () =
+  let scenarios, src_ip = error_scenarios () in
+  List.iter
+    (fun (name, net, mask, path, expect_code) ->
+      match Walk.run net ~path ~cls:0 ~src_ip ?mask () with
+      | Error e ->
+          Alcotest.(check int)
+            (name ^ ": the expected variant")
+            expect_code (Walk.error_code e)
+      | Ok _ -> Alcotest.failf "%s: walk unexpectedly succeeded" name)
+    scenarios
 
 let suite =
   [
@@ -365,12 +591,13 @@ let suite =
     Alcotest.test_case "tcam accounting" `Quick test_tcam_entry_accounting;
     Alcotest.test_case "tag defaults" `Quick test_tag_defaults;
     Alcotest.test_case "network totals" `Quick test_network_totals;
-    Alcotest.test_case "compiled invalidated by retain_phys" `Quick
-      test_compiled_invalidated_by_retain_phys;
-    Alcotest.test_case "compiled invalidated by set_phys" `Quick
-      test_compiled_invalidated_by_set_phys;
+    Alcotest.test_case "retain_phys keeps survivor uids" `Quick
+      test_retain_phys_keeps_uids;
+    Alcotest.test_case "set_phys renumbers rules" `Quick test_set_phys_renumbers;
     Alcotest.test_case "host_matches edges" `Quick test_host_matches_edges;
     Alcotest.test_case "crossproduct edges" `Quick test_crossproduct_edges;
     Alcotest.test_case "colliding priorities stable" `Quick
       test_colliding_priorities_stable;
+    QCheck_alcotest.to_alcotest prop_batch;
+    Alcotest.test_case "all seven error variants" `Quick test_all_error_variants;
   ]

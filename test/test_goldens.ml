@@ -90,22 +90,8 @@ let test_stale_golden_names_refresh () =
       | Ok () -> ()
       | Error msg -> Alcotest.fail ("empty golden vs empty output: " ^ msg))
 
-(* The fig6_compiled golden is recorded under --dataplane compiled; the
-   interpreter must reproduce the very same bytes, making the golden a
-   cross-engine equivalence pin, not just a stability pin. *)
-let test_fig6_interp_matches_compiled_golden () =
-  let path = Filename.concat "goldens" "fig6_compiled.txt" in
-  match
-    Goldens.check ~path
-      ~actual:(Goldens.fig6_packet ~mode:Apple_dataplane.Compiled.Interp ())
-  with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail ("interpreter diverged from compiled golden: " ^ msg)
-
 let suite =
   [
-    Alcotest.test_case "interp matches fig6_compiled golden" `Quick
-      test_fig6_interp_matches_compiled_golden;
     Alcotest.test_case "diff format" `Quick test_diff_format;
     Alcotest.test_case "empty golden diff" `Quick test_empty_golden_diff;
     Alcotest.test_case "trailing newline diff" `Quick test_trailing_newline_diff;

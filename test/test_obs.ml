@@ -133,12 +133,21 @@ let test_flight_load_errors () =
   let path = Filename.temp_file "apple-flight" ".bin" in
   Fun.protect ~finally:(fun () -> Sys.remove path)
   @@ fun () ->
-  let oc = open_out_bin path in
-  output_string oc "NOTMAGIC and then some garbage";
-  close_out oc;
-  match Flight.load ~path with
+  let load_bytes contents =
+    let oc = open_out_bin path in
+    output_string oc contents;
+    close_out oc;
+    Flight.load ~path
+  in
+  (match load_bytes "NOTMAGIC and then some garbage" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad magic must not load"
+  | Ok _ -> Alcotest.fail "bad magic must not load");
+  (* A forged count of 2^58 slots: count * slot size overflows. *)
+  let count = Bytes.create 8 in
+  Bytes.set_int64_le count 0 (Int64.shift_left 1L 58);
+  match load_bytes ("APPLFR1\n" ^ Bytes.to_string count ^ String.make 56 '\000') with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a count beyond the file must not load"
 
 (* --- poller --------------------------------------------------------- *)
 

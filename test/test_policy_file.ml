@@ -80,7 +80,10 @@ let test_error_lines () =
   expect_error "x: from Atlantis to 1 via nat rate 1\n" 1;  (* bad node *)
   expect_error "x: from 0 to 1 via dpi rate 1\n" 1;  (* unknown NF *)
   expect_error "x: src 10.0.0.0/40 from 0 to 1 via nat rate 1\n" 1;  (* bad prefix *)
-  expect_error "x: from 0 to 99 via nat rate 1\n" 1  (* node out of range *)
+  expect_error "x: from 0 to 99 via nat rate 1\n" 1;  (* node out of range *)
+  expect_error "x: dport 90-80 from 0 to 1 via nat rate 1\n" 1;  (* empty port range *)
+  expect_error "x: sport 70000 from 0 to 1 via nat rate 1\n" 1;  (* port above 16 bits *)
+  expect_error "x: proto 300 from 0 to 1 via nat rate 1\n" 1  (* protocol above 8 bits *)
 
 let test_end_to_end_policy_pipeline () =
   (* Policy file -> aggregation -> optimization -> verified data plane. *)
