@@ -44,33 +44,91 @@ let eps_bound = 1e-8
 (* Position of a nonbasic variable. *)
 type nb_pos = At_lower | At_upper
 
-(* Exact nonzero pattern of the rows (or columns) of the basis inverse:
-   [idx.(i)] lists, unordered, the positions [len.(i)] of line [i] whose
-   entry is <> 0.0 — an index is listed iff its entry is nonzero.
-   Buffers grow by doubling. *)
-type pattern = { idx : int array array; len : int array }
+(* The basis inverse, stored sparsely.  Row i keeps its nonzero
+   entries, unordered, as parallel arrays: column [r_col], value [r_val]
+   and the entry's index in its column's list [r_cpos].  Column k lists
+   the same entries by row [c_row] and index in that row [c_rpos].  An
+   entry that is not listed is +0.0, and one that cancels to zero is
+   dropped.  Both indexes make insertion and removal O(1); the arrays
+   grow by doubling. *)
+type inverse = {
+  r_col : int array array;
+  r_val : float array array;
+  r_cpos : int array array;
+  r_len : int array;
+  c_row : int array array;
+  c_rpos : int array array;
+  c_len : int array;
+  (* Pivot scratch: the rows it updates, and per row the stamp of the
+     last column found holding an entry of that row. *)
+  updated : int array;
+  seen : int array;
+  mutable stamp : int;
+}
 
-let pattern_create m =
-  { idx = Array.init m (fun i -> Array.make 4 i); len = Array.make m 1 }
+(* The identity pattern: entry (i, i) is the only one of row and column
+   i, its value set by the caller. *)
+let inverse_create m =
+  let lists x = Array.init m (fun i -> Array.make 4 (x i)) in
+  {
+    r_col = lists Fun.id;
+    r_val = Array.init m (fun _ -> Array.make 4 0.0);
+    r_cpos = lists (fun _ -> 0);
+    r_len = Array.make m 1;
+    c_row = lists Fun.id;
+    c_rpos = lists (fun _ -> 0);
+    c_len = Array.make m 1;
+    updated = Array.make m 0;
+    seen = Array.make m 0;
+    stamp = 0;
+  }
 
-let pattern_push pat i k =
-  let n = pat.len.(i) in
-  if n = Array.length pat.idx.(i) then begin
-    let bigger = Array.make (2 * n) 0 in
-    Array.blit pat.idx.(i) 0 bigger 0 n;
-    pat.idx.(i) <- bigger
+let doubled a n fill =
+  let b = Array.make (2 * n) fill in
+  Array.blit a 0 b 0 n;
+  b
+
+let inverse_add inv i k v =
+  let p = inv.r_len.(i) in
+  if p = Array.length inv.r_col.(i) then begin
+    inv.r_col.(i) <- doubled inv.r_col.(i) p 0;
+    inv.r_val.(i) <- doubled inv.r_val.(i) p 0.0;
+    inv.r_cpos.(i) <- doubled inv.r_cpos.(i) p 0
   end;
-  pat.idx.(i).(n) <- k;
-  pat.len.(i) <- n + 1
+  let q = inv.c_len.(k) in
+  if q = Array.length inv.c_row.(k) then begin
+    inv.c_row.(k) <- doubled inv.c_row.(k) q 0;
+    inv.c_rpos.(k) <- doubled inv.c_rpos.(k) q 0
+  end;
+  inv.r_col.(i).(p) <- k;
+  inv.r_val.(i).(p) <- v;
+  inv.r_cpos.(i).(p) <- q;
+  inv.r_len.(i) <- p + 1;
+  inv.c_row.(k).(q) <- i;
+  inv.c_rpos.(k).(q) <- p;
+  inv.c_len.(k) <- q + 1
 
-let pattern_remove pat i k =
-  let buf = pat.idx.(i) and n = pat.len.(i) - 1 in
-  let p = ref 0 in
-  while buf.(!p) <> k do
-    incr p
-  done;
-  buf.(!p) <- buf.(n);
-  pat.len.(i) <- n
+(* Drop entry [p] of row [i].  Each list moves its last entry into the
+   freed slot and repoints that entry's record in the other list. *)
+let inverse_remove inv i p =
+  let k = inv.r_col.(i).(p) and q = inv.r_cpos.(i).(p) in
+  let last = inv.r_len.(i) - 1 in
+  if p < last then begin
+    let k' = inv.r_col.(i).(last) and q' = inv.r_cpos.(i).(last) in
+    inv.r_col.(i).(p) <- k';
+    inv.r_val.(i).(p) <- inv.r_val.(i).(last);
+    inv.r_cpos.(i).(p) <- q';
+    inv.c_rpos.(k').(q') <- p
+  end;
+  inv.r_len.(i) <- last;
+  let last = inv.c_len.(k) - 1 in
+  if q < last then begin
+    let i' = inv.c_row.(k).(last) and p' = inv.c_rpos.(k).(last) in
+    inv.c_row.(k).(q) <- i';
+    inv.c_rpos.(k).(q) <- p';
+    inv.r_cpos.(i').(p') <- q
+  end;
+  inv.c_len.(k) <- last
 
 type state = {
   p : problem;
@@ -83,9 +141,7 @@ type state = {
   basis : int array;  (* length m: column index basic in each row *)
   in_basis : bool array;
   nb : nb_pos array;  (* meaningful for nonbasic columns *)
-  binv : float array;  (* dense m*m row-major basis inverse (value store) *)
-  rows : pattern;  (* nonzero columns of each row of binv *)
-  cols : pattern;  (* nonzero rows of each column of binv *)
+  inv : inverse;  (* basis inverse *)
   xb : float array;  (* values of basic variables, length m *)
   art_first : int;  (* first artificial column index *)
   art_sign : float array;  (* length m: +-1 sign of artificial of row i *)
@@ -111,23 +167,24 @@ let col_dot st j y =
    dense product bit for bit. *)
 let ftran st j d =
   Array.fill d 0 st.m 0.0;
+  let inv = st.inv in
   if j < st.art_first then begin
     let idx = st.p.col_index.(j) and v = st.p.col_value.(j) in
     for k = 0 to Array.length idx - 1 do
       let row = idx.(k) and value = v.(k) in
-      let col = st.cols.idx.(row) in
-      for p = 0 to st.cols.len.(row) - 1 do
-        let i = col.(p) in
-        d.(i) <- d.(i) +. (st.binv.((i * st.m) + row) *. value)
+      let rows = inv.c_row.(row) and pos = inv.c_rpos.(row) in
+      for q = 0 to inv.c_len.(row) - 1 do
+        let i = rows.(q) in
+        d.(i) <- d.(i) +. (inv.r_val.(i).(pos.(q)) *. value)
       done
     done
   end
   else begin
     let row = j - st.art_first and s = st.art_sign.(j - st.art_first) in
-    let col = st.cols.idx.(row) in
-    for p = 0 to st.cols.len.(row) - 1 do
-      let i = col.(p) in
-      d.(i) <- st.binv.((i * st.m) + row) *. s
+    let rows = inv.c_row.(row) and pos = inv.c_rpos.(row) in
+    for q = 0 to inv.c_len.(row) - 1 do
+      let i = rows.(q) in
+      d.(i) <- inv.r_val.(i).(pos.(q)) *. s
     done
   end
 
@@ -154,23 +211,30 @@ let refresh_xb st =
         end
     end
   done;
+  let inv = st.inv in
   for i = 0 to st.m - 1 do
     (* Sum in ascending k, as the dense product does: insertion-sort the
-       row's pattern in place (rows are tiny and mostly sorted). *)
-    let row = st.rows.idx.(i) and n = st.rows.len.(i) in
+       row's entries by column in place (rows are tiny and mostly
+       sorted), then repoint their column records. *)
+    let cols = inv.r_col.(i) and vals = inv.r_val.(i) and cpos = inv.r_cpos.(i) in
+    let n = inv.r_len.(i) in
     for p = 1 to n - 1 do
-      let k = row.(p) in
+      let k = cols.(p) and v = vals.(p) and c = cpos.(p) in
       let q = ref (p - 1) in
-      while !q >= 0 && row.(!q) > k do
-        row.(!q + 1) <- row.(!q);
+      while !q >= 0 && cols.(!q) > k do
+        cols.(!q + 1) <- cols.(!q);
+        vals.(!q + 1) <- vals.(!q);
+        cpos.(!q + 1) <- cpos.(!q);
         decr q
       done;
-      row.(!q + 1) <- k
+      cols.(!q + 1) <- k;
+      vals.(!q + 1) <- v;
+      cpos.(!q + 1) <- c
     done;
     let acc = ref 0.0 in
     for p = 0 to n - 1 do
-      let k = row.(p) in
-      acc := !acc +. (st.binv.((i * st.m) + k) *. r.(k))
+      inv.c_rpos.(cols.(p)).(cpos.(p)) <- p;
+      acc := !acc +. (vals.(p) *. r.(cols.(p)))
     done;
     st.xb.(i) <- !acc
   done
@@ -179,13 +243,14 @@ let refresh_xb st =
    order, each over its nonzeros only. *)
 let dual_prices st y =
   Array.fill y 0 st.m 0.0;
+  let inv = st.inv in
   for i = 0 to st.m - 1 do
     let cb = st.cost.(st.basis.(i)) in
     if cb <> 0.0 then begin
-      let row = st.rows.idx.(i) and base = i * st.m in
-      for p = 0 to st.rows.len.(i) - 1 do
-        let k = row.(p) in
-        y.(k) <- y.(k) +. (cb *. st.binv.(base + k))
+      let cols = inv.r_col.(i) and vals = inv.r_val.(i) in
+      for p = 0 to inv.r_len.(i) - 1 do
+        let k = cols.(p) in
+        y.(k) <- y.(k) +. (cb *. vals.(p))
       done
     end
   done
@@ -303,41 +368,46 @@ let pivot st j sigma d r t ~leaving_pos =
      with d_i <> 0 get multiples of it subtracted — both only over row r's
      nonzeros, since a zero entry of row r leaves its column unchanged.
      Entries that appear or cancel to exactly 0.0 (common with 0/+-1
-     coefficients) enter or leave the row and column patterns. *)
+     coefficients) are listed or dropped. *)
+  let inv = st.inv in
   let dr = d.(r) in
-  let base_r = r * st.m in
-  let row_r = st.rows.idx.(r) in
-  (* Descending, so a swap-remove only moves an already-scaled index. *)
-  for p = st.rows.len.(r) - 1 downto 0 do
-    let k = row_r.(p) in
-    let v = st.binv.(base_r + k) /. dr in
-    st.binv.(base_r + k) <- v;
-    if v = 0.0 then begin
-      pattern_remove st.rows r k;
-      pattern_remove st.cols k r
-    end
+  let cols_r = inv.r_col.(r) and vals_r = inv.r_val.(r) in
+  (* Descending, so a swap-remove only moves an already-scaled entry. *)
+  for p = inv.r_len.(r) - 1 downto 0 do
+    let v = vals_r.(p) /. dr in
+    if v = 0.0 then inverse_remove inv r p else vals_r.(p) <- v
   done;
-  let row_r = st.rows.idx.(r) and len_r = st.rows.len.(r) in
+  let updated = inv.updated and n = ref 0 in
   for i = 0 to st.m - 1 do
     if i <> r && d.(i) <> 0.0 then begin
-      let f = d.(i) and base_i = i * st.m in
-      for p = 0 to len_r - 1 do
-        let k = row_r.(p) in
-        let old = st.binv.(base_i + k) in
-        let v = old -. (f *. st.binv.(base_r + k)) in
-        st.binv.(base_i + k) <- v;
-        if old = 0.0 then begin
-          if v <> 0.0 then begin
-            pattern_push st.rows i k;
-            pattern_push st.cols k i
-          end
-        end
-        else if v = 0.0 then begin
-          pattern_remove st.rows i k;
-          pattern_remove st.cols k i
-        end
-      done
+      updated.(!n) <- i;
+      incr n
     end
+  done;
+  (* Column by column over row r: first the entries the column already
+     has in updated rows, then one for each updated row it lacks. *)
+  let seen = inv.seen in
+  for p = 0 to inv.r_len.(r) - 1 do
+    let k = cols_r.(p) and x = vals_r.(p) in
+    inv.stamp <- inv.stamp + 1;
+    let rows = inv.c_row.(k) and pos = inv.c_rpos.(k) in
+    (* Descending, so a swap-remove only moves a visited entry. *)
+    for q = inv.c_len.(k) - 1 downto 0 do
+      let i = rows.(q) in
+      if i <> r && d.(i) <> 0.0 then begin
+        seen.(i) <- inv.stamp;
+        let pi = pos.(q) in
+        let v = inv.r_val.(i).(pi) -. (d.(i) *. x) in
+        if v = 0.0 then inverse_remove inv i pi else inv.r_val.(i).(pi) <- v
+      end
+    done;
+    for u = 0 to !n - 1 do
+      let i = updated.(u) in
+      if seen.(i) <> inv.stamp then begin
+        let v = 0.0 -. (d.(i) *. x) in
+        if v <> 0.0 then inverse_add inv i k v
+      end
+    done
   done
 
 (* [d] is the ftran of [j] the ratio test just used; no pivot has
@@ -425,10 +495,9 @@ let expel_artificials st =
       (* Row i of Binv lets us probe pivot magnitudes in O(nnz) per column
          instead of a full ftran. *)
       Array.fill y 0 st.m 0.0;
-      let row = st.rows.idx.(i) in
-      for p = 0 to st.rows.len.(i) - 1 do
-        let k = row.(p) in
-        y.(k) <- st.binv.((i * st.m) + k)
+      let inv = st.inv in
+      for p = 0 to inv.r_len.(i) - 1 do
+        y.(inv.r_col.(i).(p)) <- inv.r_val.(i).(p)
       done;
       let found = ref (-1) in
       let j = ref 0 in
@@ -482,10 +551,8 @@ let solve ?max_iters (p : problem) : result =
       in_basis =
         Array.init total (fun j -> j >= p.num_vars);
       nb;
-      (* The diagonal is filled in below, matching the initial patterns. *)
-      binv = Array.make (m * m) 0.0;
-      rows = pattern_create m;
-      cols = pattern_create m;
+      (* The diagonal's values are filled in below. *)
+      inv = inverse_create m;
       xb = Array.make m 0.0;
       art_first = p.num_vars;
       art_sign = Array.make m 1.0;
@@ -508,7 +575,7 @@ let solve ?max_iters (p : problem) : result =
     st.xb.(i) <- abs_float resid.(i);
     (* The initial basis matrix is diag(art_sign); its inverse is itself,
        not the identity. *)
-    st.binv.((i * m) + i) <- st.art_sign.(i)
+    st.inv.r_val.(i).(0) <- st.art_sign.(i)
   done;
   let iter_count = ref 0 in
   (* Phase 1: minimize the sum of artificials. *)

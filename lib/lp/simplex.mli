@@ -13,17 +13,20 @@
     engine behind the paper's Optimization Engine (Sec. IV-D), replacing
     CPLEX.
 
-    {b Basis inverse.}  [B^-1] is stored densely (m x m, row-major) but
-    worked on sparsely: next to it the solver keeps the exact nonzero
-    pattern of every row and every column — an index is listed iff its
-    entry is [<> 0.0].  A pivot on row [r] scales row [r] and subtracts
-    multiples of it from each row [i] with [d_i <> 0], touching only row
-    [r]'s nonzeros, so it costs O(nnz(d) · nnz(row r)) instead of O(m²);
-    entries that appear or cancel to exactly zero enter or leave the
-    patterns.  Dual prices [y = c_B B^-1] accumulate over each costed
-    row's pattern, ftran scatters each entry of [A_j] over one column's
-    pattern, and the periodic refresh of the basic values sums each row's
-    pattern in ascending order.
+    {b Basis inverse.}  [B^-1] is stored sparsely: each row keeps its
+    nonzero entries with their columns, each column indexes the same
+    entries by row, and an entry that is not listed is [+0.0].  The
+    store takes O(nonzeros) memory instead of O(m²): about 7,000 entries
+    for a 1137-row placement LP, where a dense inverse took 10 MB.  A
+    pivot on row [r] scales row [r] and subtracts multiples of it from
+    each row [i] with [d_i <> 0], column by column over row [r]'s
+    nonzeros, so it costs O(m + nnz(row r) · nnz(d)) plus the lengths of
+    those columns instead of O(m²); entries that appear or cancel to
+    exactly zero are listed or dropped.  Dual prices [y = c_B B^-1]
+    accumulate over each costed row's entries, ftran scatters each
+    entry of [A_j] over one column's entries, and the periodic refresh
+    of the basic values sums each row's entries in ascending column
+    order.
 
     {b Bit-identical to the dense product.}  Every one of these sums adds
     the same nonzero terms in the same order as the dense loops, starting
@@ -31,8 +34,9 @@
     accumulator that started at [+0.0] never changes it, so every
     multiplier, ftran column, dual and basic value — hence every pivot
     decision — equals the dense computation bit for bit.  Only the sign
-    of zero entries inside [B^-1] can differ, and nothing reads it: every
-    reader adds into such an accumulator, multiplies and subtracts, or
+    of a zero entry can differ (the store reads [+0.0] where the dense
+    product may hold [-0.0]), and nothing depends on it: every reader
+    adds into such an accumulator, multiplies and subtracts, or
     compares. *)
 
 type status =

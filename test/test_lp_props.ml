@@ -25,19 +25,21 @@ let rhs_of case (coefs, sense, slack) =
   let lhs0 = dot coefs case.x0 in
   match sense with `Le -> lhs0 +. slack | `Ge -> lhs0 -. slack | `Eq -> lhs0
 
-let gen_case =
+let gen_sized ~vars:(vlo, vhi) ~rows:(rlo, rhi) =
   let open QCheck.Gen in
-  int_range 1 5 >>= fun n ->
+  int_range vlo vhi >>= fun n ->
   array_size (return n) (float_range 0.5 10.0) >>= fun ubs ->
   array_size (return n) (float_range (-3.0) 3.0) >>= fun objs ->
   array_size (return n) (float_range 0.0 1.0) >>= fun fracs ->
   let x0 = Array.mapi (fun i f -> f *. ubs.(i)) fracs in
-  int_range 1 4 >>= fun nc ->
+  int_range rlo rhi >>= fun nc ->
   list_repeat nc
     ( array_size (return n) (float_range (-3.0) 3.0) >>= fun coefs ->
       oneofl [ `Le; `Ge; `Eq ] >>= fun sense ->
       float_range 0.0 5.0 >>= fun slack -> return (coefs, sense, slack) )
   >>= fun constrs -> return { ubs; objs; x0; constrs }
+
+let gen_case = gen_sized ~vars:(1, 5) ~rows:(1, 4)
 
 let print_case case =
   let arr a =
@@ -121,6 +123,19 @@ let prop_deterministic =
   QCheck.Test.make ~count:150 ~name:"solving twice is bit-identical" arb_case
     (fun case ->
       bit_identical (M.solve_lp (build case)) (M.solve_lp (build case)))
+
+(* Dense rows, more of them than [gen_case] draws: the basis inverse of
+   a dense basis has more nonzeros per row and column than the sparse
+   store's lists start with (four), so these solves grow them. *)
+let prop_dense =
+  QCheck.Test.make ~count:200
+    ~name:"dense LPs past the inverse's initial store: optimal, feasible, beat the witness"
+    (QCheck.make ~print:print_case (gen_sized ~vars:(5, 8) ~rows:(5, 8)))
+    (fun case ->
+      let sol = M.solve_lp (build case) in
+      sol.M.status = M.Optimal
+      && feasible case sol.M.values
+      && sol.M.objective <= dot case.objs case.x0 +. 1e-6)
 
 (* Network-shaped LPs: the Optimization Engine's Eq. (3)-(4) rows for a
    few classes — chain order (cumulative stage j-1 dominates stage j along
@@ -232,6 +247,7 @@ let suite =
       prop_solution_feasible;
       prop_beats_witness;
       prop_deterministic;
+      prop_dense;
       prop_network_shaped;
     ]
   @ [
