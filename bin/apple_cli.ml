@@ -319,14 +319,15 @@ let solve_action topo seed total max_classes engine jobs verify tm_file () =
         failwith
           (Printf.sprintf "matrix is %dx%d but %s has %d nodes"
              (Tr.Matrix.size tm) (Tr.Matrix.size tm) topo.B.label n)
-    | Error e -> failwith e
-  in
-  let scenario =
-    build_scenario ?tm:(Option.map load tm_file) topo ~seed ~total ~max_classes
+    | Error e -> failwith (path ^ ": " ^ e)
   in
   let gate = if verify then Some V.gate else None in
-  let controller = C.Controller.create ~engine ?jobs ?gate scenario in
   (try
+     let scenario =
+       build_scenario ?tm:(Option.map load tm_file) topo ~seed ~total
+         ~max_classes
+     in
+     let controller = C.Controller.create ~engine ?jobs ?gate scenario in
      let report = C.Controller.run_epoch controller in
      Format.printf "topology:    %s (%d nodes, %d links)@." topo.B.label n
        (Apple_topology.Graph.num_edges topo.B.graph);

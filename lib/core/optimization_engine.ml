@@ -64,14 +64,11 @@ let useful_sites (s : Types.scenario) =
     s.Types.classes;
   useful
 
-let build_model ?site_weights (s : Types.scenario) ~objective ~integer =
+let build_model (s : Types.scenario) ~objective ~integer =
   let n = Graph.num_nodes s.Types.topo.Builders.graph in
   let classes = s.Types.classes in
   let model = Model.create () in
   let useful = useful_sites s in
-  let site_weight v k =
-    match site_weights with None -> 1.0 | Some w -> w.(v).(k)
-  in
   (* q variables. *)
   let q = Array.make_matrix n Nf.num_kinds None in
   for v = 0 to n - 1 do
@@ -79,8 +76,7 @@ let build_model ?site_weights (s : Types.scenario) ~objective ~integer =
       if useful.(v).(k) then
         q.(v).(k) <-
           Some
-            (Model.add_var model ~integer
-               ~obj:(kind_weight objective k *. site_weight v k)
+            (Model.add_var model ~integer ~obj:(kind_weight objective k)
                ~name:(Printf.sprintf "q_v%d_%s" v (Nf.name (Nf.kind_of_index k)))
                ())
     done
@@ -634,24 +630,32 @@ let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
         model_size;
       }
   | Lp_round ->
-      let model1, _, d1 = build_model s ~objective ~integer:false in
-      let model_size = Format.asprintf "%a" Model.pp_stats model1 in
-      let sol1 = Tr.with_ tr_relax (fun () -> Model.solve_lp model1) in
+      let model, q, d = build_model s ~objective ~integer:false in
+      let model_size = Format.asprintf "%a" Model.pp_stats model in
+      let sol1 = Tr.with_ tr_relax (fun () -> Model.solve_lp model) in
       check_status sol1;
-      let dist1 = extract_distribution s d1 sol1 in
+      let dist1 = extract_distribution s d sol1 in
       (* The fractional objective is degenerate — spreading load across
          sites costs the same as consolidating it — so follow-up passes
          make under-utilized sites expensive, steering the LP toward
          vertices that ceil-rounding wastes little on (a concave-cost
-         Frank–Wolfe style reweighting). *)
+         Frank–Wolfe style reweighting).  Only q's costs change, so the
+         re-solve reprices the relaxation's own model and starts from
+         its feasible start: phase 1 reads only rows and bounds. *)
       let refine dist =
-        let model', _, d' =
-          build_model ~site_weights:(site_prices s dist) s ~objective
-            ~integer:false
-        in
-        let sol' = Model.solve_lp model' in
+        let w = site_prices s dist in
+        Array.iteri
+          (fun v row ->
+            Array.iteri
+              (fun k -> function
+                | Some qv ->
+                    Model.set_obj model qv (kind_weight objective k *. w.(v).(k))
+                | None -> ())
+              row)
+          q;
+        let sol' = Model.solve_lp ?start:sol1.Model.start model in
         match sol'.Model.status with
-        | Model.Optimal | Model.Limit -> extract_distribution s d' sol'
+        | Model.Optimal | Model.Limit -> extract_distribution s d sol'
         | Model.Infeasible | Model.Unbounded -> dist
       in
       let dist =

@@ -55,6 +55,13 @@ val solve :
     instance-merging pass.  Both exist for the bench's ablation study —
     disable them only to measure their contribution.
 
+    For [Lp_round] the second pass changes only the instance variables'
+    objective coefficients, so it reprices them on the relaxation's own
+    model ({!Apple_lp.Model.set_obj}) and re-solves from the
+    relaxation's feasible start ({!Apple_lp.Model.solve_lp}[ ~start]).
+    A solve therefore builds one model and runs one phase 1, and its
+    placement is bit-identical to re-solving from scratch.
+
     [jobs] (default {!Apple_parallel.Pool.default_jobs}, i.e. the
     [APPLE_JOBS] environment variable or the machine's domain count)
     bounds the domains used by [Per_class]'s parallel class fan-out; the

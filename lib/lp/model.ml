@@ -8,13 +8,6 @@ type sense = Le | Ge | Eq
 
 type status = Optimal | Infeasible | Unbounded | Limit
 
-type solution = {
-  status : status;
-  objective : float;
-  values : float array;
-  duals : float array;
-}
-
 type constr = {
   c_name : string;
   terms : (float * var) list;  (* duplicates already merged *)
@@ -26,7 +19,7 @@ type t = {
   maximize : bool;
   mutable lbs : float list;  (* reversed declaration order *)
   mutable ubs : float list;
-  mutable objs : float list;
+  mutable objs : float array;  (* declaration order; the first [n] are live *)
   mutable ints : bool list;
   mutable names : string list;
   mutable n : int;
@@ -34,12 +27,30 @@ type t = {
   mutable num_constrs : int;
 }
 
+(* A start is valid for the model it was taken from, at the size it had:
+   the model only grows, and only objectives change in place. *)
+type start = {
+  owner : t;
+  vars : int;
+  rows : int;
+  free : int array;  (* the lowering's split free variables *)
+  simplex : Simplex.start;
+}
+
+type solution = {
+  status : status;
+  objective : float;
+  values : float array;
+  duals : float array;
+  start : start option;
+}
+
 let create ?(maximize = false) () =
   {
     maximize;
     lbs = [];
     ubs = [];
-    objs = [];
+    objs = [||];
     ints = [];
     names = [];
     n = 0;
@@ -54,7 +65,12 @@ let add_var t ?(lb = 0.0) ?(ub = infinity) ?(integer = false) ?(obj = 0.0)
   let name = match name with Some s -> s | None -> Printf.sprintf "x%d" id in
   t.lbs <- lb :: t.lbs;
   t.ubs <- ub :: t.ubs;
-  t.objs <- obj :: t.objs;
+  if id = Array.length t.objs then begin
+    let grown = Array.make (max 16 (2 * id)) 0.0 in
+    Array.blit t.objs 0 grown 0 id;
+    t.objs <- grown
+  end;
+  t.objs.(id) <- obj;
   t.ints <- integer :: t.ints;
   t.names <- name :: t.names;
   t.n <- id + 1;
@@ -84,10 +100,7 @@ let add_constraint t ?name terms sense rhs =
 
 let set_obj t v coef =
   if v < 0 || v >= t.n then invalid_arg "Model.set_obj: unknown var";
-  let objs = Array.of_list t.objs in
-  (* objs is reversed: index of var v is (n - 1 - v). *)
-  objs.(t.n - 1 - v) <- coef;
-  t.objs <- Array.to_list objs
+  t.objs.(v) <- coef
 
 let var_index v = v
 
@@ -101,7 +114,19 @@ let value sol v = sol.values.(v)
 
 let arrays_of t =
   let to_arr l = Array.of_list (List.rev l) in
-  (to_arr t.lbs, to_arr t.ubs, to_arr t.objs, to_arr t.ints)
+  (to_arr t.lbs, to_arr t.ubs, Array.sub t.objs 0 t.n, to_arr t.ints)
+
+(* The standard-form objective over [total] columns: minimization
+   costs for the variables, 0 for the slacks, and each split free
+   variable's x- column priced as its negation. *)
+let lower_objective t ~free ~total objs =
+  let obj = Array.make total 0.0 in
+  let sign = if t.maximize then -1.0 else 1.0 in
+  for j = 0 to t.n - 1 do
+    obj.(j) <- sign *. objs.(j)
+  done;
+  Array.iteri (fun f v -> obj.(t.n + t.num_constrs + f) <- -.obj.(v)) free;
+  obj
 
 (* Lower the model to Simplex standard form: one slack column per row,
    then one column per free variable.  Simplex needs a finite bound on
@@ -123,9 +148,6 @@ let standardize t ~lbs ~ubs ~objs =
   let lower = Array.make total 0.0 and upper = Array.make total infinity in
   Array.blit lbs 0 lower 0 n;
   Array.blit ubs 0 upper 0 n;
-  let obj = Array.make total 0.0 in
-  let sign = if t.maximize then -1.0 else 1.0 in
-  Array.iteri (fun j c -> obj.(j) <- sign *. c) objs;
   (* Collect per-variable row lists. *)
   let acc = Array.make n [] in
   let rows = Array.of_list (List.rev t.constrs) in
@@ -158,7 +180,6 @@ let standardize t ~lbs ~ubs ~objs =
       let neg = n + m + f in
       cols_idx.(neg) <- cols_idx.(v);
       cols_val.(neg) <- Array.map Float.neg cols_val.(v);
-      obj.(neg) <- -.obj.(v);
       lower.(v) <- 0.0;
       lower.(neg) <- 0.0)
     free;
@@ -168,7 +189,7 @@ let standardize t ~lbs ~ubs ~objs =
       col_index = cols_idx;
       col_value = cols_val;
       rhs;
-      obj;
+      obj = lower_objective t ~free ~total objs;
       lower;
       upper;
     },
@@ -190,11 +211,14 @@ let solution_of t ~free (res : Simplex.result) =
   (* The simplex multipliers price the minimization standard form; flip
      them back into the user's objective sense. *)
   let duals = Array.map (fun y -> sign *. y) res.duals in
-  { status; objective = sign *. res.objective; values; duals }
+  let start =
+    Option.map
+      (fun simplex -> { owner = t; vars = t.n; rows = t.num_constrs; free; simplex })
+      res.start
+  in
+  { status; objective = sign *. res.objective; values; duals; start }
 
-let solve_lp_bounds ?max_iters t ~lbs ~ubs ~objs =
-  let problem, free = standardize t ~lbs ~ubs ~objs in
-  let res = Simplex.solve ?max_iters problem in
+let log_solve t (res : Simplex.result) =
   Log.debug (fun k ->
       k "lp solve: %d vars x %d constraints -> %s in %d pivots" t.n
         t.num_constrs
@@ -203,12 +227,32 @@ let solve_lp_bounds ?max_iters t ~lbs ~ubs ~objs =
         | Simplex.Infeasible -> "infeasible"
         | Simplex.Unbounded -> "unbounded"
         | Simplex.Iteration_limit -> "iteration-limit")
-        res.Simplex.iterations);
+        res.Simplex.iterations)
+
+let solve_lp_bounds ?max_iters t ~lbs ~ubs ~objs =
+  let problem, free = standardize t ~lbs ~ubs ~objs in
+  let res = Simplex.solve ?max_iters problem in
+  log_solve t res;
   solution_of t ~free res
 
-let solve_lp ?max_iters t =
-  let lbs, ubs, objs, _ = arrays_of t in
-  solve_lp_bounds ?max_iters t ~lbs ~ubs ~objs
+let solve_lp ?max_iters ?start t =
+  match start with
+  | None ->
+      let lbs, ubs, objs, _ = arrays_of t in
+      solve_lp_bounds ?max_iters t ~lbs ~ubs ~objs
+  | Some s ->
+      if s.owner != t then
+        invalid_arg "Model.solve_lp: the start was taken from another model";
+      if s.vars <> t.n || s.rows <> t.num_constrs then
+        invalid_arg
+          "Model.solve_lp: the model gained a variable or row since the start";
+      let total = t.n + t.num_constrs + Array.length s.free in
+      let res =
+        Simplex.resolve ?max_iters s.simplex
+          (lower_objective t ~free:s.free ~total t.objs)
+      in
+      log_solve t res;
+      solution_of t ~free:s.free res
 
 let objective_at t x =
   let _, _, objs, _ = arrays_of t in
@@ -287,6 +331,8 @@ let solve_ilp ?(max_nodes = 10_000) ?max_iters t =
     if !nodes >= max_nodes then truncated := true
     else begin
       incr nodes;
+      (* A node's start is for its tightened bounds, not the model's;
+         no node solution is returned. *)
       let sol = solve_lp_bounds ?max_iters t ~lbs ~ubs ~objs in
       match sol.status with
       | Infeasible -> ()
@@ -327,17 +373,19 @@ let solve_ilp ?(max_nodes = 10_000) ?max_iters t =
         objective = objective_at t values;
         values = Array.map (fun v -> v) values;
         duals = Array.make t.num_constrs 0.0;
+        start = None;
       }
   | None ->
       if !truncated then
         let fallback = solve_round_up ?max_iters t in
-        { fallback with status = Limit }
+        { fallback with status = Limit; start = None }
       else
         {
           status = Infeasible;
           objective = nan;
           values = Array.make t.n 0.0;
           duals = Array.make t.num_constrs 0.0;
+          start = None;
         }
 
 let pp_stats ppf t =

@@ -19,6 +19,12 @@ type status =
   | Unbounded
   | Limit  (** iteration or node budget exhausted; best effort returned *)
 
+type start
+(** The feasible start of one model's LP relaxation: the state after
+    phase 1, which reads only the rows and bounds (see
+    {!Apple_lp.Simplex.start}).  It stays valid while the model keeps its
+    variables and rows; only objective coefficients may change. *)
+
 type solution = {
   status : status;
   objective : float;
@@ -29,6 +35,10 @@ type solution = {
           constraint's right-hand side.  Meaningful for [Optimal] LP
           solutions; zeros otherwise (including after branch and bound,
           where no single dual vector exists). *)
+  start : start option;
+      (** From {!solve_lp} and {!solve_round_up}: the relaxation's
+          feasible start, [Some] whenever phase 1 proved the rows
+          feasible.  Always [None] from {!solve_ilp}. *)
 }
 
 val create : ?maximize:bool -> unit -> t
@@ -53,7 +63,8 @@ val add_constraint : t -> ?name:string -> (float * var) list -> sense -> float -
     Duplicate variables in [terms] are summed. *)
 
 val set_obj : t -> var -> float -> unit
-(** Overwrite a variable's objective coefficient. *)
+(** Overwrite a variable's objective coefficient, in O(1).  A
+    {!solution}'s [start] survives it. *)
 
 val var_index : var -> int
 (** Stable dense index of a variable (order of declaration). *)
@@ -65,8 +76,18 @@ val num_constraints : t -> int
 val value : solution -> var -> float
 (** Variable value in a solution. *)
 
-val solve_lp : ?max_iters:int -> t -> solution
-(** Solve the LP relaxation (integrality dropped). *)
+val solve_lp : ?max_iters:int -> ?start:start -> t -> solution
+(** Solve the LP relaxation (integrality dropped).
+
+    With [~start] (the [start] of an earlier solution of this model) the
+    solve re-lowers only the objective, O(variables), and runs phase 2
+    from the start: the answer equals a fresh solve bit for bit, without
+    repeating phase 1 or the lowering of rows and bounds.  This is how
+    the Optimization Engine re-solves after repricing with {!set_obj}.
+
+    @raise Invalid_argument if [start] was taken from another model, or
+    before this model gained a variable or a constraint.  The check is
+    O(1). *)
 
 val solve_ilp : ?max_nodes:int -> ?max_iters:int -> t -> solution
 (** Exact branch and bound over the integer variables.  [Limit] is

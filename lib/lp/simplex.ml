@@ -11,6 +11,8 @@ let m_solves = T.Counter.create "apple.lp.solves"
 let m_pivots = T.Counter.create "apple.lp.pivots"
 let m_phase1_solves = T.Counter.create "apple.lp.phase1_solves"
 let m_phase1_skipped = T.Counter.create "apple.lp.phase1_skipped"
+let m_phase1_pivots = T.Counter.create "apple.lp.phase1_pivots"
+let m_phase1_reused = T.Counter.create "apple.lp.phase1_reused"
 let m_bland = T.Counter.create "apple.lp.bland_engagements"
 let m_infeasible = T.Counter.create "apple.lp.infeasible"
 let m_iter_limit = T.Counter.create "apple.lp.iteration_limit"
@@ -27,14 +29,6 @@ type problem = {
   obj : float array;
   lower : float array;
   upper : float array;
-}
-
-type result = {
-  status : status;
-  objective : float;
-  primal : float array;
-  duals : float array;
-  iterations : int;
 }
 
 let eps_reduced = 1e-9
@@ -146,6 +140,39 @@ type state = {
   art_first : int;  (* first artificial column index *)
   art_sign : float array;  (* length m: +-1 sign of artificial of row i *)
 }
+
+(* The state phase 1 and [expel_artificials] leave behind, frozen.
+   B^-1 keeps only its live entries, packed: row [i]'s list is
+   [row_at.(i), row_at.(i+1)) of the [s_r_*] arrays and column [k]'s is
+   [col_at.(k), col_at.(k+1)) of the [s_c_*] ones, each in the order the
+   solve left it, so a restored inverse pivots exactly like the
+   original. *)
+type start = {
+  problem : problem;  (* [obj] is never read *)
+  s_basis : int array;
+  s_nb : nb_pos array;
+  s_xb : float array;
+  s_art_sign : float array;
+  row_at : int array;
+  s_r_col : int array;
+  s_r_val : float array;
+  s_r_cpos : int array;
+  col_at : int array;
+  s_c_row : int array;
+  s_c_rpos : int array;
+  phase1 : int;  (* iterations phase 1 performed *)
+}
+
+type result = {
+  status : status;
+  objective : float;
+  primal : float array;
+  duals : float array;
+  iterations : int;
+  start : start option;
+}
+
+let phase1_iterations s = s.phase1
 
 let col_dot st j y =
   (* y . A_j for a structural/slack column, or the artificial pattern. *)
@@ -518,15 +545,161 @@ let expel_artificials st =
     end
   done
 
-let solve ?max_iters (p : problem) : result =
-  let m = p.num_rows in
-  let max_iters =
-    match max_iters with Some k -> k | None -> 200 * (m + p.num_vars) + 2000
-  in
-  let total = p.num_vars + m in
+(* Column bounds with the artificials appended at [0, inf), as phase 1
+   sees them; phase 2 pins the artificials to 0. *)
+let column_bounds p =
+  let total = p.num_vars + p.num_rows in
   let lower = Array.make total 0.0 and upper = Array.make total infinity in
   Array.blit p.lower 0 lower 0 p.num_vars;
   Array.blit p.upper 0 upper 0 p.num_vars;
+  (lower, upper)
+
+let default_max_iters p = function
+  | Some k -> k
+  | None -> 200 * (p.num_rows + p.num_vars) + 2000
+
+(* Offsets of lists of lengths [lens] packed end to end. *)
+let offsets lens =
+  let at = Array.make (Array.length lens + 1) 0 in
+  Array.iteri (fun i n -> at.(i + 1) <- at.(i) + n) lens;
+  at
+
+let pack at lists zero =
+  let flat = Array.make at.(Array.length at - 1) zero in
+  Array.iteri (fun i l -> Array.blit l 0 flat at.(i) (at.(i + 1) - at.(i))) lists;
+  flat
+
+(* Unpack into lists with the capacities a fresh solve's lists reach:
+   four, doubled as needed.  Exact lengths would spread the blocks over
+   many more of the heap's size classes, which measurably raises the
+   peak heap. *)
+let unpack at flat zero =
+  Array.init (Array.length at - 1) (fun i ->
+      let n = at.(i + 1) - at.(i) in
+      let cap = ref 4 in
+      while !cap < n do
+        cap := 2 * !cap
+      done;
+      let l = Array.make !cap zero in
+      Array.blit flat at.(i) l 0 n;
+      l)
+
+let freeze st phase1 =
+  let inv = st.inv in
+  let row_at = offsets inv.r_len and col_at = offsets inv.c_len in
+  {
+    problem = st.p;
+    s_basis = Array.copy st.basis;
+    s_nb = Array.copy st.nb;
+    s_xb = Array.copy st.xb;
+    (* Nothing writes [art_sign] after set-up. *)
+    s_art_sign = st.art_sign;
+    row_at;
+    s_r_col = pack row_at inv.r_col 0;
+    s_r_val = pack row_at inv.r_val 0.0;
+    s_r_cpos = pack row_at inv.r_cpos 0;
+    col_at;
+    s_c_row = pack col_at inv.c_row 0;
+    s_c_rpos = pack col_at inv.c_rpos 0;
+    phase1;
+  }
+
+(* A state of its own at [s], for [p]: the start's problem, repriced. *)
+let thaw s p =
+  let m = p.num_rows and total = p.num_vars + p.num_rows in
+  let lower, upper = column_bounds p in
+  let in_basis = Array.make total false in
+  Array.iter (fun j -> in_basis.(j) <- true) s.s_basis;
+  let lengths at = Array.init m (fun i -> at.(i + 1) - at.(i)) in
+  {
+    p;
+    total;
+    m;
+    lower;
+    upper;
+    cost = Array.make total 0.0;
+    basis = Array.copy s.s_basis;
+    in_basis;
+    nb = Array.copy s.s_nb;
+    inv =
+      {
+        r_col = unpack s.row_at s.s_r_col 0;
+        r_val = unpack s.row_at s.s_r_val 0.0;
+        r_cpos = unpack s.row_at s.s_r_cpos 0;
+        r_len = lengths s.row_at;
+        c_row = unpack s.col_at s.s_c_row 0;
+        c_rpos = unpack s.col_at s.s_c_rpos 0;
+        c_len = lengths s.col_at;
+        updated = Array.make m 0;
+        seen = Array.make m 0;
+        stamp = 0;
+      };
+    xb = Array.copy s.s_xb;
+    art_first = p.num_vars;
+    art_sign = s.s_art_sign;
+  }
+
+(* Phase 2 from the feasible basis in [st] (when [status] is still
+   [Optimal]), then the answer.  [iter_count] runs on from phase 1: the
+   [xb] refresh cadence and [max_iters] both read it.  [iterations]
+   reports what this solve performed, the count beyond [base]. *)
+let finish st ~max_iters ~status ~start ~base iter_count =
+  let p = st.p and m = st.m in
+  let status = ref status in
+  if !status = Optimal then begin
+    (* Phase 2: real costs, artificials pinned to zero. *)
+    Array.fill st.cost 0 st.total 0.0;
+    Array.blit p.obj 0 st.cost 0 p.num_vars;
+    for i = 0 to m - 1 do
+      let a = p.num_vars + i in
+      st.lower.(a) <- 0.0;
+      st.upper.(a) <- 0.0
+    done;
+    let before = !iter_count in
+    (match optimize st ~max_iters iter_count with
+    | Phase_iter_limit -> status := Iteration_limit
+    | Phase_unbounded -> status := Unbounded
+    | Phase_optimal -> ());
+    Log.debug (fun k ->
+        k "phase2: %d pivots (%d total)" (!iter_count - before)
+          (!iter_count - base))
+  end;
+  if !status = Iteration_limit then
+    Log.warn (fun k ->
+        k "iteration limit hit after %d pivots (%d rows x %d cols); returning \
+           the incumbent basis"
+          !iter_count m p.num_vars);
+  refresh_xb st;
+  let primal = extract_primal st in
+  let duals = Array.make m 0.0 in
+  if !status = Optimal then dual_prices st duals;
+  let objective =
+    match !status with
+    | Optimal | Iteration_limit ->
+        let acc = ref 0.0 in
+        for j = 0 to p.num_vars - 1 do
+          acc := !acc +. (p.obj.(j) *. primal.(j))
+        done;
+        !acc
+    | Infeasible | Unbounded -> nan
+  in
+  let iterations = !iter_count - base in
+  if T.enabled () then begin
+    T.Counter.incr m_solves;
+    T.Counter.add m_pivots iterations;
+    T.Histogram.observe m_pivots_per_solve (float_of_int iterations);
+    (match !status with
+    | Infeasible -> T.Counter.incr m_infeasible
+    | Iteration_limit -> T.Counter.incr m_iter_limit
+    | Optimal | Unbounded -> ())
+  end;
+  { status = !status; objective; primal; duals; iterations; start }
+
+let solve ?max_iters (p : problem) : result =
+  let m = p.num_rows in
+  let max_iters = default_max_iters p max_iters in
+  let total = p.num_vars + m in
+  let lower, upper = column_bounds p in
   let cost = Array.make total 0.0 in
   let nb = Array.make total At_lower in
   (* Nonbasic start: every column at a finite bound, the lower one when
@@ -595,6 +768,7 @@ let solve ?max_iters (p : problem) : result =
     | Phase_optimal ->
         let inf = objective_value st cost in
         if inf > 1e-6 then status := Infeasible);
+    T.Counter.add m_phase1_pivots !iter_count;
     Log.debug (fun k ->
         k "phase1: %d pivots over %d rows x %d cols, residual infeasibility %g"
           !iter_count m p.num_vars
@@ -610,49 +784,17 @@ let solve ?max_iters (p : problem) : result =
         k "phase1 skipped: all-bound start already feasible (%d rows x %d cols)"
           m p.num_vars)
   end;
-  let phase1_iters = !iter_count in
-  if !status = Optimal then begin
-    (* Phase 2: real costs, artificials pinned to zero. *)
-    Array.fill cost 0 total 0.0;
-    Array.blit p.obj 0 cost 0 p.num_vars;
-    for i = 0 to m - 1 do
-      let a = p.num_vars + i in
-      st.lower.(a) <- 0.0;
-      st.upper.(a) <- 0.0
-    done;
-    (match optimize st ~max_iters iter_count with
-    | Phase_iter_limit -> status := Iteration_limit
-    | Phase_unbounded -> status := Unbounded
-    | Phase_optimal -> ());
-    Log.debug (fun k ->
-        k "phase2: %d pivots (%d total)" (!iter_count - phase1_iters) !iter_count)
-  end;
-  if !status = Iteration_limit then
-    Log.warn (fun k ->
-        k "iteration limit hit after %d pivots (%d rows x %d cols); returning \
-           the incumbent basis"
-          !iter_count m p.num_vars);
-  refresh_xb st;
-  let primal = extract_primal st in
-  let duals = Array.make m 0.0 in
-  if !status = Optimal then dual_prices st duals;
-  let objective =
-    match !status with
-    | Optimal | Iteration_limit ->
-        let acc = ref 0.0 in
-        for j = 0 to p.num_vars - 1 do
-          acc := !acc +. (p.obj.(j) *. primal.(j))
-        done;
-        !acc
-    | Infeasible | Unbounded -> nan
-  in
-  if T.enabled () then begin
-    T.Counter.incr m_solves;
-    T.Counter.add m_pivots !iter_count;
-    T.Histogram.observe m_pivots_per_solve (float_of_int !iter_count);
-    (match !status with
-    | Infeasible -> T.Counter.incr m_infeasible
-    | Iteration_limit -> T.Counter.incr m_iter_limit
-    | Optimal | Unbounded -> ())
-  end;
-  { status = !status; objective; primal; duals; iterations = !iter_count }
+  let start = if !status = Optimal then Some (freeze st !iter_count) else None in
+  finish st ~max_iters ~status:!status ~start ~base:0 iter_count
+
+let resolve ?max_iters s obj =
+  let p = { s.problem with obj } in
+  if Array.length obj <> p.num_vars then
+    invalid_arg "Simplex.resolve: objective length differs from the start's columns";
+  T.Counter.incr m_phase1_reused;
+  Log.debug (fun k ->
+      k "phase1 reused: %d pivots skipped (%d rows x %d cols)" s.phase1
+        p.num_rows p.num_vars);
+  finish (thaw s p)
+    ~max_iters:(default_max_iters p max_iters)
+    ~status:Optimal ~start:(Some s) ~base:s.phase1 (ref s.phase1)

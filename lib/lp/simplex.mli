@@ -37,7 +37,32 @@
     of a zero entry can differ (the store reads [+0.0] where the dense
     product may hold [-0.0]), and nothing depends on it: every reader
     adds into such an accumulator, multiplies and subtracts, or
-    compares. *)
+    compares.
+
+    {b Feasible start.}  A solve whose phase 1 proves the rows feasible
+    (or finds the all-bound start feasible and skips it) also returns a
+    {!start}: the state after phase 1 and the expulsion of zero-valued
+    artificials.  It holds the standard-form [A], right-hand sides and
+    bounds it was computed on, the basis and the nonbasic positions,
+    [B^-1]'s live entries with their row and column indexes, the basic
+    values, the artificials' signs and the number of phase-1
+    iterations.  {!resolve} takes only new objective costs, so a start
+    is never paired with another matrix.
+
+    A re-solve from a start is bit-identical to a fresh solve with the
+    same costs, because phase 1 reads only [A], the right-hand sides and
+    the bounds: its costs are the artificials', never the objective's.
+    So the fresh solve reaches this very state before phase 2 reads the
+    objective.  One detail keeps phase 2 itself identical: the basic
+    values are recomputed from scratch every 64 iterations of a counter
+    that runs on from phase 1.  A re-solve continues that counter, and
+    [max_iters], from the start's phase-1 count; its [iterations]
+    reports only the iterations it performed.
+
+    A start is immutable.  Each re-solve copies what it mutates (basis,
+    positions, basic values, [B^-1], and the bounds, where phase 2 pins
+    the artificials to 0), so one start serves any number of re-solves,
+    from any domain. *)
 
 type status =
   | Optimal
@@ -59,6 +84,9 @@ type problem = {
                             [neg_infinity] lower bound *)
 }
 
+type start
+(** The feasible state phase 1 proved for one problem's rows. *)
+
 type result = {
   status : status;
   objective : float;
@@ -68,6 +96,12 @@ type result = {
           final basis — the shadow price of each row's right-hand side in
           the (minimization) standard form.  Meaningful when Optimal. *)
   iterations : int;
+      (** simplex iterations this solve performed; a {!resolve} does not
+          count its start's phase 1 *)
+  start : start option;
+      (** [Some] once phase 1 proved the rows feasible, whatever phase 2
+          then found; [None] when they are infeasible or phase 1 ran out
+          of iterations *)
 }
 
 val solve : ?max_iters:int -> problem -> result
@@ -77,3 +111,16 @@ val solve : ?max_iters:int -> problem -> result
     @raise Invalid_argument if a column is free (both bounds infinite):
     the nonbasic start needs a finite bound on every column.  Split a
     free variable into [x+ - x-] first, as {!Model} does. *)
+
+val resolve : ?max_iters:int -> start -> float array -> result
+(** [resolve start obj] solves the start's problem with objective [obj]
+    (length [num_vars]) from the start, skipping phase 1.  The result
+    equals [solve] of that problem bit for bit, except that [iterations]
+    is smaller by {!phase1_iterations}[ start]; its [start] is [start].
+    [max_iters] bounds the counter that runs on from phase 1, as in
+    {!solve}.
+
+    @raise Invalid_argument if [obj] has the wrong length. *)
+
+val phase1_iterations : start -> int
+(** Iterations the start's phase 1 performed. *)

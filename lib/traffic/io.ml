@@ -10,12 +10,14 @@ let to_csv tm =
   Buffer.contents buf
 
 let of_csv text =
+  (* Number physical lines, so an error names the line an editor shows
+     even past comments and blank lines. *)
   let lines =
     String.split_on_char '\n' text
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "" && not (String.length l > 0 && l.[0] = '#'))
+    |> List.mapi (fun i l -> (i + 1, String.trim l))
+    |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
   in
-  let parse_line lineno line =
+  let parse_line (lineno, line) =
     let cells = String.split_on_char ',' line in
     let values =
       List.map
@@ -34,21 +36,24 @@ let of_csv text =
         | _, Error e -> Error e)
       values (Ok [])
   in
-  let rec parse lineno acc = function
+  let rec parse acc = function
     | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-        match parse_line lineno line with
-        | Ok row -> parse (lineno + 1) (Array.of_list row :: acc) rest
+    | ((lineno, _) as line) :: rest -> (
+        match parse_line line with
+        | Ok row -> parse ((lineno, Array.of_list row) :: acc) rest
         | Error e -> Error e)
   in
-  match parse 1 [] lines with
+  match parse [] lines with
   | Error e -> Error e
   | Ok [] -> Error "empty matrix"
-  | Ok rows ->
+  | Ok rows -> (
       let n = List.length rows in
-      if List.for_all (fun r -> Array.length r = n) rows then
-        Ok (Array.of_list rows)
-      else Error (Printf.sprintf "matrix is not square (%d rows)" n)
+      match List.find_opt (fun (_, r) -> Array.length r <> n) rows with
+      | Some (lineno, r) ->
+          Error
+            (Printf.sprintf "line %d: %d values in a %d-row matrix (not square)"
+               lineno (Array.length r) n)
+      | None -> Ok (Array.of_list (List.map snd rows)))
 
 let save tm ~path =
   let oc = open_out path in

@@ -11,7 +11,9 @@ val to_csv : Matrix.t -> string
 
 val of_csv : string -> (Matrix.t, string) result
 (** Parse; the matrix must be square with non-negative finite entries.
-    Errors carry a human-readable reason with the offending line. *)
+    Errors carry a human-readable reason and the offending physical line
+    of [text], counting comments and blank lines; a matrix that is not
+    square names its first row whose width differs from the row count. *)
 
 val save : Matrix.t -> path:string -> unit
 (** Write {!to_csv} to a file. *)

@@ -115,6 +115,21 @@ let smoke args expected () =
   if not (contains r.out expected) then
     Alcotest.failf "%s: no %S in stdout:\n%s" line expected r.out
 
+(* A traffic matrix the parser rejects is an error naming the file and
+   the physical line (header comment counted), not an uncaught
+   exception. *)
+let test_bad_tm_file () =
+  let path = Filename.temp_file "apple-tm" ".csv" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc "# h\n1,2\n3,x\n");
+  let r = run [ "solve"; "-t"; "internet2"; "--tm"; path ] in
+  Alcotest.(check int) "exit code" 124 r.code;
+  Alcotest.(check string) "no report" "" r.out;
+  let want = path ^ ": line 3:" in
+  if not (contains (squash r.err) want) then
+    Alcotest.failf "stderr does not contain %S:\n%s" want r.err
+
 let suite =
   [
     Alcotest.test_case "every subcommand keeps its options" `Quick test_surface;
@@ -130,4 +145,6 @@ let suite =
       (smoke [ "policies"; policies; "--verify" ] "verified:");
     Alcotest.test_case "profile prints the attribution table" `Quick
       (smoke [ "profile"; "--scale"; "0.05" ] "APPLE profile");
+    Alcotest.test_case "solve names the bad line of a TM file" `Quick
+      test_bad_tm_file;
   ]

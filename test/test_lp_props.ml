@@ -57,10 +57,16 @@ let print_case case =
 
 let arb_case = QCheck.make ~print:print_case gen_case
 
-let build case =
-  let t = M.create () in
+(* [free_first] declares variable 0 free instead of boxed. *)
+let build_vars ?maximize ?(free_first = false) case =
+  let t = M.create ?maximize () in
   let vars =
-    Array.mapi (fun i ub -> M.add_var t ~lb:0.0 ~ub ~obj:case.objs.(i) ()) case.ubs
+    Array.mapi
+      (fun i ub ->
+        if i = 0 && free_first then
+          M.add_var t ~lb:neg_infinity ~ub:infinity ~obj:case.objs.(i) ()
+        else M.add_var t ~lb:0.0 ~ub ~obj:case.objs.(i) ())
+      case.ubs
   in
   List.iter
     (fun ((coefs, sense, _) as c) ->
@@ -72,7 +78,9 @@ let build case =
       in
       M.add_constraint t terms sense (rhs_of case c))
     case.constrs;
-  t
+  (t, vars)
+
+let build case = fst (build_vars case)
 
 (* Own feasibility check at 1e-5 — independent of Model.feasible_with so
    a bug there cannot mask a solver bug. *)
@@ -207,6 +215,171 @@ let prop_network_shaped =
       && s1.M.objective <= dot case.objs case.x0 +. 1e-6
       && bit_identical s1 s2)
 
+(* ---- feasible start ---------------------------------------------- *)
+
+module Simplex = Apple_lp.Simplex
+
+(* [case] in Simplex standard form with objective [objs], lowered the
+   way Model does it: one slack column per row, bounded by its sense. *)
+let problem_of case objs =
+  let n = Array.length case.ubs and rows = Array.of_list case.constrs in
+  let m = Array.length rows in
+  let coef i j = match rows.(i) with coefs, _, _ -> coefs.(j) in
+  let column j =
+    if j < n then List.filter (fun i -> coef i j <> 0.0) (List.init m Fun.id)
+    else [ j - n ]
+  in
+  let slack_bounds i =
+    match rows.(i) with
+    | _, `Le, _ -> (0.0, infinity)
+    | _, `Ge, _ -> (neg_infinity, 0.0)
+    | _, `Eq, _ -> (0.0, 0.0)
+  in
+  {
+    Simplex.num_vars = n + m;
+    num_rows = m;
+    col_index = Array.init (n + m) (fun j -> Array.of_list (column j));
+    col_value =
+      Array.init (n + m) (fun j ->
+          Array.of_list
+            (List.map (fun i -> if j < n then coef i j else 1.0) (column j)));
+    rhs = Array.map (rhs_of case) rows;
+    obj = Array.init (n + m) (fun j -> if j < n then objs.(j) else 0.0);
+    lower = Array.init (n + m) (fun j -> if j < n then 0.0 else fst (slack_bounds (j - n)));
+    upper =
+      Array.init (n + m) (fun j ->
+          if j < n then case.ubs.(j) else snd (slack_bounds (j - n)));
+  }
+
+let hex a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a))
+
+let same_result (a : Simplex.result) (b : Simplex.result) =
+  a.Simplex.status = b.Simplex.status
+  && Printf.sprintf "%h" a.Simplex.objective = Printf.sprintf "%h" b.Simplex.objective
+  && hex a.Simplex.primal = hex b.Simplex.primal
+  && hex a.Simplex.duals = hex b.Simplex.duals
+
+let same_solution (a : M.solution) (b : M.solution) =
+  a.M.status = b.M.status
+  && Printf.sprintf "%h" a.M.objective = Printf.sprintf "%h" b.M.objective
+  && hex a.M.values = hex b.M.values
+  && hex a.M.duals = hex b.M.duals
+
+(* A case, a second objective over its variables, and for the Model
+   check an objective sense and whether variable 0 is free. *)
+let with_second_objective gen =
+  let open QCheck.Gen in
+  gen >>= fun case ->
+  array_size (return (Array.length case.objs)) (float_range (-3.0) 3.0)
+  >>= fun objs2 ->
+  pair bool bool >>= fun (maximize, free_first) ->
+  return (case, objs2, maximize, free_first)
+
+(* Re-solving from the first solve's start with [objs2] equals a fresh
+   solve with [objs2] bit for bit, having performed exactly the start's
+   phase-1 iterations fewer.  So does a pair capped halfway through
+   phase 2: [max_iters] bounds the counter that runs on from phase 1,
+   the one the periodic refresh of the basic values reads.  Through
+   Model, repricing with set_obj and re-solving from the solution's
+   start equals a fresh model, maximizing or with a free variable too
+   (the re-solve lowers the objective itself). *)
+let prop_start_resolve ~name gen =
+  QCheck.Test.make ~count:200 ~name
+    (QCheck.make
+       ~print:(fun (case, objs2, maximize, free_first) ->
+         Printf.sprintf "%s objs2=%s maximize=%b free_first=%b" (print_case case)
+           (hex objs2) maximize free_first)
+       (with_second_objective gen))
+    (fun (case, objs2, maximize, free_first) ->
+      let first = Simplex.solve (problem_of case case.objs) in
+      let repriced = problem_of case objs2 in
+      let fresh = Simplex.solve repriced in
+      match first.Simplex.start with
+      | None -> QCheck.Test.fail_report "a feasible LP yielded no start"
+      | Some start ->
+          let again = Simplex.resolve start repriced.Simplex.obj in
+          let phase1 = Simplex.phase1_iterations start in
+          let max_iters = phase1 + ((fresh.Simplex.iterations - phase1) / 2) in
+          let capped = Simplex.solve ~max_iters repriced in
+          let capped_again =
+            Simplex.resolve ~max_iters start repriced.Simplex.obj
+          in
+          let t, vars = build_vars ~maximize ~free_first case in
+          let sol1 = M.solve_lp t in
+          Array.iteri (fun j c -> M.set_obj t vars.(j) c) objs2;
+          let resolved = M.solve_lp ?start:sol1.M.start t in
+          let fresh_model =
+            M.solve_lp
+              (fst (build_vars ~maximize ~free_first { case with objs = objs2 }))
+          in
+          same_result again fresh
+          && again.Simplex.iterations = fresh.Simplex.iterations - phase1
+          && same_result capped_again capped
+          && capped_again.Simplex.iterations = capped.Simplex.iterations - phase1
+          && same_solution resolved fresh_model)
+
+let prop_start_feasible =
+  prop_start_resolve ~name:"feasible LPs: start re-solve = fresh solve" gen_case
+
+let prop_start_dense =
+  prop_start_resolve ~name:"dense LPs: start re-solve = fresh solve"
+    (gen_sized ~vars:(5, 8) ~rows:(5, 8))
+
+let prop_start_network =
+  prop_start_resolve ~name:"network LPs: start re-solve = fresh solve"
+    gen_network
+
+(* A case plus a row no point in the box meets: the sum of all
+   variables above the sum of their upper bounds.  The row's "slack"
+   is negative, so its rhs lies beyond the witness. *)
+let prop_infeasible_no_start =
+  QCheck.Test.make ~count:200 ~name:"infeasible LPs yield no start" arb_case
+    (fun case ->
+      let n = Array.length case.ubs in
+      let ones = Array.make n 1.0 in
+      let beyond = Array.fold_left ( +. ) 1.0 case.ubs in
+      let case =
+        {
+          case with
+          constrs = case.constrs @ [ (ones, `Ge, dot ones case.x0 -. beyond) ];
+        }
+      in
+      let sol = M.solve_lp (build case) in
+      let r = Simplex.solve (problem_of case case.objs) in
+      sol.M.status = M.Infeasible
+      && Option.is_none sol.M.start
+      && r.Simplex.status = Simplex.Infeasible
+      && Option.is_none r.Simplex.start)
+
+let test_start_refused () =
+  let case =
+    {
+      ubs = [| 4.0; 4.0 |];
+      objs = [| 1.0; 2.0 |];
+      x0 = [| 1.0; 1.0 |];
+      constrs = [ ([| 1.0; 1.0 |], `Ge, 0.5); ([| 1.0; -1.0 |], `Eq, 0.0) ];
+    }
+  in
+  let refused what f =
+    match f () with
+    | (_ : M.solution) -> Alcotest.failf "%s: the start was accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let t, vars = build_vars case in
+  let start = (M.solve_lp t).M.start in
+  Alcotest.(check bool) "a feasible model yields a start" true
+    (Option.is_some start);
+  refused "another model" (fun () -> M.solve_lp ?start (build case));
+  M.set_obj t vars.(0) (-1.0);
+  Alcotest.(check bool) "repricing keeps it valid" true
+    ((M.solve_lp ?start t).M.status = M.Optimal);
+  ignore (M.add_var t ~ub:1.0 ());
+  refused "after add_var" (fun () -> M.solve_lp ?start t);
+  let t, vars = build_vars case in
+  let start = (M.solve_lp t).M.start in
+  M.add_constraint t [ (1.0, vars.(0)) ] M.Le 3.0;
+  refused "after add_constraint" (fun () -> M.solve_lp ?start t)
+
 (* The simplex/model trace points must stay at debug severity: solving
    well-posed models emits no warnings even with every source enabled. *)
 let test_no_warnings_during_solving () =
@@ -249,8 +422,14 @@ let suite =
       prop_deterministic;
       prop_dense;
       prop_network_shaped;
+      prop_start_feasible;
+      prop_start_dense;
+      prop_start_network;
+      prop_infeasible_no_start;
     ]
   @ [
       Alcotest.test_case "no warnings during solving" `Quick
         test_no_warnings_during_solving;
+      Alcotest.test_case "a start is refused by another or grown model" `Quick
+        test_start_refused;
     ]

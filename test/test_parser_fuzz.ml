@@ -1,8 +1,10 @@
-(* Parser fuzz for the three operator text formats (policy file, chaos
-   schedule, slice trace): damaged copies of each committed example must
-   come back as [Ok] or [Error], never as an exception. *)
+(* Parser fuzz for every input format: the three operator text formats
+   (policy file, chaos schedule, slice trace), traffic-matrix CSV and
+   flight-recorder dumps.  Damaged copies of each must come back as [Ok]
+   or [Error], never as an exception. *)
 
 module B = Apple_topology.Builders
+module Flight = Apple_obs.Flight
 
 (* A committed example file; dune runtest runs from the test dir, dune
    exec from the root. *)
@@ -87,6 +89,53 @@ let prop_slice_trace_parser_fuzz =
         (example "slices_internet2.trace");
       true)
 
+(* A gravity matrix drawn from [shift] as seed, as Io.to_csv writes it
+   (comment header included). *)
+let prop_tm_csv_fuzz =
+  QCheck.Test.make ~name:"traffic-matrix CSV parser never raises" ~count:5
+    fuzz_shift (fun shift ->
+      let tm =
+        Apple_traffic.Synth.gravity (Apple_prelude.Rng.create shift) ~n:5
+          ~total:1500.0
+      in
+      damaged ~parse:Apple_traffic.Io.of_csv ~shift (Apple_traffic.Io.to_csv tm);
+      true)
+
+(* The bytes of a dump holding one event of each of a few kinds. *)
+let flight_dump path =
+  let saved = Apple_obs.Counters.enabled () in
+  Flight.clear ();
+  Apple_obs.Counters.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Apple_obs.Counters.set_enabled saved;
+      Flight.clear ())
+    (fun () ->
+      Flight.record Flight.Walk_start ~a:1 ~b:2 ~c:3 ~d:4 ();
+      Flight.record Flight.Rule_match ~a:1 ~b:0 ~c:12 ~d:1 ();
+      Flight.record Flight.Violation ~a:2 ~b:1 ~c:(-1) ();
+      Flight.record Flight.Blackhole ~a:1 ~b:5 ~c:(-1) ~d:2 ();
+      Flight.dump ~path;
+      In_channel.with_open_bin path In_channel.input_all)
+
+let prop_flight_load_fuzz =
+  QCheck.Test.make ~name:"flight dump loader never raises" ~count:5 fuzz_shift
+    (fun shift ->
+      let path = Filename.temp_file "apple-flight-fuzz" ".bin" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      let parse bytes =
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+        Flight.load ~path
+      in
+      damaged ~parse ~shift (flight_dump path);
+      true)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_policy_parser_fuzz; prop_schedule_parser_fuzz; prop_slice_trace_parser_fuzz ]
+    [
+      prop_policy_parser_fuzz;
+      prop_schedule_parser_fuzz;
+      prop_slice_trace_parser_fuzz;
+      prop_tm_csv_fuzz;
+      prop_flight_load_fuzz;
+    ]

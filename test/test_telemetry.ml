@@ -323,6 +323,32 @@ let test_format_of_string () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "yaml should be rejected"
 
+(* --- LP phase-1 work ------------------------------------------------ *)
+
+(* One Lp_round solve runs phase 1 once: the reweighted re-solve starts
+   from the relaxation's feasible start.  The relaxation's own phase-1
+   count is what a solve without the re-solve reports. *)
+let test_lp_round_phase1_once () =
+  let s = Helpers.small_scenario ~max_classes:12 () in
+  let value name = T.Counter.value (T.Counter.create name) in
+  let run reweight =
+    with_telemetry @@ fun () ->
+    T.reset ();
+    ignore (Apple_core.Optimization_engine.solve ~reweight s);
+    ( value "apple.lp.solves",
+      value "apple.lp.phase1_solves",
+      value "apple.lp.phase1_reused",
+      value "apple.lp.phase1_pivots" )
+  in
+  let _, _, _, relax_phase1 = run false in
+  let solves, phase1_solves, reused, phase1_pivots = run true in
+  Alcotest.(check bool) "the relaxation needs phase 1" true (relax_phase1 > 0);
+  Alcotest.(check int) "two LP solves" 2 solves;
+  Alcotest.(check int) "phase1_solves" 1 phase1_solves;
+  Alcotest.(check int) "phase1_reused" 1 reused;
+  Alcotest.(check int) "phase1_pivots = the relaxation's" relax_phase1
+    phase1_pivots
+
 let suite =
   [
     Alcotest.test_case "histogram: exact bucket boundaries" `Quick
@@ -347,4 +373,6 @@ let suite =
     Alcotest.test_case "exporters: prometheus golden block and ordering"
       `Quick test_prometheus_golden;
     Alcotest.test_case "format_of_string" `Quick test_format_of_string;
+    Alcotest.test_case "lp: one phase 1 per Lp_round solve" `Quick
+      test_lp_round_phase1_once;
   ]

@@ -167,6 +167,20 @@ let test_csv_rejects_garbage () =
       ("non-number", "1,x\n2,3\n");
       ("negative", "1,-2\n3,4\n");
       ("nan", "1,nan\n3,4\n");
+    ];
+  (* Errors name physical lines: comments and blank lines count. *)
+  List.iter
+    (fun (label, text, line) ->
+      match Io.of_csv text with
+      | Ok _ -> Alcotest.fail ("accepted " ^ label)
+      | Error e ->
+          let want = Printf.sprintf "line %d:" line in
+          Alcotest.(check string) label want
+            (String.sub e 0 (min (String.length e) (String.length want))))
+    [
+      ("non-number after a header", "# h\n1,2\n3,x\n", 3);
+      ("non-square after a header", "# h\n1,2\n\n3,4,5\n", 4);
+      ("short first row", "1\n2,3\n", 1);
     ]
 
 let test_csv_comments_ignored () =
