@@ -1,4 +1,4 @@
-.PHONY: all build test bench lint check clean goldens soak bench-snapshots
+.PHONY: all build test fuzz bench lint check clean goldens soak bench-snapshots
 
 all: build
 
@@ -7,6 +7,12 @@ build:
 
 test:
 	dune runtest --force
+
+# The test suite with every QCheck property at its long count (count x
+# long_factor: 500 random pipelines instead of 10, 200,000 source-set
+# pairs against the BDD instead of 2,000).  CI runs it nightly.
+fuzz:
+	QCHECK_LONG=1 dune test --force
 
 # Full paper-scale benchmark run (slow).
 bench:

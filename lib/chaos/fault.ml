@@ -76,13 +76,15 @@ let legal_target = function
 (* Link keys are undirected. *)
 let norm_pair (u, v) = if u <= v then (u, v) else (v, u)
 
-let validate sched =
+(* [keyed] pairs each event with a key; [where k e] names the event [e]
+   of key [k] in an error. *)
+let check_events ~where keyed =
   let err fmt = Format.kasprintf (fun m -> Error m) fmt in
   let rec sorted = function
-    | a :: (b :: _ as rest) -> a.at <= b.at && sorted rest
+    | (_, a) :: ((_, b) :: _ as rest) -> a.at <= b.at && sorted rest
     | [ _ ] | [] -> true
   in
-  if not (sorted sched) then err "schedule is not sorted by time"
+  if not (sorted keyed) then err "schedule is not sorted by time"
   else begin
     (* Per-element (and aggregate symbolic) pairing counts, checked at
        every prefix so an up never precedes its down. *)
@@ -90,13 +92,11 @@ let validate sched =
     let sw_downs = Hashtbl.create 8 and sym_sw = ref 0 in
     let bump tbl k d = Hashtbl.replace tbl k (d + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
     let count tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
-    let rec check i = function
+    let rec check = function
       | [] -> Ok ()
-      | e :: rest ->
+      | (k, e) :: rest ->
           let fail fmt =
-            Format.kasprintf
-              (fun m -> err "event %d (at %g): %s" i e.at m)
-              fmt
+            Format.kasprintf (fun m -> err "%s: %s" (where k e) m) fmt
           in
           if not (Float.is_finite e.at) then fail "time not finite"
           else if e.at < 0.0 then fail "negative time"
@@ -139,11 +139,16 @@ let validate sched =
               | Switch_restart (Hottest | Pair _) ->
                   Ok ()
             in
-            match r with Ok () -> check (i + 1) rest | Error _ as e -> e
+            match r with Ok () -> check rest | Error _ as e -> e
           end
     in
-    check 0 sched
+    check keyed
   end
+
+let validate sched =
+  check_events
+    ~where:(fun i e -> Printf.sprintf "event %d (at %g)" i e.at)
+    (List.mapi (fun i e -> (i, e)) sched)
 
 (* ------------------------------------------------------------------ *)
 (* Text format.                                                        *)
@@ -214,14 +219,20 @@ let parse text =
         if stripped = "" || stripped.[0] = '#' then go (n + 1) acc rest
         else (
           match parse_line stripped with
-          | Ok e -> go (n + 1) (e :: acc) rest
+          | Ok e -> go (n + 1) ((n, e) :: acc) rest
           | Error m -> Error (Printf.sprintf "line %d: %s" n m))
   in
   match go 1 [] lines with
   | Error _ as e -> e
   | Ok events -> (
-      let sched = List.fold_left (fun s e -> add s ~at:e.at e.fault) empty events in
-      match validate sched with Ok () -> Ok sched | Error m -> Error m)
+      (* Stable, so same-time events keep file order, as [add] keeps
+         insertion order; each keeps its line for the checks. *)
+      let timed =
+        List.stable_sort (fun (_, a) (_, b) -> Float.compare a.at b.at) events
+      in
+      match check_events ~where:(fun n _ -> Printf.sprintf "line %d" n) timed with
+      | Ok () -> Ok (List.map snd timed)
+      | Error _ as e -> e)
 
 (* ---- symbolic target resolution (at injection time) --------------- *)
 

@@ -58,7 +58,8 @@ val add : schedule -> at:float -> fault -> schedule
     order. *)
 
 val validate : schedule -> (unit, string) result
-(** Checks: finite, non-negative times; TCAM-loss probability in
+(** Errors name the event by its position in time order
+    ([event N (at T): ...]).  Checks: finite, non-negative times; TCAM-loss probability in
     (0, 1]; positive, finite blackout durations; targets legal for their fault kind
     (e.g. [Hottest] only kills instances); and pairing — at every prefix
     of the schedule, up/restart events never outnumber the matching
@@ -66,8 +67,9 @@ val validate : schedule -> (unit, string) result
     symbolic [Busiest]). *)
 
 val parse : string -> (schedule, string) result
-(** Parse the text format above; errors name the offending line.  The
-    result is validated. *)
+(** Parse the text format above.  The result is validated as by
+    {!validate}, and every error, a failed check included, names the
+    offending line ([line N: ...]). *)
 
 val to_string : schedule -> string
 (** Render back to the text format ([parse]-roundtrippable). *)

@@ -1,6 +1,6 @@
 module Header = Apple_classifier.Header
 module Prefix = Apple_classifier.Prefix_split
-module P = Apple_classifier.Predicate
+module S = Apple_classifier.Src_set
 module Rule = Apple_dataplane.Rule
 module Tag = Apple_dataplane.Tag
 module Tcam = Apple_dataplane.Tcam
@@ -107,11 +107,11 @@ let pp_report ppf r =
 
 (* ------------------------------------------------------------------ *)
 
-(* Symbolic walk state: the predicate is the only symbolic dimension
-   (rules stamp concrete tags), so tags/instances stay concrete per
-   branch. *)
+(* Symbolic walk state: the source-address set is the only symbolic
+   dimension (rules stamp concrete tags), so tags/instances stay concrete
+   per branch. *)
 type walk_state = {
-  pred : P.t;  (* header points still following this branch *)
+  pred : S.t;  (* source addresses still following this branch *)
   host : Tag.host_field;
   subcls : int option;
   header_valid : bool;  (* false once a rewriting NF touched the packet *)
@@ -187,7 +187,6 @@ let walk_branch_budget = 4096
 let check ?(slack = 1.0001) (s : Types.scenario) (asg : Subclass.assignment)
     (built : Rule_generator.built) =
   Apple_trace.Trace.with_ tr_check @@ fun () ->
-  let env = P.env () in
   let net = built.Rule_generator.network in
   let violations = ref [] in
   let nviol = ref 0 in
@@ -196,21 +195,10 @@ let check ?(slack = 1.0001) (s : Types.scenario) (asg : Subclass.assignment)
     violations := { code; class_id; sub_id; switch; witness; detail } :: !violations
   in
   (* A rule with no prefixes matches any source address; a sub-class with
-     no prefixes owns no traffic. *)
-  let rule_pred prefixes =
-    match prefixes with
-    | [] -> P.always env
-    | ps ->
-        List.fold_left
-          (fun acc p ->
-            P.( ||| ) acc (P.src_prefix_int env p.Prefix.addr p.Prefix.len))
-          (P.never env) ps
-  in
-  let block_pred prefixes =
-    match prefixes with [] -> P.never env | ps -> rule_pred ps
-  in
+     no prefixes owns no traffic ([S.of_prefixes []] is empty). *)
+  let rule_pred = function [] -> S.full | ps -> S.of_prefixes ps in
   let packet_witness pred =
-    match P.witness pred with
+    match S.witness pred with
     | Some p -> Packet p
     | None -> Note "empty header set"
   in
@@ -233,13 +221,13 @@ let check ?(slack = 1.0001) (s : Types.scenario) (asg : Subclass.assignment)
       let preds = preds_of sw in
       Array.iteri
         (fun i (r, p) ->
-          let covered = ref (P.never env) in
+          let covered = ref S.empty in
           for j = 0 to i - 1 do
             let rj, pj = preds.(j) in
             if pattern_subsumes rj.Rule.pmatch r.Rule.pmatch then
-              covered := P.(!covered ||| pj)
+              covered := S.union !covered pj
           done;
-          if P.subset p !covered then
+          if S.subset p !covered then
             add ~switch:sw
               ~witness:(Note (Format.asprintf "%a" Rule.pp_phys_rule r))
               Shadowed_rule
@@ -370,8 +358,8 @@ let check ?(slack = 1.0001) (s : Types.scenario) (asg : Subclass.assignment)
                   patterns_overlap r1.Rule.pmatch r2.Rule.pmatch
                   && not (phys_action_equal r1.Rule.action r2.Rule.action)
                 then begin
-                  let inter = P.(p1 &&& p2) in
-                  if not (P.is_empty inter) then
+                  let inter = S.inter p1 p2 in
+                  if not (S.is_empty inter) then
                     add ~switch:sw ~witness:(packet_witness inter)
                       Tag_collision
                       (Format.asprintf
@@ -413,8 +401,8 @@ let check ?(slack = 1.0001) (s : Types.scenario) (asg : Subclass.assignment)
         List.iteri
           (fun s_idx (sub : Subclass.subclass) ->
             let sub_id = sub.Subclass.sub_id in
-            let pred0 = block_pred prefixes.(s_idx) in
-            if not (P.is_empty pred0) then begin
+            let pred0 = S.of_prefixes prefixes.(s_idx) in
+            if not (S.is_empty pred0) then begin
               let expected_tag = tag_of sub in
               let expected_insts = Subclass.pinned asg sub in
               let budget = ref walk_branch_budget in
@@ -494,20 +482,20 @@ let check ?(slack = 1.0001) (s : Types.scenario) (asg : Subclass.assignment)
                   Array.iter
                     (fun ((r : Rule.phys_rule), rp) ->
                       if
-                        (not (P.is_empty !residual))
+                        (not (S.is_empty !residual))
                         && host_matches r.Rule.pmatch.Rule.m_host st.host
                         && subclass_matches r.Rule.pmatch.Rule.m_subclass
                              st.subcls
                       then begin
-                        let hit = P.(!residual &&& rp) in
-                        if not (P.is_empty hit) then begin
-                          residual := P.diff !residual hit;
+                        let hit = S.inter !residual rp in
+                        if not (S.is_empty hit) then begin
+                          residual := S.diff !residual hit;
                           decr budget;
                           apply { st with pred = hit } r.Rule.action sw i
                         end
                       end)
                     preds;
-                  if not (P.is_empty !residual) then
+                  if not (S.is_empty !residual) then
                     add ~class_id ~sub_id ~switch:sw
                       ~witness:(packet_witness !residual) Blackhole
                       (Printf.sprintf "no rule matches at switch %d (hop %d)"

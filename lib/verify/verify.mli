@@ -4,8 +4,8 @@
 
     The Rule Generator emits physical-switch and vSwitch tables realizing
     a sub-class assignment.  {!check} proves, per sub-class, by symbolic
-    header-space exploration (reusing the BDD predicate machinery of
-    [apple_classifier]):
+    header-space exploration over exact source-address sets
+    ({!Apple_classifier.Src_set}):
 
     - {b chain order} — every packet walk reachable from the sub-class's
       source block visits its policy chain's NF kinds in order, exactly
@@ -27,18 +27,20 @@
     rules that stamp different tags).
 
     Every failure is reported as a structured {!violation} carrying a
-    concrete witness — a header point produced by the BDD [any_sat], a
-    source block, or the offending rule — so a rejected configuration is
-    debuggable without replaying traffic.
+    concrete witness — a packet (the one the BDD's [any_sat] would give
+    for the offending source set), a source block, or the offending rule
+    — so a rejected configuration is debuggable without replaying
+    traffic.
 
     The symbolic walk mirrors {!Apple_dataplane.Walk.run}: switch tables
     are consulted highest priority first, the residual (unmatched) header
     space flows to the next rule, and every non-empty intersection forks
     one branch.  Tag state is concrete (rules stamp constants), so the
-    only symbolic dimension is the source address: the walk count stays
-    linear in practice — one branch per sub-class plus one pass-by branch
-    — and the whole analysis is O(rules²) BDD operations per switch in
-    the worst case. *)
+    only symbolic dimension is the source address, and every set the
+    analysis builds is a union of source prefixes.  Each set operation is
+    one linear merge of sorted intervals, with no state kept between
+    checks.  The walk count stays linear in practice: one branch per
+    sub-class plus one pass-by branch. *)
 
 module Types = Apple_core.Types
 module Subclass = Apple_core.Subclass

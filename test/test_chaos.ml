@@ -82,9 +82,28 @@ let test_parse_rejects () =
   (match Ch.Fault.parse "at 1.0 kill-instance busiest" with
   | Error _ -> ()
   | Ok _ -> fail "kill busiest accepted");
-  match Ch.Fault.parse "at 1.0 frobnicate 3" with
+  (match Ch.Fault.parse "at 1.0 frobnicate 3" with
   | Error _ -> ()
-  | Ok _ -> fail "unknown kind accepted"
+  | Ok _ -> fail "unknown kind accepted");
+  (* The checks run on the time-sorted schedule, but name the line an
+     event came from, not its place in time order. *)
+  let expect_error text want =
+    match Ch.Fault.parse text with
+    | Error m -> check Alcotest.string (String.escaped text) want m
+    | Ok _ -> fail (text ^ " accepted")
+  in
+  expect_error "at 20 link-down busiest\nat 10 link-up busiest\n"
+    "line 2: link-up busiest before its link-down";
+  expect_error "# drill\nat 5 tcam-loss busiest 1.5\n"
+    "line 2: loss probability 1.5 outside (0, 1]";
+  expect_error "at 5 kill-instance hottest\n\nat -1 kill-instance hottest\n"
+    "line 3: negative time";
+  expect_error "# blind\nat 1 poller-blackout 0\n"
+    "line 2: blackout duration 0 not positive and finite";
+  expect_error "at 9 switch-crash 4\nat 3 switch-restart 4\n"
+    "line 2: switch-restart 4 before its switch-crash";
+  expect_error "at 1 link-down 2-3\n# busy\nat 2 kill-instance busiest\n"
+    "line 3: target not legal for kill-instance"
 
 let test_add_keeps_order () =
   let s =
@@ -129,6 +148,11 @@ let test_validate_rejects () =
     (one 1.0 (Ch.Fault.Switch_crash (Ch.Fault.Pair (1, 2))));
   expect_invalid "restart before crash"
     (one 1.0 (Ch.Fault.Switch_restart (Ch.Fault.Id 4)));
+  (* A schedule built in code has no lines: errors name the event. *)
+  check
+    Alcotest.(result unit string)
+    "event named" (Error "event 0 (at 1): switch-restart 4 before its switch-crash")
+    (Ch.Fault.validate (one 1.0 (Ch.Fault.Switch_restart (Ch.Fault.Id 4))));
   expect_invalid "zero blackout" (one 1.0 (Ch.Fault.Poller_blackout 0.0));
   expect_invalid "infinite time"
     (one Float.infinity (Ch.Fault.Kill_instance Ch.Fault.Hottest));

@@ -269,6 +269,97 @@ let prop_split_weights_close =
         (fun r w -> abs_float (r -. w) <= (float_of_int (Array.length weights) *. quantum) +. 1e-9)
         realized weights)
 
+(* ---- exact source-address sets, against the BDD ---- *)
+
+module S = Apple_classifier.Src_set
+
+let src_pred e prefixes =
+  List.fold_left
+    (fun acc (p : Pfx.prefix) -> P.(acc ||| src_prefix_int e p.Pfx.addr p.Pfx.len))
+    (P.never e) prefixes
+
+let pp_union =
+  Format.(pp_print_list ~pp_sep:(fun ppf () -> pp_print_string ppf " ") Pfx.pp_prefix)
+
+let test_src_set_examples () =
+  let e = P.env () in
+  let pfx = List.map Pfx.prefix_of_string in
+  let witness_ip prefixes =
+    let w = S.witness (S.of_prefixes (pfx prefixes)) in
+    Alcotest.(check bool) "BDD witness" true (w = P.witness (src_pred e (pfx prefixes)));
+    Option.map (fun p -> H.string_of_ip p.H.src_ip) w
+  in
+  let ip = Alcotest.(option string) in
+  (* The top bit splits the set into equal halves: no BDD node, bit 0. *)
+  Alcotest.check ip "equal halves" (Some "0.0.0.0")
+    (witness_ip [ "0.0.0.0/8"; "128.0.0.0/8" ]);
+  (* Where the halves differ, the upper one wins. *)
+  Alcotest.check ip "upper half" (Some "10.0.3.0")
+    (witness_ip [ "10.0.0.0/24"; "10.0.3.0/24" ]);
+  Alcotest.check ip "empty" None (witness_ip []);
+  let touching = S.of_prefixes (pfx [ "10.0.0.0/24" ])
+  and next = S.of_prefixes (pfx [ "10.0.1.0/24" ]) in
+  Alcotest.(check bool) "touching blocks are disjoint" true
+    (S.is_empty (S.inter touching next));
+  Alcotest.(check bool) "adjacent blocks merge" true
+    (S.subset (S.of_prefixes (pfx [ "10.0.0.0/23" ])) (S.union touching next));
+  Alcotest.(check bool) "full" true (S.subset S.full (S.of_prefixes (pfx [ "0.0.0.0/0" ])))
+
+(* A union of up to six prefixes of length 0-32 near a few addresses
+   (both sides of the top bit, both ends of the space).  Most later
+   prefixes copy an earlier one or take its sibling, parent or child, so
+   the unions repeat, touch, nest and overlap. *)
+let random_union rs =
+  let int n = Random.State.int rs n in
+  let mk addr len =
+    let mask = if len = 0 then 0 else -1 lsl (32 - len) land 0xFFFFFFFF in
+    { Pfx.addr = addr land mask; len }
+  in
+  let centers =
+    [| 0; 0x0A000000; 0x0A0000F0; 0x7FFFFF00; 0x80000000; 0xFFFFFF00 |]
+  in
+  let fresh () =
+    mk (centers.(int 6) lxor int 1024) (if int 4 = 0 then int 33 else 20 + int 13)
+  in
+  let relative (p : Pfx.prefix) =
+    match int 5 with
+    | 0 -> p
+    | 1 when p.len > 0 -> mk (p.addr lxor (1 lsl (32 - p.len))) p.len
+    | 2 when p.len > 0 -> mk p.addr (p.len - 1)
+    | (3 | 4) when p.len < 32 -> mk (p.addr lor (int 2 lsl (31 - p.len))) (p.len + 1)
+    | _ -> fresh ()
+  in
+  let rec draw n acc =
+    if n = 0 then acc
+    else
+      let p =
+        if acc = [] || int 3 = 0 then fresh ()
+        else relative (List.nth acc (int (List.length acc)))
+      in
+      draw (n - 1) (p :: acc)
+  in
+  draw (int 7) []
+
+let prop_src_set_matches_bdd =
+  QCheck.Test.make ~name:"source sets match BDD predicates" ~count:2000
+    ~long_factor:100 QCheck.int (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let e = P.env () in
+      let pa = random_union rs and pb = random_union rs in
+      let a = S.of_prefixes pa and b = S.of_prefixes pb in
+      let a' = src_pred e pa and b' = src_pred e pb in
+      let agree what s p =
+        if S.is_empty s <> P.is_empty p || S.witness s <> P.witness p then
+          QCheck.Test.fail_reportf "%s differs for a=%a b=%a" what pp_union pa
+            pp_union pb
+      in
+      agree "a" a a';
+      agree "a & b" (S.inter a b) P.(a' &&& b');
+      agree "a | b" (S.union a b) P.(a' ||| b');
+      agree "a - b" (S.diff a b) (P.diff a' b');
+      agree "b - a" (S.diff b a) (P.diff b' a');
+      S.subset a b = P.subset a' b' && S.subset b a = P.subset b' a')
+
 (* ---- consistent hashing ---- *)
 
 let test_chash_deterministic () =
@@ -336,6 +427,8 @@ let suite =
     Alcotest.test_case "split partition" `Quick test_split_partition_property;
     QCheck_alcotest.to_alcotest prop_split_partition;
     QCheck_alcotest.to_alcotest prop_split_weights_close;
+    Alcotest.test_case "source set examples" `Quick test_src_set_examples;
+    QCheck_alcotest.to_alcotest prop_src_set_matches_bdd;
     Alcotest.test_case "chash deterministic" `Quick test_chash_deterministic;
     Alcotest.test_case "chash proportional" `Quick test_chash_proportional;
     Alcotest.test_case "chash boundaries" `Quick test_chash_point_boundaries;

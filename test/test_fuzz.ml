@@ -1,5 +1,6 @@
 (* Cross-module fuzzing: whole-pipeline invariants under random seeds,
-   topologies, policy mixes and traffic dynamics. *)
+   topologies, policy mixes and traffic dynamics.  `make fuzz` runs each
+   property [long_factor] times as many cases (QCHECK_LONG=1). *)
 
 module C = Apple_core
 module B = Apple_topology.Builders
@@ -28,6 +29,7 @@ let build_random seed =
 (* End-to-end pipeline: every random scenario must verify. *)
 let prop_pipeline_verifies =
   QCheck.Test.make ~name:"pipeline verifies on random scenarios" ~count:10
+    ~long_factor:50
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let s = build_random seed in
@@ -44,7 +46,7 @@ let prop_pipeline_verifies =
    rates return to base. *)
 let prop_failover_invariants =
   QCheck.Test.make ~name:"failover invariants under random rate swings"
-    ~count:8
+    ~count:8 ~long_factor:25
     QCheck.(pair (int_range 0 10_000) (list_of_size (Gen.int_range 3 8) (float_range 0.5 12.0)))
     (fun (seed, swings) ->
       let s = build_random seed in
@@ -81,7 +83,7 @@ let prop_failover_invariants =
    sub-class, not just the first. *)
 let prop_every_prefix_walks =
   QCheck.Test.make ~name:"every classification prefix routes correctly"
-    ~count:6
+    ~count:6 ~long_factor:50
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let s = build_random seed in
@@ -146,7 +148,7 @@ let prop_every_prefix_walks =
    instance capacity. *)
 let prop_online_never_overloads =
   QCheck.Test.make ~name:"online admissions never overload instances"
-    ~count:8
+    ~count:8 ~long_factor:25
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let s = build_random seed in

@@ -1,7 +1,10 @@
 (* Parser fuzz for every input format: the three operator text formats
    (policy file, chaos schedule, slice trace), traffic-matrix CSV and
    flight-recorder dumps.  Damaged copies of each must come back as [Ok]
-   or [Error], never as an exception. *)
+   or [Error], never as an exception.  The chaos-schedule, slice-trace and
+   CSV parsers must also name a line of the input in every [Error]; a
+   policy-file error carries its line as a field, and a flight dump is
+   binary. *)
 
 module B = Apple_topology.Builders
 module Flight = Apple_obs.Flight
@@ -15,19 +18,23 @@ let example name =
   in
   In_channel.with_open_bin path In_channel.input_all
 
-(* [parse] answers [text] with [Ok] or [Error], never an exception. *)
-let must_not_raise ~parse what text =
+(* [parse] answers [text] with [Ok] or [Error], never an exception, and
+   [located text e] holds of every [Error e]. *)
+let must_not_raise ?(located = fun _ _ -> true) ~parse what text =
   match parse text with
-  | Ok _ | Error _ -> ()
+  | Ok _ -> ()
+  | Error e ->
+      if not (located text e) then
+        QCheck.Test.fail_reportf "%s: the error names no line of the input" what
   | exception ex ->
       QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string ex)
 
 (* Every truncation of [text], and at every byte one mutation drawn from
    [shift]. *)
-let damaged ~parse ~shift text =
+let damaged ?located ~parse ~shift text =
   let n = String.length text in
   for len = 0 to n - 1 do
-    must_not_raise ~parse
+    must_not_raise ?located ~parse
       (Printf.sprintf "truncation to %d bytes" len)
       (String.sub text 0 len)
   done;
@@ -35,8 +42,16 @@ let damaged ~parse ~shift text =
     let b = Bytes.of_string text in
     let c = (Char.code text.[i] + 1 + ((shift + i) mod 255)) mod 256 in
     Bytes.set b i (Char.chr c);
-    must_not_raise ~parse (Printf.sprintf "byte %d -> %d" i c) (Bytes.to_string b)
+    must_not_raise ?located ~parse
+      (Printf.sprintf "byte %d -> %d" i c)
+      (Bytes.to_string b)
   done
+
+(* [m] starts with "line N:" for a line N of [text]. *)
+let names_line text m =
+  match Scanf.sscanf_opt m "line %u:" Fun.id with
+  | Some n -> 1 <= n && n <= List.length (String.split_on_char '\n' text)
+  | None -> false
 
 let is_digit c = c >= '0' && c <= '9'
 
@@ -78,19 +93,24 @@ let prop_policy_parser_fuzz =
 let prop_schedule_parser_fuzz =
   QCheck.Test.make ~name:"chaos schedule parser never raises" ~count:5
     fuzz_shift (fun shift ->
-      damaged ~parse:Apple_chaos.Fault.parse ~shift
-        (example "chaos_internet2.sched");
+      (* The chaos drill, and the soak drill the same parser reads. *)
+      List.iter
+        (fun file ->
+          damaged ~parse:Apple_chaos.Fault.parse ~located:names_line ~shift
+            (example file))
+        [ "chaos_internet2.sched"; "soak_internet2.soak" ];
       true)
 
 let prop_slice_trace_parser_fuzz =
   QCheck.Test.make ~name:"slice trace parser never raises" ~count:5
     fuzz_shift (fun shift ->
-      damaged ~parse:Apple_slice.Trace.parse ~shift
+      damaged ~parse:Apple_slice.Trace.parse ~located:names_line ~shift
         (example "slices_internet2.trace");
       true)
 
 (* A gravity matrix drawn from [shift] as seed, as Io.to_csv writes it
-   (comment header included). *)
+   (comment header included).  Only input without a data row may fail
+   without a line: it has no line to name. *)
 let prop_tm_csv_fuzz =
   QCheck.Test.make ~name:"traffic-matrix CSV parser never raises" ~count:5
     fuzz_shift (fun shift ->
@@ -98,7 +118,18 @@ let prop_tm_csv_fuzz =
         Apple_traffic.Synth.gravity (Apple_prelude.Rng.create shift) ~n:5
           ~total:1500.0
       in
-      damaged ~parse:Apple_traffic.Io.of_csv ~shift (Apple_traffic.Io.to_csv tm);
+      let no_data_row text =
+        List.for_all
+          (fun l ->
+            let l = String.trim l in
+            l = "" || l.[0] = '#')
+          (String.split_on_char '\n' text)
+      in
+      let located text m =
+        names_line text m || (m = "empty matrix" && no_data_row text)
+      in
+      damaged ~parse:Apple_traffic.Io.of_csv ~located ~shift
+        (Apple_traffic.Io.to_csv tm);
       true)
 
 (* The bytes of a dump holding one event of each of a few kinds. *)
