@@ -4,7 +4,6 @@ module Table = Apple_prelude.Text_table
 module Instance = Apple_vnf.Instance
 module Lifecycle = Apple_vnf.Lifecycle
 module Failmask = Apple_dataplane.Failmask
-module Tcam = Apple_dataplane.Tcam
 module Walk = Apple_dataplane.Walk
 module Counters = Apple_obs.Counters
 module Types = Apple_core.Types
@@ -62,16 +61,19 @@ type outcome = {
   log : string list;
 }
 
-(* Failed element a fault owns, the key under which round-by-round
-   blackhole losses are attributed back to the fault. *)
-type elem = L of int * int | S of int | I of int | T of int | B
+(* What an open fault holds down, the key under which round-by-round
+   blackhole losses are attributed back to it: a link or switch (the
+   very value {!Fault.inject} opened, so a heal closes exactly the
+   faults it names), an instance, a switch's APPLE table, or the
+   poller. *)
+type elem = D of Fault.open_fault | I of int | T of int | B
 
 let elem_equal a b =
   match (a, b) with
-  | L (u, v), L (u', v') -> u = u' && v = v'
-  | S a, S b | I a, I b | T a, T b -> a = b
+  | D f, D g -> f == g
+  | I a, I b | T a, T b -> a = b
   | B, B -> true
-  | (L _ | S _ | I _ | T _ | B), _ -> false
+  | (D _ | I _ | T _ | B), _ -> false
 
 (* Mutable in-flight record; frozen into [fault_outcome] at the end. *)
 type fo = {
@@ -120,7 +122,8 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
       fmt
   in
   (* Chronological list of fault records, and the active set keyed by
-     failed element (assoc list: deterministic order, tiny sizes). *)
+     what each holds down (assoc list: deterministic order, tiny
+     sizes). *)
   let all = ref [] in
   let active = ref [] in
   let open_fault w ~elem ~label =
@@ -158,127 +161,11 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
           | `Rejected _ -> "REJECTED"
           | `Skipped -> "skipped")
   in
-  (* Stacks pairing symbolic up/restart events with the element their
-     down/crash actually hit. *)
-  let sym_links = ref [] and sym_switches = ref [] in
+  (* The interpreter's open link/switch faults, newest first. *)
+  let downs = ref [] in
   (* Respawn attempt counter per host (repeated crashes back off). *)
   let attempts = Hashtbl.create 8 in
   let blind_until = ref neg_infinity in
-  (* ---- per-fault injection ---------------------------------------- *)
-  let kill_instance w target =
-    let victim =
-      match target with
-      | Fault.Hottest -> Fault.hottest_instance state
-      | Fault.Id i ->
-          List.find_opt
-            (fun inst -> Instance.id inst = i)
-            (Resource_orchestrator.instances state.Netstate.orchestrator)
-      | Fault.Busiest | Fault.Pair _ -> None
-    in
-    match victim with
-    | None -> logf w "kill-instance: no eligible instance; ignored"
-    | Some dead ->
-        let id = Instance.id dead and host = Instance.host dead in
-        Failmask.fail_instance mask id;
-        let fo =
-          open_fault w ~elem:(I id)
-            ~label:
-              (Printf.sprintf "kill-instance %d (%s at switch %d)" id
-                 (Apple_vnf.Nf.name (Instance.kind dead))
-                 host)
-        in
-        logf w "%s" fo.fo_label;
-        let stranded = Dynamic_handler.repair handler ~dead in
-        logf w "repair: stranded weight %.3f across classes (%.1f Mbps blackholed)"
-          stranded
-          (Netstate.blackholed_rate state);
-        let attempt =
-          Option.value ~default:0 (Hashtbl.find_opt attempts host)
-        in
-        Hashtbl.replace attempts host (attempt + 1);
-        ignore
-          (Resource_orchestrator.respawn state.Netstate.orchestrator ~world:w
-             ~rng ?boot:config.boot ~policy:config.backoff ~attempt
-             ~on_ready:(fun replacement ->
-               Controller.heal_instance ctrl ~dead ~replacement;
-               logf world "instance %d respawned as %d (attempt %d)" id
-                 (Instance.id replacement) attempt;
-               close_fault world (I id))
-             dead)
-  in
-  let link_down w target =
-    let link =
-      match target with
-      | Fault.Pair (u, v) -> Some (Fault.norm_pair (u, v))
-      | Fault.Busiest -> Fault.busiest_link s mask
-      | Fault.Hottest | Fault.Id _ -> None
-    in
-    match link with
-    | None -> logf w "link-down: no eligible link; ignored"
-    | Some (u, v) ->
-        Failmask.fail_link mask u v;
-        if target = Fault.Busiest then sym_links := (u, v) :: !sym_links;
-        let fo =
-          open_fault w ~elem:(L (u, v))
-            ~label:(Printf.sprintf "link-down %d-%d" u v)
-        in
-        logf w "%s" fo.fo_label
-  in
-  let link_up w target =
-    let link =
-      match target with
-      | Fault.Pair (u, v) -> Some (Fault.norm_pair (u, v))
-      | Fault.Busiest -> (
-          match !sym_links with
-          | l :: rest ->
-              sym_links := rest;
-              Some l
-          | [] -> None)
-      | Fault.Hottest | Fault.Id _ -> None
-    in
-    match link with
-    | None -> logf w "link-up: nothing to heal; ignored"
-    | Some (u, v) ->
-        Failmask.restore_link mask u v;
-        logf w "link-up %d-%d" u v;
-        close_fault w (L (u, v))
-  in
-  let switch_crash w target =
-    let sw =
-      match target with
-      | Fault.Id i -> Some i
-      | Fault.Busiest -> Fault.busiest_switch s mask
-      | Fault.Hottest | Fault.Pair _ -> None
-    in
-    match sw with
-    | None -> logf w "switch-crash: no eligible switch; ignored"
-    | Some sw ->
-        Failmask.fail_switch mask sw;
-        if target = Fault.Busiest then sym_switches := sw :: !sym_switches;
-        let fo =
-          open_fault w ~elem:(S sw) ~label:(Printf.sprintf "switch-crash %d" sw)
-        in
-        logf w "%s" fo.fo_label
-  in
-  let switch_restart w target =
-    let sw =
-      match target with
-      | Fault.Id i -> Some i
-      | Fault.Busiest -> (
-          match !sym_switches with
-          | sw :: rest ->
-              sym_switches := rest;
-              Some sw
-          | [] -> None)
-      | Fault.Hottest | Fault.Pair _ -> None
-    in
-    match sw with
-    | None -> logf w "switch-restart: nothing to heal; ignored"
-    | Some sw ->
-        Failmask.restore_switch mask sw;
-        logf w "switch-restart %d" sw;
-        close_fault w (S sw)
-  in
   (* Rate of traffic whose representative walk fails against the current
      tables (excluding mask-induced blackholes, which are attributed to
      their own faults). *)
@@ -305,64 +192,75 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
           (Rule_generator.representatives s asg rules)
     | _ -> 0.0
   in
-  let tcam_loss w target p =
-    let sw =
-      match target with
-      | Fault.Id i -> Some i
-      | Fault.Busiest -> Fault.busiest_switch s mask
-      | Fault.Hottest | Fault.Pair _ -> None
-    in
-    match sw with
-    | None -> logf w "tcam-loss: no eligible switch; ignored"
-    | Some sw ->
-        (match Controller.last_report ctrl with
-        | None -> ()
-        | Some report ->
-            let table = report.Controller.rules.Rule_generator.network.(sw) in
-            let doomed =
-              List.filter_map
-                (fun (uid, _) -> if Rng.float rng 1.0 < p then Some uid else None)
-                (Tcam.phys_entries table)
-            in
-            let lost =
-              Tcam.retain_phys table ~keep:(fun uid ->
-                  not (List.mem uid doomed))
-            in
-            let fo =
-              open_fault w ~elem:(T sw)
-                ~label:
-                  (Printf.sprintf "tcam-loss at switch %d (%d rule(s), p=%g)"
-                     sw lost p)
-            in
-            fo.fo_rate <- walk_dark_rate ();
-            logf w "%s, %.1f Mbps dark" fo.fo_label fo.fo_rate;
-            (* The controller reinstalls the full tables one rule-install
-               latency later and the gate re-checks them. *)
-            Engine.schedule w ~delay:Lifecycle.rule_install_time (fun w' ->
-                ignore (Controller.reinstall_rules ctrl);
-                logf w' "tcam reinstall at switch %d" sw;
-                close_fault w' (T sw)))
-  in
-  let poller_blackout w d =
-    blind_until := max !blind_until (Engine.now w +. d);
-    let fo =
-      open_fault w ~elem:B ~label:(Printf.sprintf "poller-blackout %gs" d)
-    in
-    logf w "%s" fo.fo_label;
-    Engine.schedule w ~delay:d (fun w' ->
-        logf w' "poller back";
-        close_fault w' B)
-  in
-  let inject w fault =
+  let inject w (ev : Fault.event) =
     Tr.with_ tr_fault @@ fun () ->
-    match fault with
-    | Fault.Kill_instance t -> kill_instance w t
-    | Fault.Link_down t -> link_down w t
-    | Fault.Link_up t -> link_up w t
-    | Fault.Switch_crash t -> switch_crash w t
-    | Fault.Switch_restart t -> switch_restart w t
-    | Fault.Tcam_loss (t, p) -> tcam_loss w t p
-    | Fault.Poller_blackout d -> poller_blackout w d
+    let name = Fault.fault_name ev.Fault.fault in
+    let did, still = Fault.inject ctrl ~rng:(fun _ -> rng) !downs ev in
+    downs := still;
+    match did with
+    | Fault.Ignored why -> logf w "%s: %s; ignored" name why
+    | Fault.Killed { dead; stranded } ->
+        let id = Instance.id dead and host = Instance.host dead in
+        let fo =
+          open_fault w ~elem:(I id)
+            ~label:
+              (Printf.sprintf "kill-instance %d (%s at switch %d)" id
+                 (Apple_vnf.Nf.name (Instance.kind dead))
+                 host)
+        in
+        logf w "%s" fo.fo_label;
+        logf w "repair: stranded weight %.3f across classes (%.1f Mbps blackholed)"
+          stranded
+          (Netstate.blackholed_rate state);
+        let attempt =
+          Option.value ~default:0 (Hashtbl.find_opt attempts host)
+        in
+        Hashtbl.replace attempts host (attempt + 1);
+        ignore
+          (Resource_orchestrator.respawn state.Netstate.orchestrator ~world:w
+             ~rng ?boot:config.boot ~policy:config.backoff ~attempt
+             ~on_ready:(fun replacement ->
+               Controller.heal_instance ctrl ~dead ~replacement;
+               logf world "instance %d respawned as %d (attempt %d)" id
+                 (Instance.id replacement) attempt;
+               close_fault world (I id))
+             dead)
+    | Fault.Failed f ->
+        let fo =
+          open_fault w ~elem:(D f)
+            ~label:
+              (Printf.sprintf "%s %s" name
+                 (Fault.element_to_string f.Fault.elem))
+        in
+        logf w "%s" fo.fo_label
+    | Fault.Restored { elem; healed } ->
+        logf w "%s %s" name (Fault.element_to_string elem);
+        (* Oldest first, as they were injected. *)
+        List.iter (fun f -> close_fault w (D f)) (List.rev healed)
+    | Fault.Rules_lost { sw; lost; p } ->
+        let fo =
+          open_fault w ~elem:(T sw)
+            ~label:
+              (Printf.sprintf "tcam-loss at switch %d (%d rule(s), p=%g)" sw
+                 lost p)
+        in
+        fo.fo_rate <- walk_dark_rate ();
+        logf w "%s, %.1f Mbps dark" fo.fo_label fo.fo_rate;
+        (* The controller reinstalls the full tables one rule-install
+           latency later and the gate re-checks them. *)
+        Engine.schedule w ~delay:Lifecycle.rule_install_time (fun w' ->
+            ignore (Controller.reinstall_rules ctrl);
+            logf w' "tcam reinstall at switch %d" sw;
+            close_fault w' (T sw))
+    | Fault.Blackout d ->
+        blind_until := max !blind_until (Engine.now w +. d);
+        let fo =
+          open_fault w ~elem:B ~label:(Printf.sprintf "poller-blackout %gs" d)
+        in
+        logf w "%s" fo.fo_label;
+        Engine.schedule w ~delay:d (fun w' ->
+            logf w' "poller back";
+            close_fault w' B)
   in
   (* ---- control rounds + loss integration -------------------------- *)
   let bytes_per_mbps_s = 1e6 /. 8.0 in
@@ -377,18 +275,24 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
       Counters.blackhole ~sw ~packets:whole
     end
   in
-  (* First failed element on the sub-class's route, in traversal order:
-     mirrors the packet simulator's emit-time check. *)
+  (* First failed element on the sub-class's route, in traversal order
+     (mirrors the packet simulator's emit-time check): which active
+     faults hold it down, and the switch to credit. *)
   let first_dead (p : Netstate.pinned) (c : Types.flow_class) =
     let path = c.Types.path in
     let n = Array.length path in
+    let down elem = function
+      | D f -> Fault.element_equal f.Fault.elem elem
+      | I _ | T _ | B -> false
+    in
     let rec scan i =
       if i >= n then None
       else if i > 0 && Failmask.link_down mask path.(i - 1) path.(i) then
-        let u, v = Fault.norm_pair (path.(i - 1), path.(i)) in
-        Some (L (u, v), path.(i - 1))
+        Some
+          ( down (Fault.Link (Fault.norm_pair (path.(i - 1), path.(i)))),
+            path.(i - 1) )
       else if Failmask.switch_down mask path.(i) then
-        Some (S path.(i), path.(i))
+        Some (down (Fault.Switch path.(i)), path.(i))
       else scan (i + 1)
     in
     match scan 0 with
@@ -396,11 +300,12 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
     | None ->
         Array.fold_left
           (fun acc inst ->
+            let id = Instance.id inst in
             match acc with
             | Some _ -> acc
             | None ->
-                if Failmask.instance_down mask (Instance.id inst) then
-                  Some (I (Instance.id inst), Instance.host inst)
+                if Failmask.instance_down mask id then
+                  Some (elem_equal (I id), Instance.host inst)
                 else None)
           None p.Netstate.stage_instances
   in
@@ -418,10 +323,8 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
                 if p.Netstate.weight > 0.0 then
                   match first_dead p c with
                   | None -> ()
-                  | Some (elem, sw) -> (
-                      match
-                        List.find_opt (fun (e, _) -> elem_equal e elem) !active
-                      with
+                  | Some (holds, sw) -> (
+                      match List.find_opt (fun (e, _) -> holds e) !active with
                       | Some (_, fo) ->
                           credit fo ~sw (c.Types.rate *. p.Netstate.weight *. dt)
                       | None -> ()))
@@ -432,14 +335,14 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
         (fun (e, fo) ->
           match e with
           | T sw when fo.fo_rate > 0.0 -> credit fo ~sw (fo.fo_rate *. dt)
-          | T _ | L _ | S _ | I _ | B -> ())
+          | T _ | D _ | I _ | B -> ())
         !active
     end
   in
   Engine.every world ~period:config.round ~until:duration round_tick;
   List.iter
     (fun e ->
-      Engine.schedule_at world ~time:e.Fault.at (fun w -> inject w e.Fault.fault))
+      Engine.schedule_at world ~time:e.Fault.at (fun w -> inject w e))
     schedule;
   Engine.run ~until:(duration +. 1e-9) world;
   (* Freeze. *)

@@ -2,8 +2,9 @@
     against a running scenario, on the simulation clock.
 
     A run installs one controller epoch (gated by the static verifier),
-    then replays a {!Fault.schedule} while a periodic control round
-    drives the Dynamic Handler and integrates blackhole losses:
+    then replays a {!Fault.schedule} through {!Fault.inject} while a
+    periodic control round drives the Dynamic Handler and integrates
+    blackhole losses:
 
     - {b kill-instance} marks the instance dead in the failure mask,
       runs the Dynamic Handler's repair path (weight shifted to live

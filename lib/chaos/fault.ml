@@ -1,7 +1,13 @@
+module Rng = Apple_prelude.Rng
 module Instance = Apple_vnf.Instance
 module Failmask = Apple_dataplane.Failmask
+module Tcam = Apple_dataplane.Tcam
 module Types = Apple_core.Types
 module Netstate = Apple_core.Netstate
+module Controller = Apple_core.Controller
+module Dynamic_handler = Apple_core.Dynamic_handler
+module Resource_orchestrator = Apple_core.Resource_orchestrator
+module Rule_generator = Apple_core.Rule_generator
 
 type target = Hottest | Busiest | Id of int | Pair of int * int
 
@@ -290,3 +296,136 @@ let busiest_switch s mask =
   |> function
   | (k, _) :: _ -> Some k
   | [] -> None
+
+(* ---- the interpreter ---------------------------------------------- *)
+
+type element = Link of (int * int) | Switch of int
+type open_fault = { elem : element; since : float; sym : bool }
+
+type injected =
+  | Ignored of string
+  | Killed of { dead : Instance.t; stranded : float }
+  | Failed of open_fault
+  | Restored of { elem : element; healed : open_fault list }
+  | Rules_lost of { sw : int; lost : int; p : float }
+  | Blackout of float
+
+let element_equal a b =
+  match (a, b) with
+  | Link (u, v), Link (u', v') -> u = u' && v = v'
+  | Switch a, Switch b -> a = b
+  | (Link _ | Switch _), _ -> false
+
+let element_to_string = function
+  | Link (u, v) -> Printf.sprintf "%d-%d" u v
+  | Switch sw -> string_of_int sw
+
+let fail_element mask = function
+  | Link (u, v) -> Failmask.fail_link mask u v
+  | Switch sw -> Failmask.fail_switch mask sw
+
+let live ctrl =
+  match (Controller.netstate ctrl, Controller.handler ctrl) with
+  | Some st, Some h -> (st, h)
+  | _ -> invalid_arg "Fault: run_epoch first"
+
+let reapply ctrl open_faults =
+  let st, _ = live ctrl in
+  List.iter (fun f -> fail_element st.Netstate.mask f.elem) open_faults
+
+let inject ctrl ~rng open_faults ev =
+  let st, handler = live ctrl in
+  let s = Controller.scenario ctrl and mask = st.Netstate.mask in
+  let ignored why = (Ignored why, open_faults) in
+  let fail ~why target = function
+    | None -> ignored why
+    | Some elem ->
+        fail_element mask elem;
+        let sym =
+          match target with Busiest -> true | Hottest | Id _ | Pair _ -> false
+        in
+        let f = { elem; since = ev.at; sym } in
+        (Failed f, f :: open_faults)
+  in
+  let restore elem (healed, rest) =
+    (match elem with
+    | Link (u, v) -> Failmask.restore_link mask u v
+    | Switch sw -> Failmask.restore_switch mask sw);
+    (Restored { elem; healed }, rest)
+  in
+  (* The pairing rule: an explicit up closes every open fault on its
+     element, a symbolic one the newest open symbolic fault of its
+     kind. *)
+  let heal elem =
+    restore elem
+      (List.partition (fun f -> element_equal f.elem elem) open_faults)
+  in
+  let heal_symbolic ~link =
+    let rec go newer = function
+      | [] -> ignored "nothing to heal"
+      | f :: older
+        when f.sym && (match f.elem with Link _ -> link | Switch _ -> not link)
+        ->
+          restore f.elem ([ f ], List.rev_append newer older)
+      | f :: older -> go (f :: newer) older
+    in
+    go [] open_faults
+  in
+  match ev.fault with
+  | Kill_instance target -> (
+      let victim =
+        match target with
+        | Hottest -> hottest_instance st
+        | Id i ->
+            List.find_opt
+              (fun inst -> Instance.id inst = i)
+              (Resource_orchestrator.instances st.Netstate.orchestrator)
+        | Busiest | Pair _ -> None
+      in
+      match victim with
+      | None -> ignored "no eligible instance"
+      | Some dead ->
+          Failmask.fail_instance mask (Instance.id dead);
+          let stranded = Dynamic_handler.repair handler ~dead in
+          (Killed { dead; stranded }, open_faults))
+  | Link_down target ->
+      fail ~why:"no eligible link" target
+        (match target with
+        | Pair (u, v) -> Some (Link (norm_pair (u, v)))
+        | Busiest -> Option.map (fun l -> Link l) (busiest_link s mask)
+        | Hottest | Id _ -> None)
+  | Switch_crash target ->
+      fail ~why:"no eligible switch" target
+        (match target with
+        | Id sw -> Some (Switch sw)
+        | Busiest -> Option.map (fun sw -> Switch sw) (busiest_switch s mask)
+        | Hottest | Pair _ -> None)
+  | Link_up (Pair (u, v)) -> heal (Link (norm_pair (u, v)))
+  | Switch_restart (Id sw) -> heal (Switch sw)
+  | Link_up Busiest -> heal_symbolic ~link:true
+  | Switch_restart Busiest -> heal_symbolic ~link:false
+  | Link_up (Hottest | Id _) | Switch_restart (Hottest | Pair _) ->
+      ignored "nothing to heal"
+  | Tcam_loss (target, p) -> (
+      let sw =
+        match target with
+        | Id sw -> Some sw
+        | Busiest -> busiest_switch s mask
+        | Hottest | Pair _ -> None
+      in
+      match (sw, Controller.last_report ctrl) with
+      | Some sw, Some { Controller.rules = { Rule_generator.network; _ }; _ }
+        when sw >= 0 && sw < Array.length network ->
+          let rng = rng sw in
+          let doomed =
+            List.filter_map
+              (fun (uid, _) -> if Rng.float rng 1.0 < p then Some uid else None)
+              (Tcam.phys_entries network.(sw))
+          in
+          let lost =
+            Tcam.retain_phys network.(sw) ~keep:(fun uid ->
+                not (List.mem uid doomed))
+          in
+          (Rules_lost { sw; lost; p }, open_faults)
+      | _ -> ignored "no eligible switch")
+  | Poller_blackout d -> (Blackout d, open_faults)

@@ -1,4 +1,5 @@
-(** Declarative fault schedules for the chaos engine.
+(** Declarative fault schedules, and their one interpreter, for the
+    chaos engine and the soak harness.
 
     A schedule is a time-ordered list of fault events on the simulation
     clock.  Targets are either explicit element ids or the symbolic
@@ -21,10 +22,9 @@
     v}
 
     [link-down]/[link-up] and [switch-crash]/[switch-restart] come in
-    pairs: the up event heals the element the matching down event
-    failed (a symbolic up heals the most recent symbolic down).  Kill,
-    TCAM-loss and poller-blackout events heal themselves (respawn,
-    reinstall, window end). *)
+    pairs, by the rule {!inject} documents.  Kill, TCAM-loss and
+    poller-blackout events heal themselves (respawn, reinstall, window
+    end), on the clock of the harness that runs the schedule. *)
 
 type target =
   | Hottest  (** instance with the most offered load at injection time *)
@@ -83,24 +83,71 @@ val pp_event : Format.formatter -> event -> unit
 val norm_pair : int * int -> int * int
 (** The undirected link key: the smaller endpoint first. *)
 
-(** {1 Symbolic target resolution}
+(** {1 Interpreting events}
 
-    Each selector reads the live network at injection time and breaks
-    ties by the smallest id, so a schedule resolves identically on every
-    run. *)
+    {!inject} is what an event means.  Both harnesses call it, so they
+    agree on every schedule; each keeps only its own clock, heal timing,
+    loss accounting and rendering. *)
 
-val hottest_instance : Apple_core.Netstate.t -> Apple_vnf.Instance.t option
-(** [Hottest]: after recomputing loads, the in-use instance that is not
-    failed in the state's mask and carries the most offered load. *)
+type element = Link of (int * int)  (** {!norm_pair} key *) | Switch of int
 
-val busiest_link :
-  Apple_core.Types.scenario -> Apple_dataplane.Failmask.t -> (int * int) option
-(** [Busiest] for link faults: the live link ({!norm_pair} key) summing
-    the most class rate over the positive-rate classes whose path
-    crosses it. *)
+type open_fault = {
+  elem : element;
+  since : float;  (** [at] of the event that failed it *)
+  sym : bool;  (** named by the symbolic [busiest] target *)
+}
+(** A failed link or switch whose up/restart has not come yet. *)
 
-val busiest_switch :
-  Apple_core.Types.scenario -> Apple_dataplane.Failmask.t -> int option
-(** [Busiest] for switch and TCAM faults: the live switch summing the
-    most class rate over the positive-rate classes whose path visits
-    it. *)
+type injected =
+  | Ignored of string
+      (** nothing eligible, or nothing to heal; says which *)
+  | Killed of { dead : Apple_vnf.Instance.t; stranded : float }
+      (** marked dead in the mask and repaired by the Dynamic Handler,
+          which left [stranded] weight blackholed until a respawn *)
+  | Failed of open_fault  (** failed in the mask, now open *)
+  | Restored of { elem : element; healed : open_fault list }
+      (** restored in the mask; [healed] are the open faults it closed,
+          newest first (none when they were closed already) *)
+  | Rules_lost of { sw : int; lost : int; p : float }
+      (** [lost] APPLE-table entries of switch [sw] dropped, each with
+          probability [p] *)
+  | Blackout of float  (** the poller is blind for this long *)
+
+val inject :
+  Apple_core.Controller.t ->
+  rng:(int -> Apple_prelude.Rng.t) ->
+  open_fault list ->
+  event ->
+  injected * open_fault list
+(** [inject ctrl ~rng open_faults ev] applies [ev] to the installed
+    epoch of [ctrl] and returns what it did with the open faults after
+    it (newest first).  Raises [Invalid_argument] before the first
+    [run_epoch].
+
+    Symbolic targets are resolved on the live network, ties broken by
+    the smallest id, so a schedule resolves identically on every run:
+    [hottest] is the in-use, live instance carrying the most offered
+    load (loads recomputed first); [busiest] is the live link or switch
+    summing the most class rate over the positive-rate classes whose
+    path crosses it.
+
+    Pairing: an explicit [link-up]/[switch-restart] closes every open
+    fault on its element; a symbolic one closes the newest open
+    symbolic fault of its kind, or is [Ignored] when none is open.
+    Either restores the element in the mask, even when a fault named
+    explicitly stays open on it.
+
+    A TCAM loss draws one float per entry of the switch's table from
+    [rng sw], so each harness keeps its own stream.  A kill is not
+    respawned and lost rules are not reinstalled here: heal timing is
+    the caller's. *)
+
+val reapply : Apple_core.Controller.t -> open_fault list -> unit
+(** Fail every open fault's element in [ctrl]'s current mask: a
+    re-optimization starts from a clear one. *)
+
+val element_equal : element -> element -> bool
+
+val element_to_string : element -> string
+(** ["u-v"] for a link, the id for a switch, as the text format names
+    them. *)

@@ -14,8 +14,7 @@
 
     The result extends a {!Netstate.t} in place — the same state the
     Dynamic Handler operates on — so online arrivals and fast failover
-    compose.  A competitive-ratio harness against the global ILP lives in
-    the bench. *)
+    compose. *)
 
 type outcome = {
   accepted : bool;

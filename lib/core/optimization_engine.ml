@@ -598,8 +598,10 @@ let solve_class_lp ~objective ~prices (c : Types.flow_class) =
             Array.init clen (fun _ -> if i = 0 then 1.0 else 0.0))
   end
 
+let per_class_rounds = 3
+
 let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
-    ?(consolidate = true) ?jobs ?(rounds = 3) (s : Types.scenario) =
+    ?(consolidate = true) ?jobs (s : Types.scenario) =
   let t0 = Unix.gettimeofday () in (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
   let jobs =
     match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
@@ -701,7 +703,7 @@ let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
                Array.make Nf.num_kinds
                  (1.0 +. (0.25 *. (1.0 -. (hub.(v) /. max_hub))))))
       in
-      let rounds = if reweight then max 1 rounds else 1 in
+      let rounds = if reweight then per_class_rounds else 1 in
       let dist = ref [||] in
       for _ = 1 to rounds do
         let p = !prices in

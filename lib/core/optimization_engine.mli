@@ -45,13 +45,12 @@ val solve :
   ?reweight:bool ->
   ?consolidate:bool ->
   ?jobs:int ->
-  ?rounds:int ->
   Types.scenario ->
   placement
 (** Defaults: [Min_instances], [Lp_round], both post-passes on.
     [reweight] enables the second LP pass that prices under-utilized
-    sites (for [Per_class] it gates the repricing rounds: [false] means a
-    single round); [consolidate] enables the post-rounding
+    sites (for [Per_class] it gates the repricing rounds: three rounds,
+    or a single one when [false]); [consolidate] enables the post-rounding
     instance-merging pass.  Both exist for the bench's ablation study —
     disable them only to measure their contribution.
 
@@ -65,8 +64,7 @@ val solve :
     [jobs] (default {!Apple_parallel.Pool.default_jobs}, i.e. the
     [APPLE_JOBS] environment variable or the machine's domain count)
     bounds the domains used by [Per_class]'s parallel class fan-out; the
-    result is byte-identical for every [jobs] value.  [rounds] (default
-    3) is the number of [Per_class] price-directed rounds. *)
+    result is byte-identical for every [jobs] value. *)
 
 val check_distribution : Types.scenario -> placement -> (unit, string) result
 (** Verifies Eq. (2)–(4) (chain order and completion) and Eq. (5)–(6)

@@ -55,6 +55,22 @@ let network ~num_switches = Array.init num_switches (fun switch -> create ~switc
 
 let total_tcam net = Array.fold_left (fun acc t -> acc + tcam_entries t) 0 net
 
+let add_network b net =
+  Array.iter
+    (fun t ->
+      Printf.bprintf b "sw %d\n" t.sw;
+      List.iter
+        (fun (uid, rule) ->
+          Printf.bprintf b "p %d %s\n" uid
+            (Format.asprintf "%a" Rule.pp_phys_rule rule))
+        (phys_entries t);
+      List.iter
+        (fun rule ->
+          Printf.bprintf b "v %s\n"
+            (Format.asprintf "%a" Rule.pp_vswitch_rule rule))
+        (vswitch_rules t))
+    net
+
 let total_vswitch net =
   Array.fold_left (fun acc t -> acc + vswitch_entries t) 0 net
 

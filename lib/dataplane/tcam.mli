@@ -55,6 +55,12 @@ val network : num_switches:int -> network
 val total_tcam : network -> int
 val total_vswitch : network -> int
 
+val add_network : Buffer.t -> network -> unit
+(** Append every table as text: [sw <id>], then one [p <uid> <rule>]
+    line per APPLE-table entry and one [v <rule>] line per vSwitch rule,
+    in match order.  The table half of the soak and slice state
+    digests. *)
+
 val host_matches : [ `Empty | `Host of int | `Fin | `Any ] -> Tag.tags -> bool
 (** Does the rule's host pattern admit the packet's host tag?  [`Any]
     admits everything; [`Empty], [`Fin] and [`Host h] each admit exactly

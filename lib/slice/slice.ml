@@ -6,7 +6,6 @@ module Instance = Apple_vnf.Instance
 module Nf = Apple_vnf.Nf
 module Tag = Apple_dataplane.Tag
 module Tcam = Apple_dataplane.Tcam
-module Rule = Apple_dataplane.Rule
 module Types = Apple_core.Types
 module Scenario = Apple_core.Scenario
 module Policy = Apple_core.Policy
@@ -807,20 +806,7 @@ let fingerprint t =
                 (Nf.name (Instance.kind i))
                 (Instance.host i) (Instance.offered i))
             asg.Subclass.instances);
-      Array.iter
-        (fun table ->
-          Printf.bprintf b "sw %d\n" (Tcam.switch table);
-          List.iter
-            (fun (uid, rule) ->
-              Printf.bprintf b "p %d %s\n" uid
-                (Format.asprintf "%a" Rule.pp_phys_rule rule))
-            (Tcam.phys_entries table);
-          List.iter
-            (fun rule ->
-              Printf.bprintf b "v %s\n"
-                (Format.asprintf "%a" Rule.pp_vswitch_rule rule))
-            (Tcam.vswitch_rules table))
-        st.report.Controller.rules.Rule_generator.network;
+      Tcam.add_network b st.report.Controller.rules.Rule_generator.network;
       Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* ---- per-tenant top table ------------------------------------------- *)

@@ -3,11 +3,9 @@
    multi-line blocks are count-prefixed so arbitrary one-line content
    (violation messages, window rows) survives. *)
 
-let version = "apple-soak-ckpt/2"
+module Fault = Apple_chaos.Fault
 
-type open_fault =
-  | Link of { u : int; v : int; since : int; sym : bool }
-  | Switch of { sw : int; since : int; sym : bool }
+let version = "apple-soak-ckpt/2"
 
 type t = {
   fingerprint : string;
@@ -16,7 +14,7 @@ type t = {
   blind_until : int;
   mem_baseline : int;
   mem_peak : int;
-  open_faults : open_fault list;
+  open_faults : Fault.open_fault list;
   totals : (string * float) list;
   violations : string list;
   windows : string list;
@@ -33,12 +31,13 @@ let to_string t =
   line "mem-baseline %d" t.mem_baseline;
   line "mem-peak %d" t.mem_peak;
   line "open-faults %d" (List.length t.open_faults);
+  (* Soak's times are whole epochs, stored as integers. *)
   List.iter
-    (function
-      | Link { u; v; since; sym } ->
-          line "link %d %d %d %d" u v since (if sym then 1 else 0)
-      | Switch { sw; since; sym } ->
-          line "switch %d %d %d" sw since (if sym then 1 else 0))
+    (fun { Fault.elem; since; sym } ->
+      let since = int_of_float since and sym = if sym then 1 else 0 in
+      match elem with
+      | Fault.Link (u, v) -> line "link %d %d %d %d" u v since sym
+      | Fault.Switch sw -> line "switch %d %d %d" sw since sym)
     t.open_faults;
   line "totals %d" (List.length t.totals);
   List.iter (fun (k, v) -> line "%s %h" k v) t.totals;
@@ -113,18 +112,18 @@ let of_string s =
     let mem_peak = keyed_int "mem-peak" in
     let open_faults =
       block "open-faults" (fun l ->
+          let fault elem since sym =
+            {
+              Fault.elem;
+              since = float_of_int (int_of since);
+              sym = int_of sym <> 0;
+            }
+          in
           match String.split_on_char ' ' l with
           | [ "link"; u; v; since; sym ] ->
-              Link
-                {
-                  u = int_of u;
-                  v = int_of v;
-                  since = int_of since;
-                  sym = int_of sym <> 0;
-                }
+              fault (Fault.Link (int_of u, int_of v)) since sym
           | [ "switch"; sw; since; sym ] ->
-              Switch
-                { sw = int_of sw; since = int_of since; sym = int_of sym <> 0 }
+              fault (Fault.Switch (int_of sw)) since sym
           | _ -> fail "bad open-fault line %S" l)
     in
     let totals =

@@ -10,12 +10,6 @@
     open, aggregate totals, completed window rows — plus the length of
     the stream emitted so far. *)
 
-type open_fault =
-  | Link of { u : int; v : int; since : int; sym : bool }
-      (** a failed link; [sym] marks a symbolic [busiest] injection so a
-          symbolic link-up can pair with it *)
-  | Switch of { sw : int; since : int; sym : bool }
-
 type t = {
   fingerprint : string;  (** config digest; restore refuses a mismatch *)
   epoch : int;  (** next epoch to execute; a multiple of [reopt_every] *)
@@ -25,7 +19,8 @@ type t = {
   blind_until : int;  (** poller-blackout horizon (epoch) *)
   mem_baseline : int;  (** live-words baseline (0 = unset; perf only) *)
   mem_peak : int;  (** live-words peak so far (perf only) *)
-  open_faults : open_fault list;
+  open_faults : Apple_chaos.Fault.open_fault list;
+      (** oldest first; [since] is a whole epoch *)
   totals : (string * float) list;  (** soak aggregate counters *)
   violations : string list;  (** invariant violations so far *)
   windows : string list;  (** completed window rows, serialized *)

@@ -10,7 +10,6 @@ module Rng = Apple_prelude.Rng
 module Instance = Apple_vnf.Instance
 module Nf = Apple_vnf.Nf
 module Tcam = Apple_dataplane.Tcam
-module Rule = Apple_dataplane.Rule
 module Failmask = Apple_dataplane.Failmask
 module Counters = Apple_obs.Counters
 module Poller = Apple_obs.Poller
@@ -162,7 +161,7 @@ type session = {
   mutable blind_until : int;
   mutable faulted : bool;  (* a fault fired this epoch *)
   mutable pending : (int * Instance.t) list;  (* (due epoch, dead), FIFO *)
-  mutable open_faults : Checkpoint.open_fault list;  (* newest first *)
+  mutable open_faults : Fault.open_fault list;  (* newest first *)
   mutable cur : window_stat option;
   mutable windows : string list;  (* rendered rows, newest first *)
   mutable violations : string list;  (* newest first *)
@@ -271,27 +270,6 @@ let assignment_dump sess =
       Buffer.contents b
   | _ -> ""
 
-let tables_dump sess =
-  match Controller.last_report sess.ctrl with
-  | None -> ""
-  | Some r ->
-      let b = Buffer.create 4096 in
-      Array.iter
-        (fun table ->
-          Printf.bprintf b "sw %d\n" (Tcam.switch table);
-          List.iter
-            (fun (uid, rule) ->
-              Printf.bprintf b "p %d %s\n" uid
-                (Format.asprintf "%a" Rule.pp_phys_rule rule))
-            (Tcam.phys_entries table);
-          List.iter
-            (fun rule ->
-              Printf.bprintf b "v %s\n"
-                (Format.asprintf "%a" Rule.pp_vswitch_rule rule))
-            (Tcam.vswitch_rules table))
-        r.Controller.rules.Rule_generator.network;
-      Buffer.contents b
-
 let rates_list sess =
   Array.to_list
     (Array.map
@@ -307,7 +285,9 @@ let state_fingerprint sess =
   let b = Buffer.create 4096 in
   Buffer.add_string b (assignment_dump sess);
   Buffer.add_string b "--\n";
-  Buffer.add_string b (tables_dump sess);
+  (match Controller.last_report sess.ctrl with
+  | Some r -> Tcam.add_network b r.Controller.rules.Rule_generator.network
+  | None -> ());
   Printf.bprintf b "--\nblind %d\n" sess.blind_until;
   List.iter (fun (k, v) -> Printf.bprintf b "%s %d\n" k v)
     (handler_events sess);
@@ -398,48 +378,6 @@ let create ?stream_path cfg =
   | Error _ as e -> e
   | Ok () -> Ok (make_session ?stream_path cfg)
 
-let is_busiest = function Fault.Busiest -> true | _ -> false
-
-(* Pop the newest symbolic open fault of the wanted kind. *)
-let pop_sym sess ~link =
-  let rec go acc = function
-    | [] -> (None, List.rev acc)
-    | f :: rest -> (
-        match f with
-        | Checkpoint.Link { u; v; sym = true; _ } when link ->
-            (Some (u, v), List.rev_append acc rest)
-        | Checkpoint.Switch { sw; sym = true; _ } when not link ->
-            (Some (sw, sw), List.rev_append acc rest)
-        | _ -> go (f :: acc) rest)
-  in
-  let hit, rest = go [] sess.open_faults in
-  (match hit with Some _ -> sess.open_faults <- rest | None -> ());
-  hit
-
-let remove_open_link sess u v =
-  sess.open_faults <-
-    List.filter
-      (function
-        | Checkpoint.Link { u = a; v = b; _ } -> not (a = u && b = v)
-        | Checkpoint.Switch _ -> true)
-      sess.open_faults
-
-let remove_open_switch sess sw =
-  sess.open_faults <-
-    List.filter
-      (function
-        | Checkpoint.Switch { sw = s; _ } -> s <> sw
-        | Checkpoint.Link _ -> true)
-      sess.open_faults
-
-let apply_open_faults sess =
-  let mask = (state sess).Netstate.mask in
-  List.iter
-    (function
-      | Checkpoint.Link { u; v; _ } -> Failmask.fail_link mask u v
-      | Checkpoint.Switch { sw; _ } -> Failmask.fail_switch mask sw)
-    sess.open_faults
-
 (* ---- invariant helpers -------------------------------------------- *)
 
 let recheck sess e what =
@@ -465,145 +403,48 @@ let recheck sess e what =
 
 let inject_one sess e (ev : Fault.event) =
   let cfg = sess.cfg in
+  (* TCAM losses draw from a fresh generator keyed on (seed, epoch,
+     switch): stateless, so the draw is identical on a resumed run. *)
+  let did, still =
+    Fault.inject sess.ctrl
+      ~rng:(fun sw -> Rng.create (cfg.seed + (e * 1021) + sw))
+      sess.open_faults ev
+  in
+  sess.open_faults <- still;
+  let name = Fault.fault_name ev.Fault.fault in
   let fault () =
     sess.faulted <- true;
     sess.tot.t_faults <- sess.tot.t_faults + 1
   in
-  match ev.Fault.fault with
-  | Fault.Kill_instance target -> (
-      let victim =
-        match target with
-        | Fault.Hottest -> Fault.hottest_instance (state sess)
-        | Fault.Id i ->
-            List.find_opt
-              (fun inst -> Instance.id inst = i)
-              (Resource_orchestrator.instances
-                 (state sess).Netstate.orchestrator)
-        | Fault.Busiest | Fault.Pair _ -> None
-      in
-      match victim with
-      | None -> emit sess "F %d kill-instance ignored" e
-      | Some dead -> (
-          fault ();
-          let st = state sess in
-          Failmask.fail_instance st.Netstate.mask (Instance.id dead);
-          match Controller.handler sess.ctrl with
-          | None -> ()
-          | Some h ->
-              let stranded = Dynamic_handler.repair h ~dead in
-              sess.tot.t_stranded <- sess.tot.t_stranded +. stranded;
-              (match sess.cur with
-              | Some w -> w.w_stranded <- w.w_stranded +. stranded
-              | None -> ());
-              sess.pending <-
-                sess.pending @ [ (e + cfg.heal_after, dead) ];
-              emit sess "F %d kill-instance id=%d host=%d stranded=%.6f" e
-                (Instance.id dead) (Instance.host dead) stranded))
-  | Fault.Link_down target -> (
-      let link =
-        match target with
-        | Fault.Pair (u, v) -> Some (Fault.norm_pair (u, v))
-        | Fault.Busiest ->
-            Fault.busiest_link sess.scenario (state sess).Netstate.mask
-        | Fault.Hottest | Fault.Id _ -> None
-      in
-      match link with
-      | None -> emit sess "F %d link-down ignored" e
-      | Some (u, v) ->
-          fault ();
-          Failmask.fail_link (state sess).Netstate.mask u v;
-          sess.open_faults <-
-            Checkpoint.Link { u; v; since = e; sym = is_busiest target }
-            :: sess.open_faults;
-          emit sess "F %d link-down %d-%d" e u v)
-  | Fault.Link_up target -> (
-      let link =
-        match target with
-        | Fault.Pair (u, v) ->
-            let u, v = Fault.norm_pair (u, v) in
-            remove_open_link sess u v;
-            Some (u, v)
-        | Fault.Busiest -> (
-            match pop_sym sess ~link:true with
-            | Some (u, v) -> Some (u, v)
-            | None -> None)
-        | Fault.Hottest | Fault.Id _ -> None
-      in
-      match link with
-      | None -> emit sess "F %d link-up ignored" e
-      | Some (u, v) ->
-          fault ();
-          Failmask.restore_link (state sess).Netstate.mask u v;
-          emit sess "F %d link-up %d-%d" e u v;
-          recheck sess e "post-link-restore")
-  | Fault.Switch_crash target -> (
-      let sw =
-        match target with
-        | Fault.Id i -> Some i
-        | Fault.Busiest ->
-            Fault.busiest_switch sess.scenario (state sess).Netstate.mask
-        | Fault.Hottest | Fault.Pair _ -> None
-      in
-      match sw with
-      | None -> emit sess "F %d switch-crash ignored" e
-      | Some sw ->
-          fault ();
-          Failmask.fail_switch (state sess).Netstate.mask sw;
-          sess.open_faults <-
-            Checkpoint.Switch { sw; since = e; sym = is_busiest target }
-            :: sess.open_faults;
-          emit sess "F %d switch-crash %d" e sw)
-  | Fault.Switch_restart target -> (
-      let sw =
-        match target with
-        | Fault.Id i ->
-            remove_open_switch sess i;
-            Some i
-        | Fault.Busiest -> (
-            match pop_sym sess ~link:false with
-            | Some (sw, _) -> Some sw
-            | None -> None)
-        | Fault.Hottest | Fault.Pair _ -> None
-      in
-      match sw with
-      | None -> emit sess "F %d switch-restart ignored" e
-      | Some sw ->
-          fault ();
-          Failmask.restore_switch (state sess).Netstate.mask sw;
-          emit sess "F %d switch-restart %d" e sw;
-          recheck sess e "post-switch-restart")
-  | Fault.Tcam_loss (target, p) -> (
-      let sw =
-        match target with
-        | Fault.Id i -> Some i
-        | Fault.Busiest ->
-            Fault.busiest_switch sess.scenario (state sess).Netstate.mask
-        | Fault.Hottest | Fault.Pair _ -> None
-      in
-      match (sw, Controller.last_report sess.ctrl) with
-      | None, _ | _, None -> emit sess "F %d tcam-loss ignored" e
-      | Some sw, Some report ->
-          fault ();
-          (* A fresh generator keyed on (seed, epoch, switch): stateless,
-             so the draw is identical on a resumed run. *)
-          let rng = Rng.create (cfg.seed + (e * 1021) + sw) in
-          let table = report.Controller.rules.Rule_generator.network.(sw) in
-          let doomed =
-            List.filter_map
-              (fun (uid, _) ->
-                if Rng.float rng 1.0 < p then Some uid else None)
-              (Tcam.phys_entries table)
-          in
-          let lost =
-            Tcam.retain_phys table ~keep:(fun uid ->
-                not (List.mem uid doomed))
-          in
-          emit sess "F %d tcam-loss sw=%d lost=%d" e sw lost;
-          (* The controller notices within the epoch: full reinstall plus
-             a gate re-check. *)
-          ignore (Controller.reinstall_rules sess.ctrl);
-          recheck sess e "post-tcam-reinstall")
-  | Fault.Poller_blackout d ->
+  match did with
+  | Fault.Ignored _ -> emit sess "F %d %s ignored" e name
+  | Fault.Killed { dead; stranded } ->
+      fault ();
+      sess.tot.t_stranded <- sess.tot.t_stranded +. stranded;
+      (match sess.cur with
+      | Some w -> w.w_stranded <- w.w_stranded +. stranded
+      | None -> ());
+      sess.pending <- sess.pending @ [ (e + cfg.heal_after, dead) ];
+      emit sess "F %d kill-instance id=%d host=%d stranded=%.6f" e
+        (Instance.id dead) (Instance.host dead) stranded
+  | Fault.Failed f ->
+      fault ();
+      emit sess "F %d %s %s" e name (Fault.element_to_string f.Fault.elem)
+  | Fault.Restored { elem; _ } ->
+      fault ();
+      emit sess "F %d %s %s" e name (Fault.element_to_string elem);
+      recheck sess e
+        (match elem with
+        | Fault.Link _ -> "post-link-restore"
+        | Fault.Switch _ -> "post-switch-restart")
+  | Fault.Rules_lost { sw; lost; _ } ->
+      fault ();
+      emit sess "F %d tcam-loss sw=%d lost=%d" e sw lost;
+      (* The controller notices within the epoch: full reinstall plus a
+         gate re-check. *)
+      ignore (Controller.reinstall_rules sess.ctrl);
+      recheck sess e "post-tcam-reinstall"
+  | Fault.Blackout d ->
       fault ();
       sess.blind_until <- max sess.blind_until (e + int_of_float d);
       emit sess "F %d poller-blackout until=%d" e sess.blind_until
@@ -716,7 +557,7 @@ let start_window sess e =
   | Oracle -> ());
   match Controller.run_epoch sess.ctrl with
   | report ->
-      apply_open_faults sess;
+      Fault.reapply sess.ctrl sess.open_faults;
       open_window sess e ~instances:report.Controller.instances
         ~cores:report.Controller.cores ~tcam:report.Controller.tcam_entries;
       emit sess "W %d inst=%d cores=%d tcam=%d" e report.Controller.instances

@@ -21,9 +21,10 @@
     rest, so a kill anywhere costs at most [reopt_every] epochs of
     re-execution.
 
-    Fault schedules reuse {!Apple_chaos.Fault}, with [at] valued in
-    {e epochs} (integral); [poller-blackout]'s duration is likewise a
-    number of epochs.  Kill faults heal after [heal_after] epochs via
+    Fault schedules reuse {!Apple_chaos.Fault} and its interpreter
+    {!Apple_chaos.Fault.inject}, with [at] valued in {e epochs}
+    (integral); [poller-blackout]'s duration is likewise a number of
+    epochs.  Kill faults heal after [heal_after] epochs via
     the orchestrator respawn + {!Apple_core.Controller.heal_instance}
     path; TCAM loss reinstalls and re-verifies within its epoch;
     link/switch faults stay open (and survive re-optimizations) until

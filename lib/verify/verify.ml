@@ -184,7 +184,11 @@ let vswitch_key_id = function
 
 let walk_branch_budget = 4096
 
-let check ?(slack = 1.0001) (s : Types.scenario) (asg : Subclass.assignment)
+(* Multiplicative headroom allowed on instance capacity, matching
+   [Subclass.instance_load_ok]. *)
+let slack = 1.0001
+
+let check (s : Types.scenario) (asg : Subclass.assignment)
     (built : Rule_generator.built) =
   Apple_trace.Trace.with_ tr_check @@ fun () ->
   let net = built.Rule_generator.network in

@@ -104,13 +104,9 @@ type report = {
 }
 
 val check :
-  ?slack:float ->
-  Types.scenario ->
-  Subclass.assignment ->
-  Rule_generator.built ->
-  report
-(** Run the full static analysis.  [slack] (default 1.0001) is the
-    multiplicative headroom allowed on instance capacity, matching
+  Types.scenario -> Subclass.assignment -> Rule_generator.built -> report
+(** Run the full static analysis.  Instance capacity allows a
+    multiplicative headroom of 1.0001, matching
     {!Subclass.instance_load_ok}.  Deterministic: violations come out in
     a fixed order for a given configuration. *)
 

@@ -482,6 +482,105 @@ let prop_recovery_monotone_in_boot =
       let normal = run Lifecycle.Normal_vm in
       clickos <= openstack +. 1e-9 && openstack <= normal +. 1e-9)
 
+(* ---- one fault semantics in both harnesses ------------------------ *)
+
+(* The busiest link fails symbolically, then again by name; the named
+   link-up closes both faults, so the closing symbolic link-up finds
+   nothing open.  Internet2's busiest link is 4-5 in both harnesses'
+   scenarios at seed 7. *)
+let test_double_fault_one_semantics () =
+  let sched times =
+    parse_ok
+      (String.concat ""
+         (List.map2
+            (Printf.sprintf "at %s %s\n")
+            times
+            [
+              "link-down busiest";
+              "link-down 4-5";
+              "link-up 4-5";
+              "link-up busiest";
+            ]))
+  in
+  let o =
+    Ch.Chaos.run ~seed:7
+      ~schedule:(sched [ "0.5"; "1.0"; "1.5"; "2.0" ])
+      (chaos_scenario (B.internet2 ()) 7)
+  in
+  check
+    Alcotest.(list string)
+    "both faults on 4-5"
+    [ "link-down 4-5"; "link-down 4-5" ]
+    (List.map (fun f -> f.Ch.Chaos.o_label) o.Ch.Chaos.faults);
+  check
+    Alcotest.(list (option (float 1e-9)))
+    "the named link-up heals both" [ Some 1.0; Some 0.5 ]
+    (List.map (fun f -> f.Ch.Chaos.o_recovery) o.Ch.Chaos.faults);
+  check Alcotest.int "both heals verified" 2 o.Ch.Chaos.heals_ok;
+  check Alcotest.int "no heal rejected" 0 o.Ch.Chaos.heals_rejected;
+  let logged line =
+    List.length
+      (List.filter (String.ends_with ~suffix:line) o.Ch.Chaos.log)
+  in
+  check Alcotest.int "the link is restored once" 1 (logged "] link-up 4-5");
+  check Alcotest.int "the symbolic link-up is ignored" 1
+    (logged "] link-up: nothing to heal; ignored");
+  let soak =
+    {
+      (Apple_soak.Soak.default_config (B.internet2 ())) with
+      Apple_soak.Soak.seed = 7;
+      epochs = 40;
+      reopt_every = 12;
+      cycle = 24;
+      total_rate = 2500.0;
+      max_classes = 10;
+      schedule = sched [ "20"; "25"; "30"; "35" ];
+    }
+  in
+  match Apple_soak.Soak.create soak with
+  | Error e -> fail ("Soak.create: " ^ e)
+  | Ok sess ->
+      let stream = (Apple_soak.Soak.run sess).Apple_soak.Soak.stream in
+      check
+        Alcotest.(list string)
+        "soak resolves the same sequence"
+        [
+          "F 20 link-down 4-5";
+          "F 25 link-down 4-5";
+          "F 30 link-up 4-5";
+          "F 35 link-up ignored";
+        ]
+        (List.filter
+           (String.starts_with ~prefix:"F ")
+           (String.split_on_char '\n' stream))
+
+(* A TCAM loss names a switch the topology lacks: both harnesses ignore
+   it instead of indexing past the switch tables. *)
+let test_unknown_switch_ignored () =
+  let sched = parse_ok "at 1 tcam-loss 99 0.3\n" in
+  let o =
+    Ch.Chaos.run ~seed:7 ~schedule:sched (chaos_scenario (B.internet2 ()) 7)
+  in
+  check Alcotest.int "no fault opened" 0 (List.length o.Ch.Chaos.faults);
+  check Alcotest.bool "chaos ignores it" true
+    (List.exists
+       (String.ends_with ~suffix:"] tcam-loss: no eligible switch; ignored")
+       o.Ch.Chaos.log);
+  let soak =
+    {
+      (Apple_soak.Soak.default_config (B.internet2 ())) with
+      Apple_soak.Soak.seed = 7;
+      epochs = 4;
+      schedule = sched;
+    }
+  in
+  match Apple_soak.Soak.create soak with
+  | Error e -> fail ("Soak.create: " ^ e)
+  | Ok sess ->
+      let stream = (Apple_soak.Soak.run sess).Apple_soak.Soak.stream in
+      check Alcotest.bool "soak ignores it" true
+        (List.mem "F 1 tcam-loss ignored" (String.split_on_char '\n' stream))
+
 let suite =
   [
     Alcotest.test_case "schedule parse roundtrip" `Quick test_parse_roundtrip;
@@ -500,6 +599,10 @@ let suite =
       (kill_heal_e2e (B.internet2 ()));
     Alcotest.test_case "kill hottest, heal, verify (GEANT)" `Quick
       (kill_heal_e2e (B.geant ()));
+    Alcotest.test_case "chaos and soak pair a double fault alike" `Quick
+      test_double_fault_one_semantics;
+    Alcotest.test_case "a TCAM loss on an unknown switch is ignored" `Quick
+      test_unknown_switch_ignored;
     QCheck_alcotest.to_alcotest prop_deterministic;
     QCheck_alcotest.to_alcotest prop_unaffected_paths_stable;
     QCheck_alcotest.to_alcotest prop_recovery_monotone_in_boot;

@@ -26,20 +26,24 @@ let build_random seed =
   in
   C.Scenario.build ~config ~seed named tm
 
-(* End-to-end pipeline: every random scenario must verify. *)
+(* End-to-end pipeline: every random scenario must pass the static
+   verifier gate, as every installed configuration does, and then the
+   controller's own packet-walk check. *)
 let prop_pipeline_verifies =
   QCheck.Test.make ~name:"pipeline verifies on random scenarios" ~count:10
     ~long_factor:50
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let s = build_random seed in
-      let controller = C.Controller.create s in
+      let controller = C.Controller.create ~gate:Apple_verify.Verify.gate s in
       match C.Controller.run_epoch controller with
       | exception C.Optimization_engine.Infeasible _ -> true (* acceptable *)
+      | exception C.Controller.Rejected msg ->
+          QCheck.Test.fail_reportf "verifier gate rejected: %s" msg
       | _ -> (
           match C.Controller.verify controller with
           | Ok () -> true
-          | Error _ -> false))
+          | Error m -> QCheck.Test.fail_reportf "verify: %s" m))
 
 (* Dynamic handler: under arbitrary rate trajectories the sub-class
    weights stay a valid distribution and extra cores return to zero when

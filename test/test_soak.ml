@@ -334,7 +334,7 @@ let prop_resume_equals_uninterrupted =
 (* The parser never raises and never accepts a damaged file: every
    truncation and every single-byte mutation of a real checkpoint
    (halted at 24, so the drill's link fault is still open) is an
-   [Error]. *)
+   [Error] that names a line of the damaged file. *)
 let prop_checkpoint_parser_fuzz =
   QCheck.Test.make ~name:"damaged checkpoints are refused" ~count:4
     QCheck.(triple (int_range 0 1000) (int_range 0 2) (int_range 0 254))
@@ -349,7 +349,13 @@ let prop_checkpoint_parser_fuzz =
       let refused what s =
         match Checkpoint.of_string s with
         | Ok _ -> QCheck.Test.fail_reportf "%s accepted" what
-        | Error _ -> ()
+        | Error m -> (
+            let lines = List.length (String.split_on_char '\n' s) in
+            match Scanf.sscanf_opt m "checkpoint: line %u:" Fun.id with
+            | Some n when 1 <= n && n <= lines -> ()
+            | Some _ | None ->
+                QCheck.Test.fail_reportf "%s: %S names no line of the file"
+                  what m)
         | exception ex ->
             QCheck.Test.fail_reportf "%s raised %s" what
               (Printexc.to_string ex)
