@@ -58,9 +58,11 @@ lint:
 # schema guard and the deterministic soak-totals regression check
 # (re-runs the acceptance soak and diffs BENCH_soak.json's totals and
 # trajectory; only the machine-dependent perf line is exempt), the
-# Chrome-trace export schema guard and the phase-budget regression gate
+# Chrome-trace export schema guard, the phase-budget regression gate
 # (re-runs the bench profile section against BENCH_core.json's
-# committed apple-profile/1 shares).
+# committed apple-profile/1 shares) and the LP work gate (the exact
+# pivots and reduced costs of `apple solve -t internet2` against
+# tools/lp_work.txt).
 check: lint build test
 	APPLE_BENCH_SCALE=0.02 APPLE_JOBS=2 APPLE_BENCH_ONLY=jobs dune exec bench/main.exe
 	sh tools/check_bench_schema.sh
@@ -68,6 +70,7 @@ check: lint build test
 	sh tools/check_soak_totals.sh
 	sh tools/check_trace_schema.sh
 	sh tools/check_phase_budgets.sh
+	sh tools/check_lp_work.sh
 
 clean:
 	dune clean

@@ -142,24 +142,36 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
     active := (elem, fo) :: !active;
     fo
   in
-  let close_fault w elem =
-    match List.find_opt (fun (e, _) -> elem_equal e elem) !active with
-    | None -> ()
-    | Some (_, fo) ->
-        active := List.filter (fun (e, _) -> not (elem_equal e elem)) !active;
-        fo.fo_recovery <- Some (Engine.now w -. fo.fo_at);
-        (* Every healed epoch is re-checked by the verifier gate. *)
-        (match Controller.recheck_gate ctrl with
-        | Ok () -> fo.fo_verdict <- `Ok
-        | Error m -> fo.fo_verdict <- `Rejected m);
-        logf w "healed: %s after %.3fs (%d packet(s) lost, verifier %s)"
-          fo.fo_label
-          (Engine.now w -. fo.fo_at)
-          fo.fo_lost
-          (match fo.fo_verdict with
-          | `Ok -> "ok"
-          | `Rejected _ -> "REJECTED"
-          | `Skipped -> "skipped")
+  (* Close the active faults among [elems], in that order.  Every heal
+     event re-checks the healed epoch with the verifier gate once, and
+     each fault it closes takes that verdict. *)
+  let close_faults w elems =
+    match
+      List.filter_map
+        (fun elem -> List.find_opt (fun (e, _) -> elem_equal e elem) !active)
+        elems
+    with
+    | [] -> ()
+    | closing ->
+        let verdict =
+          match Controller.recheck_gate ctrl with
+          | Ok () -> `Ok
+          | Error m -> `Rejected m
+        in
+        List.iter
+          (fun (elem, fo) ->
+            active := List.filter (fun (e, _) -> not (elem_equal e elem)) !active;
+            fo.fo_recovery <- Some (Engine.now w -. fo.fo_at);
+            fo.fo_verdict <- verdict;
+            logf w "healed: %s after %.3fs (%d packet(s) lost, verifier %s)"
+              fo.fo_label
+              (Engine.now w -. fo.fo_at)
+              fo.fo_lost
+              (match fo.fo_verdict with
+              | `Ok -> "ok"
+              | `Rejected _ -> "REJECTED"
+              | `Skipped -> "skipped"))
+          closing
   in
   (* The interpreter's open link/switch faults, newest first. *)
   let downs = ref [] in
@@ -223,7 +235,7 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
                Controller.heal_instance ctrl ~dead ~replacement;
                logf world "instance %d respawned as %d (attempt %d)" id
                  (Instance.id replacement) attempt;
-               close_fault world (I id))
+               close_faults world [ I id ])
              dead)
     | Fault.Failed f ->
         let fo =
@@ -233,10 +245,12 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
                  (Fault.element_to_string f.Fault.elem))
         in
         logf w "%s" fo.fo_label
-    | Fault.Restored { elem; healed } ->
-        logf w "%s %s" name (Fault.element_to_string elem);
+    | Fault.Restored { elem; healed; held } ->
+        logf w "%s %s%s" name
+          (Fault.element_to_string elem)
+          (if held then " held" else "");
         (* Oldest first, as they were injected. *)
-        List.iter (fun f -> close_fault w (D f)) (List.rev healed)
+        close_faults w (List.rev_map (fun f -> D f) healed)
     | Fault.Rules_lost { sw; lost; p } ->
         let fo =
           open_fault w ~elem:(T sw)
@@ -251,7 +265,7 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
         Engine.schedule w ~delay:Lifecycle.rule_install_time (fun w' ->
             ignore (Controller.reinstall_rules ctrl);
             logf w' "tcam reinstall at switch %d" sw;
-            close_fault w' (T sw))
+            close_faults w' [ T sw ])
     | Fault.Blackout d ->
         blind_until := max !blind_until (Engine.now w +. d);
         let fo =
@@ -260,7 +274,7 @@ let run ?(config = default_config) ~seed ~schedule (s : Types.scenario) =
         logf w "%s" fo.fo_label;
         Engine.schedule w ~delay:d (fun w' ->
             logf w' "poller back";
-            close_fault w' B)
+            close_faults w' [ B ])
   in
   (* ---- control rounds + loss integration -------------------------- *)
   let bytes_per_mbps_s = 1e6 /. 8.0 in

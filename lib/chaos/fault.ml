@@ -306,7 +306,7 @@ type injected =
   | Ignored of string
   | Killed of { dead : Instance.t; stranded : float }
   | Failed of open_fault
-  | Restored of { elem : element; healed : open_fault list }
+  | Restored of { elem : element; healed : open_fault list; held : bool }
   | Rules_lost of { sw : int; lost : int; p : float }
   | Blackout of float
 
@@ -347,11 +347,14 @@ let inject ctrl ~rng open_faults ev =
         let f = { elem; since = ev.at; sym } in
         (Failed f, f :: open_faults)
   in
+  (* The element comes back only when no fault left open names it. *)
   let restore elem (healed, rest) =
-    (match elem with
-    | Link (u, v) -> Failmask.restore_link mask u v
-    | Switch sw -> Failmask.restore_switch mask sw);
-    (Restored { elem; healed }, rest)
+    let held = List.exists (fun f -> element_equal f.elem elem) rest in
+    if not held then (
+      match elem with
+      | Link (u, v) -> Failmask.restore_link mask u v
+      | Switch sw -> Failmask.restore_switch mask sw);
+    (Restored { elem; healed; held }, rest)
   in
   (* The pairing rule: an explicit up closes every open fault on its
      element, a symbolic one the newest open symbolic fault of its

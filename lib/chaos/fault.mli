@@ -105,9 +105,11 @@ type injected =
       (** marked dead in the mask and repaired by the Dynamic Handler,
           which left [stranded] weight blackholed until a respawn *)
   | Failed of open_fault  (** failed in the mask, now open *)
-  | Restored of { elem : element; healed : open_fault list }
-      (** restored in the mask; [healed] are the open faults it closed,
-          newest first (none when they were closed already) *)
+  | Restored of { elem : element; healed : open_fault list; held : bool }
+      (** an up or restart for [elem]; [healed] are the open faults it
+          closed, newest first (none when they were closed already).
+          Restored in the mask unless [held]: a fault still open names
+          [elem], so it stays failed. *)
   | Rules_lost of { sw : int; lost : int; p : float }
       (** [lost] APPLE-table entries of switch [sw] dropped, each with
           probability [p] *)
@@ -134,8 +136,10 @@ val inject :
     Pairing: an explicit [link-up]/[switch-restart] closes every open
     fault on its element; a symbolic one closes the newest open
     symbolic fault of its kind, or is [Ignored] when none is open.
-    Either restores the element in the mask, even when a fault named
-    explicitly stays open on it.
+    Either restores the element in the mask only when no open fault
+    names it any more: an element stays down while any open fault
+    holds it, so a symbolic up cannot lift a fault named explicitly on
+    the same element.
 
     A TCAM loss draws one float per entry of the switch's table from
     [rng sw], so each harness keeps its own stream.  A kill is not

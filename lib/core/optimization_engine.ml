@@ -48,6 +48,23 @@ let chain_stage (c : Types.flow_class) k =
     c.Types.chain;
   !result
 
+(* Every cell of the placement that loads a site: [f h c i j v k] for
+   class [h] ([c]), hop [i] at switch [v], and stage [j] of kind [k],
+   where [j] is the stage {!chain_stage} names for [k] (a chain that
+   repeats a kind loads only its last such stage).  Cells come class by
+   class, each stage's hops in ascending order, so a site sees its cells
+   in the (class, hop) order a per-site gather visits them. *)
+let iter_cells (s : Types.scenario) f =
+  Array.iteri
+    (fun h c ->
+      Array.iteri
+        (fun j kind ->
+          let k = Nf.kind_index kind in
+          if Option.equal Int.equal (chain_stage c k) (Some j) then
+            Array.iteri (fun i v -> f h c i j v k) c.Types.path)
+        c.Types.chain)
+    s.Types.classes
+
 (* The set of (v, k) pairs that can host useful instances: switch v lies on
    the path of some class whose chain contains kind k. *)
 let useful_sites (s : Types.scenario) =
@@ -76,9 +93,7 @@ let build_model (s : Types.scenario) ~objective ~integer =
       if useful.(v).(k) then
         q.(v).(k) <-
           Some
-            (Model.add_var model ~integer ~obj:(kind_weight objective k)
-               ~name:(Printf.sprintf "q_v%d_%s" v (Nf.name (Nf.kind_of_index k)))
-               ())
+            (Model.add_var model ~integer ~obj:(kind_weight objective k) ())
     done
   done;
   (* d variables: d.(h).(i).(j). *)
@@ -87,11 +102,8 @@ let build_model (s : Types.scenario) ~objective ~integer =
       (fun c ->
         let plen = Array.length c.Types.path in
         let clen = Array.length c.Types.chain in
-        Array.init plen (fun i ->
-            Array.init clen (fun j ->
-                Model.add_var model ~lb:0.0 ~ub:1.0
-                  ~name:(Printf.sprintf "d_h%d_i%d_j%d" c.Types.id i j)
-                  ())))
+        Array.init plen (fun _ ->
+            Array.init clen (fun _ -> Model.add_var model ~lb:0.0 ~ub:1.0 ())))
       classes
   in
   (* Chain order, Eq. (3) with sigma substituted: for every prefix of the
@@ -115,28 +127,23 @@ let build_model (s : Types.scenario) ~objective ~integer =
         Model.add_constraint model terms Model.Eq 1.0
       done)
     classes;
-  (* Capacity, Eq. (5): per useful (v, k). *)
+  (* Capacity, Eq. (5): per useful (v, k), its cells scattered in one
+     pass onto [-cap q], newest first. *)
   let n_kinds = Nf.num_kinds in
+  let cap_terms =
+    Array.map
+      (Array.mapi (fun k -> function
+         | None -> []
+         | Some qv -> [ (-.(Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps, qv) ]))
+      q
+  in
+  iter_cells s (fun h c i j v k ->
+      cap_terms.(v).(k) <- (c.Types.rate, d.(h).(i).(j)) :: cap_terms.(v).(k));
   for v = 0 to n - 1 do
     for k = 0 to n_kinds - 1 do
-      match q.(v).(k) with
-      | None -> ()
-      | Some qv ->
-          let cap = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
-          let terms = ref [ (-.cap, qv) ] in
-          Array.iteri
-            (fun h c ->
-              match chain_stage c k with
-              | None -> ()
-              | Some j ->
-                  Array.iteri
-                    (fun i sw ->
-                      if sw = v then
-                        terms := (c.Types.rate, d.(h).(i).(j)) :: !terms)
-                    c.Types.path)
-            classes;
-          if List.length !terms > 1 then
-            Model.add_constraint model !terms Model.Le 0.0
+      match cap_terms.(v).(k) with
+      | [] | [ _ ] -> ()
+      | terms -> Model.add_constraint model terms Model.Le 0.0
     done
   done;
   (* Host resources, Eq. (6): core budget per switch. *)
@@ -180,19 +187,24 @@ let load_of_distribution (s : Types.scenario) dist ~v ~k =
     s.Types.classes;
   !acc
 
-(* Minimal feasible instance counts for a fixed distribution. *)
-let counts_for_distribution (s : Types.scenario) dist =
+(* Every site's load at once: [site_loads s dist].(v).(k) equals
+   [load_of_distribution s dist ~v ~k] bit for bit, since each site
+   adds the same terms in the same (class, hop) order from +0.0.  One
+   pass over the cells instead of one per site. *)
+let site_loads (s : Types.scenario) dist =
   let n = Graph.num_nodes s.Types.topo.Builders.graph in
-  let counts = Array.make_matrix n Nf.num_kinds 0 in
-  for v = 0 to n - 1 do
-    for k = 0 to Nf.num_kinds - 1 do
-      let cap = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
-      let load = load_of_distribution s dist ~v ~k in
-      if load > 1e-9 then
-        counts.(v).(k) <- int_of_float (ceil ((load /. cap) -. 1e-9))
-    done
-  done;
-  counts
+  let loads = Array.make_matrix n Nf.num_kinds 0.0 in
+  iter_cells s (fun h c i j v k ->
+      loads.(v).(k) <- loads.(v).(k) +. (c.Types.rate *. dist.(h).(i).(j)));
+  loads
+
+(* Minimal feasible instance counts for given site loads. *)
+let counts_of_loads loads =
+  Array.map
+    (Array.mapi (fun k load ->
+         let cap = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
+         if load > 1e-9 then int_of_float (ceil ((load /. cap) -. 1e-9)) else 0))
+    loads
 
 let cores_at counts v =
   let acc = ref 0 in
@@ -227,7 +239,18 @@ let repair_resources (s : Types.scenario) dist =
   let n = Graph.num_nodes s.Types.topo.Builders.graph in
   let cap_of k = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
   let cores_of k = (Nf.spec (Nf.kind_of_index k)).Nf.cores in
-  let counts = ref (counts_for_distribution s dist) in
+  (* Loads of the current [dist], recomputed on the first read after a
+     move, even one taken back: undoing [x +. a] by [-. a] need not give
+     [x] back bit for bit. *)
+  let loads = ref (site_loads s dist) and stale = ref false in
+  let fresh_loads () =
+    if !stale then begin
+      loads := site_loads s dist;
+      stale := false
+    end;
+    !loads
+  in
+  let counts = ref (counts_of_loads !loads) in
   let violated v = cores_at !counts v > s.Types.host_cores.(v) in
   let exists_violation () =
     let rec scan v =
@@ -238,7 +261,7 @@ let repair_resources (s : Types.scenario) dist =
   (* Would switch v' stay within budget if its load of kind k grew by
      [extra] Mbps? *)
   let target_fits v' k extra =
-    let load = load_of_distribution s dist ~v:v' ~k in
+    let load = (fresh_loads ()).(v').(k) in
     let new_count = int_of_float (ceil (((load +. extra) /. cap_of k) -. 1e-9)) in
     let delta = new_count - !counts.(v').(k) in
     delta <= 0
@@ -271,10 +294,11 @@ let repair_resources (s : Types.scenario) dist =
                         if target_fits v' k amount_mass then begin
                           dist.(h).(i).(j) <- portion -. amount;
                           dist.(h).(i').(j) <- dist.(h).(i').(j) +. amount;
+                          stale := true;
                           if order_ok dist.(h) then begin
                             moved := !moved +. amount_mass;
                             (* Keep counts fresh for later target checks. *)
-                            counts := counts_for_distribution s dist
+                            counts := counts_of_loads (fresh_loads ())
                           end
                           else begin
                             dist.(h).(i).(j) <- portion;
@@ -305,7 +329,7 @@ let repair_resources (s : Types.scenario) dist =
           let options = ref [] in
           for k = 0 to Nf.num_kinds - 1 do
             if !counts.(v).(k) > 0 then begin
-              let load = load_of_distribution s dist ~v ~k in
+              let load = (fresh_loads ()).(v).(k) in
               let need =
                 load -. (float_of_int (!counts.(v).(k) - 1) *. cap_of k)
               in
@@ -348,15 +372,7 @@ let repair_resources (s : Types.scenario) dist =
 let consolidate_pass (s : Types.scenario) dist counts =
   let n = Graph.num_nodes s.Types.topo.Builders.graph in
   let cap_of k = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
-  let load = Array.make_matrix n Nf.num_kinds 0.0 in
-  let recompute_loads () =
-    for v = 0 to n - 1 do
-      for k = 0 to Nf.num_kinds - 1 do
-        load.(v).(k) <- load_of_distribution s dist ~v ~k
-      done
-    done
-  in
-  recompute_loads ();
+  let load = site_loads s dist in
   let cores_used v =
     let acc = ref 0 in
     for k = 0 to Nf.num_kinds - 1 do
@@ -504,22 +520,16 @@ let check_status (sol : Model.solution) =
   | Model.Optimal | Model.Limit -> ()
 
 (* Per-site price of routing a unit of load through (v, k) given the
-   current distribution: ceil(load/cap)/(load/cap), the ratio rounding
+   current site loads: ceil(load/cap)/(load/cap), the ratio rounding
    pays when the last instance there is nearly empty.  Used both by the
    Lp_round reweighting pass and between Per_class rounds. *)
-let site_prices (s : Types.scenario) dist =
-  let n = Graph.num_nodes s.Types.topo.Builders.graph in
-  let weights = Array.make_matrix n Nf.num_kinds 1.0 in
-  for v = 0 to n - 1 do
-    for k = 0 to Nf.num_kinds - 1 do
-      let cap = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
-      let load = load_of_distribution s dist ~v ~k in
-      let units = load /. cap in
-      let w = if load <= 1e-9 then 8.0 else min 8.0 (ceil units /. units) in
-      weights.(v).(k) <- w
-    done
-  done;
-  weights
+let site_prices loads =
+  Array.map
+    (Array.mapi (fun k load ->
+         let cap = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
+         let units = load /. cap in
+         if load <= 1e-9 then 8.0 else min 8.0 (ceil units /. units)))
+    loads
 
 (* Between Per_class rounds: {!site_prices} plus a core-budget surcharge
    on switches whose projected instance counts exceed their host budget.
@@ -527,8 +537,9 @@ let site_prices (s : Types.scenario) dist =
    the price: overloaded hosts get steeply more expensive each round,
    pushing mass to hops with spare cores before the final repair pass. *)
 let per_class_prices (s : Types.scenario) dist =
-  let weights = site_prices s dist in
-  let counts = counts_for_distribution s dist in
+  let loads = site_loads s dist in
+  let weights = site_prices loads in
+  let counts = counts_of_loads loads in
   let n = Graph.num_nodes s.Types.topo.Builders.graph in
   for v = 0 to n - 1 do
     let used = cores_at counts v in
@@ -567,9 +578,7 @@ let solve_class_lp ~objective ~prices (c : Types.flow_class) =
                 (* Tiny hop bias keeps ties deterministic and early. *)
                 +. (1e-7 *. float_of_int i)
               in
-              Model.add_var model ~lb:0.0 ~ub:1.0 ~obj
-                ~name:(Printf.sprintf "d_i%d_j%d" i j)
-                ()))
+              Model.add_var model ~lb:0.0 ~ub:1.0 ~obj ()))
     in
     for j = 1 to clen - 1 do
       for i = 0 to plen - 1 do
@@ -645,7 +654,7 @@ let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
          re-solve reprices the relaxation's own model and starts from
          its feasible start: phase 1 reads only rows and bounds. *)
       let refine dist =
-        let w = site_prices s dist in
+        let w = site_prices (site_loads s dist) in
         Array.iteri
           (fun v row ->
             Array.iteri
@@ -723,11 +732,12 @@ let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
       let dist = !dist in
       (* Fractional lower bound of the coupled problem: q >= load/cap. *)
       let lp_objective =
+        let loads = site_loads s dist in
         let acc = ref 0.0 in
         for v = 0 to n - 1 do
           for k = 0 to Nf.num_kinds - 1 do
             let cap = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
-            let load = load_of_distribution s dist ~v ~k in
+            let load = loads.(v).(k) in
             acc := !acc +. (kind_weight objective k *. load /. cap)
           done
         done;
@@ -753,6 +763,8 @@ let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
 let load (s : Types.scenario) placement ~v ~k =
   load_of_distribution s placement.distribution ~v ~k
 
+let loads (s : Types.scenario) placement = site_loads s placement.distribution
+
 let check_distribution (s : Types.scenario) placement =
   let tol = 1e-6 in
   let errors = ref [] in
@@ -776,10 +788,11 @@ let check_distribution (s : Types.scenario) placement =
       done)
     s.Types.classes;
   let n = Graph.num_nodes s.Types.topo.Builders.graph in
+  let loads = loads s placement in
   for v = 0 to n - 1 do
     for k = 0 to Nf.num_kinds - 1 do
       let cap = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
-      let offered = load s placement ~v ~k in
+      let offered = loads.(v).(k) in
       let provided = float_of_int placement.counts.(v).(k) *. cap in
       if offered > provided +. 1e-3 then
         fail "switch %d kind %d: offered %.3f exceeds provisioned %.3f" v k

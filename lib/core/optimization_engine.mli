@@ -77,3 +77,8 @@ val core_count : placement -> int
 val load : Types.scenario -> placement -> v:int -> k:int -> float
 (** Offered load (Mbps) on NF kind [k] at switch [v] under the placement's
     distribution: the left side of Eq. (5). *)
+
+val loads : Types.scenario -> placement -> float array array
+(** Every site's {!load} at once, in one pass over the classes' cells:
+    [(loads s p).(v).(k)] equals [load s p ~v ~k] bit for bit, since each
+    site adds the same terms in the same (class, hop) order. *)

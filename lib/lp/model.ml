@@ -9,7 +9,6 @@ type sense = Le | Ge | Eq
 type status = Optimal | Infeasible | Unbounded | Limit
 
 type constr = {
-  c_name : string;
   terms : (float * var) list;  (* duplicates already merged *)
   sense : sense;
   rhs : float;
@@ -21,7 +20,6 @@ type t = {
   mutable ubs : float list;
   mutable objs : float array;  (* declaration order; the first [n] are live *)
   mutable ints : bool list;
-  mutable names : string list;
   mutable n : int;
   mutable constrs : constr list;  (* reversed *)
   mutable num_constrs : int;
@@ -52,17 +50,15 @@ let create ?(maximize = false) () =
     ubs = [];
     objs = [||];
     ints = [];
-    names = [];
     n = 0;
     constrs = [];
     num_constrs = 0;
   }
 
 let add_var t ?(lb = 0.0) ?(ub = infinity) ?(integer = false) ?(obj = 0.0)
-    ?name () =
+    () =
   if lb > ub then invalid_arg "Model.add_var: lb > ub";
   let id = t.n in
-  let name = match name with Some s -> s | None -> Printf.sprintf "x%d" id in
   t.lbs <- lb :: t.lbs;
   t.ubs <- ub :: t.ubs;
   if id = Array.length t.objs then begin
@@ -72,7 +68,6 @@ let add_var t ?(lb = 0.0) ?(ub = infinity) ?(integer = false) ?(obj = 0.0)
   end;
   t.objs.(id) <- obj;
   t.ints <- integer :: t.ints;
-  t.names <- name :: t.names;
   t.n <- id + 1;
   id
 
@@ -87,15 +82,12 @@ let merge_terms terms =
   Hashtbl.fold (fun v coef acc -> if coef = 0.0 then acc else (coef, v) :: acc) tbl []
   |> List.sort (fun (_, v) (_, v') -> Int.compare v v')
 
-let add_constraint t ?name terms sense rhs =
-  let c_name =
-    match name with Some s -> s | None -> Printf.sprintf "c%d" t.num_constrs
-  in
+let add_constraint t terms sense rhs =
   List.iter
     (fun (_, v) ->
       if v < 0 || v >= t.n then invalid_arg "Model.add_constraint: unknown var")
     terms;
-  t.constrs <- { c_name; terms = merge_terms terms; sense; rhs } :: t.constrs;
+  t.constrs <- { terms = merge_terms terms; sense; rhs } :: t.constrs;
   t.num_constrs <- t.num_constrs + 1
 
 let set_obj t v coef =
@@ -103,10 +95,6 @@ let set_obj t v coef =
   t.objs.(v) <- coef
 
 let var_index v = v
-
-let var_name t v =
-  if v < 0 || v >= t.n then invalid_arg "Model.var_name: unknown var";
-  List.nth t.names (t.n - 1 - v)
 
 let num_vars t = t.n
 let num_constraints t = t.num_constrs

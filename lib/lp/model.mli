@@ -50,7 +50,6 @@ val add_var :
   ?ub:float ->
   ?integer:bool ->
   ?obj:float ->
-  ?name:string ->
   unit ->
   var
 (** Declare a variable.  Defaults: [lb = 0.], [ub = infinity],
@@ -58,7 +57,7 @@ val add_var :
     [ub] declares a free variable; the solver sees it as the difference
     of two non-negative columns. *)
 
-val add_constraint : t -> ?name:string -> (float * var) list -> sense -> float -> unit
+val add_constraint : t -> (float * var) list -> sense -> float -> unit
 (** [add_constraint t terms sense rhs] adds [sum terms (sense) rhs].
     Duplicate variables in [terms] are summed. *)
 
@@ -69,7 +68,6 @@ val set_obj : t -> var -> float -> unit
 val var_index : var -> int
 (** Stable dense index of a variable (order of declaration). *)
 
-val var_name : t -> var -> string
 val num_vars : t -> int
 val num_constraints : t -> int
 

@@ -13,6 +13,7 @@ let m_phase1_solves = T.Counter.create "apple.lp.phase1_solves"
 let m_phase1_skipped = T.Counter.create "apple.lp.phase1_skipped"
 let m_phase1_pivots = T.Counter.create "apple.lp.phase1_pivots"
 let m_phase1_reused = T.Counter.create "apple.lp.phase1_reused"
+let m_reduced_costs = T.Counter.create "apple.lp.reduced_costs"
 let m_bland = T.Counter.create "apple.lp.bland_engagements"
 let m_infeasible = T.Counter.create "apple.lp.infeasible"
 let m_iter_limit = T.Counter.create "apple.lp.iteration_limit"
@@ -124,6 +125,10 @@ let inverse_remove inv i p =
   end;
   inv.c_len.(k) <- last
 
+(* The columns of each row of [A], ascending, packed: row [k]'s are
+   [a_col.(a_at.(k)) .. a_col.(a_at.(k+1) - 1)]. *)
+type row_index = { a_at : int array; a_col : int array }
+
 type state = {
   p : problem;
   (* total columns including artificials appended after p.num_vars *)
@@ -139,6 +144,14 @@ type state = {
   xb : float array;  (* values of basic variables, length m *)
   art_first : int;  (* first artificial column index *)
   art_sign : float array;  (* length m: +-1 sign of artificial of row i *)
+  rows_a : row_index;  (* structural columns only *)
+  (* Pricing, kept between pivots (see [reprice]), and its scratch. *)
+  y : float array;  (* c_B Binv *)
+  score : float array;  (* per column, see [rescore] *)
+  d : float array;  (* ftran of the entering column *)
+  touched : int array;  (* the pivot row's columns before the pivot *)
+  mark : int array;  (* per column: stamp of the last reprice that saw it *)
+  mutable marked : int;
 }
 
 (* The state phase 1 and [expel_artificials] leave behind, frozen.
@@ -160,6 +173,7 @@ type start = {
   col_at : int array;
   s_c_row : int array;
   s_c_rpos : int array;
+  s_rows_a : row_index;  (* the problem's; never written *)
   phase1 : int;  (* iterations phase 1 performed *)
 }
 
@@ -282,39 +296,119 @@ let dual_prices st y =
     end
   done
 
-exception Found of int
-
-(* Choose the entering column.  [bland] forces smallest-index selection to
-   break cycling. *)
-let price st y ~bland =
-  dual_prices st y;
-  if bland then begin
-    try
-      for j = 0 to st.total - 1 do
-        if not st.in_basis.(j) && st.lower.(j) < st.upper.(j) then begin
-          let r = st.cost.(j) -. col_dot st j y in
-          match st.nb.(j) with
-          | At_lower -> if r < -.eps_reduced then raise (Found j)
-          | At_upper -> if r > eps_reduced then raise (Found j)
-        end
+(* y(k) alone, as [dual_prices] sums it: column [k]'s costed entries in
+   ascending row order.  Insertion-sorts the column's entries by row in
+   place first (columns are short), repointing the row records of the
+   entries it moves. *)
+let column_price st k =
+  let inv = st.inv in
+  let rows = inv.c_row.(k) and rpos = inv.c_rpos.(k) in
+  for q = 1 to inv.c_len.(k) - 1 do
+    let i = rows.(q) in
+    if rows.(q - 1) > i then begin
+      let p = rpos.(q) in
+      let q' = ref (q - 1) in
+      while !q' >= 0 && rows.(!q') > i do
+        let i' = rows.(!q') and p' = rpos.(!q') in
+        rows.(!q' + 1) <- i';
+        rpos.(!q' + 1) <- p';
+        inv.r_cpos.(i').(p') <- !q' + 1;
+        decr q'
       done;
-      None
-    with Found j -> Some j
+      rows.(!q' + 1) <- i;
+      rpos.(!q' + 1) <- p;
+      inv.r_cpos.(i).(p) <- !q' + 1
+    end
+  done;
+  let acc = ref 0.0 in
+  for q = 0 to inv.c_len.(k) - 1 do
+    let i = rows.(q) in
+    let cb = st.cost.(st.basis.(i)) in
+    if cb <> 0.0 then acc := !acc +. (cb *. inv.r_val.(i).(rpos.(q)))
+  done;
+  !acc
+
+(* Columns that can enter: nonbasic with room to move.  Bounds change
+   only between phases, so a column ineligible at a phase's start stays
+   so until its end. *)
+let eligible st j = (not st.in_basis.(j)) && st.lower.(j) < st.upper.(j)
+
+(* Set column [j]'s score: its reduced cost [cost j - y . A_j], negated
+   at the lower bound, so a positive score means entering improves; 0
+   when it cannot enter.  Returns whether a reduced cost was computed. *)
+let rescore st j =
+  if eligible st j then begin
+    let r = st.cost.(j) -. col_dot st j st.y in
+    st.score.(j) <- (match st.nb.(j) with At_lower -> -.r | At_upper -> r);
+    true
+  end
+  else begin
+    st.score.(j) <- 0.0;
+    false
+  end
+
+(* Full pricing, once at the start of each phase.  Returns the number of
+   reduced costs computed. *)
+let price_all st =
+  dual_prices st st.y;
+  let n = ref 0 in
+  for j = 0 to st.total - 1 do
+    if rescore st j then incr n
+  done;
+  !n
+
+(* After a pivot on row r: a pivot rewrites Binv only in the columns
+   where row r held an entry ([touched.(0..nt-1)], taken before the
+   pivot), and the one basic cost it changes is row r's, so only those
+   y(k) move, and only the scores of columns meeting those rows.  Each
+   is recomputed by the very sum full pricing uses, so the kept scores
+   equal a full pricing's bit for bit.  The columns that entered and
+   left are among them, each gaining or losing its score: row r of Binv
+   times either column is 1 (before the pivot for the leaving one,
+   after it for the entering one), and row r's entries after the pivot
+   are a subset of those before. *)
+let reprice st nt =
+  for t = 0 to nt - 1 do
+    let k = st.touched.(t) in
+    st.y.(k) <- column_price st k
+  done;
+  let stamp = st.marked + 1 in
+  st.marked <- stamp;
+  let n = ref 0 in
+  for t = 0 to nt - 1 do
+    let k = st.touched.(t) in
+    for p = st.rows_a.a_at.(k) to st.rows_a.a_at.(k + 1) - 1 do
+      let j = st.rows_a.a_col.(p) in
+      if st.mark.(j) <> stamp then begin
+        st.mark.(j) <- stamp;
+        if rescore st j then incr n
+      end
+    done;
+    (* Row k's artificial meets no other row. *)
+    if rescore st (st.art_first + k) then incr n
+  done;
+  !n
+
+(* Choose the entering column from the kept scores: the largest, the
+   lowest index among equals.  [bland] forces smallest-index selection
+   to break cycling. *)
+let entering st ~bland =
+  let score = st.score in
+  if bland then begin
+    let rec first j =
+      if j >= st.total then None
+      else if score.(j) > eps_reduced then Some j
+      else first (j + 1)
+    in
+    first 0
   end
   else begin
     let best = ref (-1) and best_score = ref eps_reduced in
     for j = 0 to st.total - 1 do
-      if not st.in_basis.(j) && st.lower.(j) < st.upper.(j) then begin
-        let r = st.cost.(j) -. col_dot st j y in
-        let score =
-          match st.nb.(j) with
-          | At_lower -> -.r
-          | At_upper -> r
-        in
-        if score > !best_score then begin
-          best := j;
-          best_score := score
-        end
+      let sc = score.(j) in
+      if sc > !best_score then begin
+        best := j;
+        best_score := sc
       end
     done;
     if !best >= 0 then Some !best else None
@@ -438,11 +532,13 @@ let pivot st j sigma d r t ~leaving_pos =
   done
 
 (* [d] is the ftran of [j] the ratio test just used; no pivot has
-   happened since, so it is still current. *)
+   happened since, so it is still current.  No price moves, since basis
+   and Binv stay: the flip only negates [j]'s score. *)
 let bound_flip st j range d =
   (match st.nb.(j) with
   | At_lower -> st.nb.(j) <- At_upper
   | At_upper -> st.nb.(j) <- At_lower);
+  st.score.(j) <- -.st.score.(j);
   let sigma = match st.nb.(j) with At_upper -> 1.0 | At_lower -> -1.0 in
   for i = 0 to st.m - 1 do
     st.xb.(i) <- st.xb.(i) -. (sigma *. range *. d.(i))
@@ -450,10 +546,11 @@ let bound_flip st j range d =
 
 type phase_outcome = Phase_optimal | Phase_unbounded | Phase_iter_limit
 
-(* Run simplex iterations with the current cost vector until optimal. *)
+(* Run simplex iterations with the current cost vector until optimal:
+   full pricing once, then each pivot reprices what it changed. *)
 let optimize st ~max_iters iter_count =
-  let y = Array.make st.m 0.0 in
-  let d = Array.make st.m 0.0 in
+  let priced = ref (price_all st) in
+  let d = st.d in
   let stall = ref 0 in
   let bland = ref false in
   let outcome = ref None in
@@ -462,7 +559,7 @@ let optimize st ~max_iters iter_count =
     else begin
       incr iter_count;
       if !iter_count mod 64 = 0 then refresh_xb st;
-      match price st y ~bland:!bland with
+      match entering st ~bland:!bland with
       | None -> outcome := Some Phase_optimal
       | Some j ->
           let sigma = match st.nb.(j) with At_lower -> 1.0 | At_upper -> -1.0 in
@@ -484,9 +581,13 @@ let optimize st ~max_iters iter_count =
                 end
               end
               else stall := 0;
-              pivot st j sigma d r t ~leaving_pos)
+              let nt = st.inv.r_len.(r) in
+              Array.blit st.inv.r_col.(r) 0 st.touched 0 nt;
+              pivot st j sigma d r t ~leaving_pos;
+              priced := !priced + reprice st nt)
     end
   done;
+  if T.enabled () then T.Counter.add m_reduced_costs !priced;
   match !outcome with Some o -> o | None -> assert false
 
 let objective_value st cost =
@@ -513,35 +614,43 @@ let extract_primal st =
   x
 
 (* Try to pivot zero-valued artificial variables out of the basis so that
-   phase 2 can fix their bounds to [0,0] without losing a basis. *)
+   phase 2 can fix their bounds to [0,0] without losing a basis.  Phase
+   2 prices from scratch, so [y] serves as scratch here. *)
 let expel_artificials st =
-  let d = Array.make st.m 0.0 in
-  let y = Array.make st.m 0.0 in
+  let inv = st.inv and y = st.y in
+  Array.fill y 0 st.m 0.0;
   for i = 0 to st.m - 1 do
     if st.basis.(i) >= st.art_first then begin
       (* Row i of Binv lets us probe pivot magnitudes in O(nnz) per column
-         instead of a full ftran. *)
-      Array.fill y 0 st.m 0.0;
-      let inv = st.inv in
-      for p = 0 to inv.r_len.(i) - 1 do
-        y.(inv.r_col.(i).(p)) <- inv.r_val.(i).(p)
+         instead of a full ftran.  A column meeting none of the row's
+         entries probes exactly 0, so only those meeting them are tried;
+         the lowest index that passes wins, as in a scan from 0. *)
+      let cols = inv.r_col.(i) and n = inv.r_len.(i) in
+      for p = 0 to n - 1 do
+        y.(cols.(p)) <- inv.r_val.(i).(p)
       done;
-      let found = ref (-1) in
-      let j = ref 0 in
-      while !found < 0 && !j < st.art_first do
-        if
-          (not st.in_basis.(!j))
-          && st.lower.(!j) < st.upper.(!j)
-          && abs_float (col_dot st !j y) > 1e-6
-        then found := !j;
-        incr j
+      st.marked <- st.marked + 1;
+      let found = ref st.art_first in
+      for p = 0 to n - 1 do
+        let k = cols.(p) in
+        for q = st.rows_a.a_at.(k) to st.rows_a.a_at.(k + 1) - 1 do
+          let j = st.rows_a.a_col.(q) in
+          if j < !found && st.mark.(j) <> st.marked then begin
+            st.mark.(j) <- st.marked;
+            if eligible st j && abs_float (col_dot st j y) > 1e-6 then
+              found := j
+          end
+        done
       done;
-      match !found with
-      | -1 -> () (* row is redundant; artificial stays basic at 0 *)
-      | j ->
-          ftran st j d;
-          (* Step-0 pivot: swap the basis without moving the solution. *)
-          pivot st j 1.0 d i 0.0 ~leaving_pos:At_lower
+      for p = 0 to n - 1 do
+        y.(cols.(p)) <- 0.0
+      done;
+      if !found < st.art_first then begin
+        ftran st !found st.d;
+        (* Step-0 pivot: swap the basis without moving the solution. *)
+        pivot st !found 1.0 st.d i 0.0 ~leaving_pos:At_lower
+      end
+      (* else the row is redundant; its artificial stays basic at 0 *)
     end
   done
 
@@ -601,16 +710,41 @@ let freeze st phase1 =
     col_at;
     s_c_row = pack col_at inv.c_row 0;
     s_c_rpos = pack col_at inv.c_rpos 0;
+    s_rows_a = st.rows_a;
     phase1;
   }
 
-(* A state of its own at [s], for [p]: the start's problem, repriced. *)
-let thaw s p =
+(* [p]'s row index: what a pivot's reprice and the expulsion of
+   artificials walk instead of every column.  Built once per problem,
+   as two blocks rather than one per row. *)
+let row_index p =
+  let len = Array.make p.num_rows 0 in
+  for j = 0 to p.num_vars - 1 do
+    let idx = p.col_index.(j) in
+    for q = 0 to Array.length idx - 1 do
+      len.(idx.(q)) <- len.(idx.(q)) + 1
+    done
+  done;
+  let a_at = offsets len in
+  let a_col = Array.make a_at.(p.num_rows) 0 in
+  Array.blit a_at 0 len 0 p.num_rows;
+  for j = 0 to p.num_vars - 1 do
+    let idx = p.col_index.(j) in
+    for q = 0 to Array.length idx - 1 do
+      let k = idx.(q) in
+      a_col.(len.(k)) <- j;
+      len.(k) <- len.(k) + 1
+    done
+  done;
+  { a_at; a_col }
+
+(* A state at [basis] for [p], with phase 1's bounds, zero costs, and
+   the pricing arrays every phase of the solve reuses. *)
+let create_state p ~rows_a ~basis ~nb ~inv ~xb ~art_sign =
   let m = p.num_rows and total = p.num_vars + p.num_rows in
   let lower, upper = column_bounds p in
   let in_basis = Array.make total false in
-  Array.iter (fun j -> in_basis.(j) <- true) s.s_basis;
-  let lengths at = Array.init m (fun i -> at.(i + 1) - at.(i)) in
+  Array.iter (fun j -> in_basis.(j) <- true) basis;
   {
     p;
     total;
@@ -618,10 +752,29 @@ let thaw s p =
     lower;
     upper;
     cost = Array.make total 0.0;
-    basis = Array.copy s.s_basis;
+    basis;
     in_basis;
-    nb = Array.copy s.s_nb;
-    inv =
+    nb;
+    inv;
+    xb;
+    art_first = p.num_vars;
+    art_sign;
+    rows_a;
+    y = Array.make m 0.0;
+    score = Array.make total 0.0;
+    d = Array.make m 0.0;
+    touched = Array.make m 0;
+    mark = Array.make total 0;
+    marked = 0;
+  }
+
+(* A state of its own at [s], for [p]: the start's problem, repriced. *)
+let thaw s p =
+  let m = p.num_rows in
+  let lengths at = Array.init m (fun i -> at.(i + 1) - at.(i)) in
+  create_state p ~rows_a:s.s_rows_a ~basis:(Array.copy s.s_basis)
+    ~nb:(Array.copy s.s_nb)
+    ~inv:
       {
         r_col = unpack s.row_at s.s_r_col 0;
         r_val = unpack s.row_at s.s_r_val 0.0;
@@ -633,11 +786,8 @@ let thaw s p =
         updated = Array.make m 0;
         seen = Array.make m 0;
         stamp = 0;
-      };
-    xb = Array.copy s.s_xb;
-    art_first = p.num_vars;
-    art_sign = s.s_art_sign;
-  }
+      }
+    ~xb:(Array.copy s.s_xb) ~art_sign:s.s_art_sign
 
 (* Phase 2 from the feasible basis in [st] (when [status] is still
    [Optimal]), then the answer.  [iter_count] runs on from phase 1: the
@@ -698,39 +848,26 @@ let finish st ~max_iters ~status ~start ~base iter_count =
 let solve ?max_iters (p : problem) : result =
   let m = p.num_rows in
   let max_iters = default_max_iters p max_iters in
-  let total = p.num_vars + m in
-  let lower, upper = column_bounds p in
-  let cost = Array.make total 0.0 in
-  let nb = Array.make total At_lower in
+  let nb = Array.make (p.num_vars + m) At_lower in
   (* Nonbasic start: every column at a finite bound, the lower one when
      it has one.  A free column has none; {!Model} splits free variables
      before they get here. *)
   for j = 0 to p.num_vars - 1 do
-    if lower.(j) > neg_infinity then nb.(j) <- At_lower
-    else if upper.(j) < infinity then nb.(j) <- At_upper
+    if p.lower.(j) > neg_infinity then nb.(j) <- At_lower
+    else if p.upper.(j) < infinity then nb.(j) <- At_upper
     else
       invalid_arg
         (Printf.sprintf "Simplex.solve: column %d is free (no finite bound)" j)
   done;
   let st =
-    {
-      p;
-      total;
-      m;
-      lower;
-      upper;
-      cost;
-      basis = Array.init m (fun i -> p.num_vars + i);
-      in_basis =
-        Array.init total (fun j -> j >= p.num_vars);
-      nb;
+    create_state p ~rows_a:(row_index p)
+      ~basis:(Array.init m (fun i -> p.num_vars + i))
+      ~nb
       (* The diagonal's values are filled in below. *)
-      inv = inverse_create m;
-      xb = Array.make m 0.0;
-      art_first = p.num_vars;
-      art_sign = Array.make m 1.0;
-    }
+      ~inv:(inverse_create m)
+      ~xb:(Array.make m 0.0) ~art_sign:(Array.make m 1.0)
   in
+  let cost = st.cost in
   (* Residual with all structural columns at their nonbasic bounds decides
      each artificial's sign so the initial basis is feasible. *)
   let resid = Array.copy p.rhs in

@@ -28,6 +28,19 @@
     of the basic values sums each row's entries in ascending column
     order.
 
+    {b Kept prices.}  Each phase prices every column once, then keeps
+    [y] and the reduced costs between pivots.  A pivot on row [r]
+    rewrites [B^-1] only in the columns where row [r] holds an entry,
+    and changes only row [r]'s basic cost, so it moves only those
+    [y(k)]; each is summed again over its column's costed entries in
+    ascending row order, the order the full product uses.  Only columns
+    with a nonzero in one of those rows get a new reduced cost, found
+    through a row-wise index of [A] built once per problem.  A bound
+    flip moves no price.  So every kept value equals a full pricing bit
+    for bit, and the entering column is the same: the largest score,
+    the lowest index among equals (under Bland's rule, the first
+    improving index).
+
     {b Bit-identical to the dense product.}  Every one of these sums adds
     the same nonzero terms in the same order as the dense loops, starting
     from [+0.0].  A skipped term is [±0], and adding [±0] to an
@@ -43,10 +56,10 @@
     (or finds the all-bound start feasible and skips it) also returns a
     {!start}: the state after phase 1 and the expulsion of zero-valued
     artificials.  It holds the standard-form [A], right-hand sides and
-    bounds it was computed on, the basis and the nonbasic positions,
-    [B^-1]'s live entries with their row and column indexes, the basic
-    values, the artificials' signs and the number of phase-1
-    iterations.  {!resolve} takes only new objective costs, so a start
+    bounds it was computed on with their row-wise index, the basis and
+    the nonbasic positions, [B^-1]'s live entries with their row and
+    column indexes, the basic values, the artificials' signs and the
+    number of phase-1 iterations.  {!resolve} takes only new objective costs, so a start
     is never paired with another matrix.
 
     A re-solve from a start is bit-identical to a fresh solve with the

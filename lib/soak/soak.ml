@@ -430,9 +430,11 @@ let inject_one sess e (ev : Fault.event) =
   | Fault.Failed f ->
       fault ();
       emit sess "F %d %s %s" e name (Fault.element_to_string f.Fault.elem)
-  | Fault.Restored { elem; _ } ->
+  | Fault.Restored { elem; held; _ } ->
       fault ();
-      emit sess "F %d %s %s" e name (Fault.element_to_string elem);
+      emit sess "F %d %s %s%s" e name
+        (Fault.element_to_string elem)
+        (if held then " held" else "");
       recheck sess e
         (match elem with
         | Fault.Link _ -> "post-link-restore"

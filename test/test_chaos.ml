@@ -13,6 +13,7 @@ module Walk = Apple_dataplane.Walk
 module Obs = Apple_obs.Counters
 module Flight = Apple_obs.Flight
 module V = Apple_verify.Verify
+module T = Apple_telemetry.Telemetry
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -502,10 +503,25 @@ let test_double_fault_one_semantics () =
               "link-up busiest";
             ]))
   in
+  (* The gate certifies the first epoch, then re-checks once per heal
+     event: the named link-up heals both faults with one check. *)
+  let certified = T.Counter.create "apple.verify.certified" in
   let o =
-    Ch.Chaos.run ~seed:7
-      ~schedule:(sched [ "0.5"; "1.0"; "1.5"; "2.0" ])
-      (chaos_scenario (B.internet2 ()) 7)
+    Fun.protect
+      ~finally:(fun () ->
+        T.set_enabled false;
+        T.reset ())
+      (fun () ->
+        T.reset ();
+        T.set_enabled true;
+        let o =
+          Ch.Chaos.run ~seed:7
+            ~schedule:(sched [ "0.5"; "1.0"; "1.5"; "2.0" ])
+            (chaos_scenario (B.internet2 ()) 7)
+        in
+        check Alcotest.int "one gate re-check for the heal event" 2
+          (T.Counter.value certified);
+        o)
   in
   check
     Alcotest.(list string)
@@ -554,6 +570,90 @@ let test_double_fault_one_semantics () =
            (String.starts_with ~prefix:"F ")
            (String.split_on_char '\n' stream))
 
+(* The busiest link (4-5) fails symbolically, then again by name; the
+   symbolic link-up heals only the symbolic fault, so the link stays
+   failed until the named link-up.  Chaos: the held link-up is logged,
+   and the named fault keeps losing packets for its whole 1.25 s, about
+   2.5x what the symbolic fault lost in its 0.5 s alone.  Soak: every
+   epoch from 25 to 44 loses traffic, before and after the
+   re-optimization at 36. *)
+let test_held_element_stays_down () =
+  let sched times =
+    parse_ok
+      (String.concat ""
+         (List.map2
+            (Printf.sprintf "at %s %s\n")
+            times
+            [
+              "link-down busiest";
+              "link-down 4-5";
+              "link-up busiest";
+              "link-up 4-5";
+            ]))
+  in
+  let o =
+    Ch.Chaos.run ~seed:7
+      ~schedule:(sched [ "0.5"; "1.0"; "1.5"; "2.25" ])
+      (chaos_scenario (B.internet2 ()) 7)
+  in
+  let logged line =
+    List.length
+      (List.filter (String.ends_with ~suffix:line) o.Ch.Chaos.log)
+  in
+  check Alcotest.int "the symbolic link-up leaves 4-5 held" 1
+    (logged "] link-up 4-5 held");
+  check Alcotest.int "the named link-up restores it" 1
+    (logged "] link-up 4-5");
+  (match o.Ch.Chaos.faults with
+  | [ sym; named ] ->
+      check
+        Alcotest.(list (option (float 1e-9)))
+        "each fault heals at its own up" [ Some 1.0; Some 1.25 ]
+        [ sym.Ch.Chaos.o_recovery; named.Ch.Chaos.o_recovery ];
+      if named.Ch.Chaos.o_lost < 2 * sym.Ch.Chaos.o_lost then
+        fail
+          (Printf.sprintf
+             "4-5 came back early: the named fault lost %d packets, the \
+              symbolic one %d"
+             named.Ch.Chaos.o_lost sym.Ch.Chaos.o_lost)
+  | fs -> fail (Printf.sprintf "%d faults, expected 2" (List.length fs)));
+  let soak =
+    {
+      (Apple_soak.Soak.default_config (B.internet2 ())) with
+      Apple_soak.Soak.seed = 7;
+      epochs = 50;
+      reopt_every = 12;
+      cycle = 24;
+      total_rate = 2500.0;
+      max_classes = 10;
+      schedule = sched [ "20"; "25"; "30"; "45" ];
+    }
+  in
+  match Apple_soak.Soak.create soak with
+  | Error e -> fail ("Soak.create: " ^ e)
+  | Ok sess ->
+      let lines =
+        String.split_on_char '\n'
+          (Apple_soak.Soak.run sess).Apple_soak.Soak.stream
+      in
+      check
+        Alcotest.(list string)
+        "soak holds 4-5 at the symbolic link-up"
+        [
+          "F 20 link-down 4-5";
+          "F 25 link-down 4-5";
+          "F 30 link-up 4-5 held";
+          "F 45 link-up 4-5";
+        ]
+        (List.filter (String.starts_with ~prefix:"F ") lines);
+      List.iter
+        (fun line ->
+          match Scanf.sscanf_opt line "E %d loss=%f" (fun e l -> (e, l)) with
+          | Some (e, loss) when e >= 25 && e < 45 && loss < 0.1 ->
+              fail (Printf.sprintf "4-5 up at epoch %d: loss %f" e loss)
+          | Some _ | None -> ())
+        lines
+
 (* A TCAM loss names a switch the topology lacks: both harnesses ignore
    it instead of indexing past the switch tables. *)
 let test_unknown_switch_ignored () =
@@ -601,6 +701,8 @@ let suite =
       (kill_heal_e2e (B.geant ()));
     Alcotest.test_case "chaos and soak pair a double fault alike" `Quick
       test_double_fault_one_semantics;
+    Alcotest.test_case "an element stays down while a fault holds it" `Quick
+      test_held_element_stays_down;
     Alcotest.test_case "a TCAM loss on an unknown switch is ignored" `Quick
       test_unknown_switch_ignored;
     QCheck_alcotest.to_alcotest prop_deterministic;

@@ -9,7 +9,8 @@
 module M = Apple_lp.Model
 
 type lp_case = {
-  ubs : float array;  (* per-var upper bound; lb = 0 *)
+  lbs : float array;  (* per-var lower bound *)
+  ubs : float array;  (* per-var upper bound *)
   objs : float array;  (* minimization objective *)
   x0 : float array;  (* feasibility witness, 0 <= x0 <= ubs *)
   constrs : (float array * [ `Le | `Ge | `Eq ] * float) list;
@@ -37,7 +38,7 @@ let gen_sized ~vars:(vlo, vhi) ~rows:(rlo, rhi) =
     ( array_size (return n) (float_range (-3.0) 3.0) >>= fun coefs ->
       oneofl [ `Le; `Ge; `Eq ] >>= fun sense ->
       float_range 0.0 5.0 >>= fun slack -> return (coefs, sense, slack) )
-  >>= fun constrs -> return { ubs; objs; x0; constrs }
+  >>= fun constrs -> return { lbs = Array.make n 0.0; ubs; objs; x0; constrs }
 
 let gen_case = gen_sized ~vars:(1, 5) ~rows:(1, 4)
 
@@ -45,8 +46,8 @@ let print_case case =
   let arr a =
     "[" ^ String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%g") a)) ^ "]"
   in
-  Printf.sprintf "ubs=%s objs=%s x0=%s constrs=[%s]" (arr case.ubs)
-    (arr case.objs) (arr case.x0)
+  Printf.sprintf "lbs=%s ubs=%s objs=%s x0=%s constrs=[%s]" (arr case.lbs)
+    (arr case.ubs) (arr case.objs) (arr case.x0)
     (String.concat " & "
        (List.map
           (fun ((coefs, sense, _) as c) ->
@@ -65,7 +66,7 @@ let build_vars ?maximize ?(free_first = false) case =
       (fun i ub ->
         if i = 0 && free_first then
           M.add_var t ~lb:neg_infinity ~ub:infinity ~obj:case.objs.(i) ()
-        else M.add_var t ~lb:0.0 ~ub ~obj:case.objs.(i) ())
+        else M.add_var t ~lb:case.lbs.(i) ~ub ~obj:case.objs.(i) ())
       case.ubs
   in
   List.iter
@@ -88,7 +89,8 @@ let feasible case x =
   let tol = 1e-5 in
   let ok = ref true in
   Array.iteri
-    (fun i v -> if v < -.tol || v > case.ubs.(i) +. tol then ok := false)
+    (fun i v ->
+      if v < case.lbs.(i) -. tol || v > case.ubs.(i) +. tol then ok := false)
     x;
   List.iter
     (fun ((coefs, sense, _) as c) ->
@@ -202,7 +204,13 @@ let gen_network =
       float_range 0.0 2.0 >>= fun slack -> return (coefs, `Le, slack) )
   >>= fun capacity ->
   return
-    { ubs = Array.make n 1.0; objs; x0; constrs = List.rev_append !structural capacity }
+    {
+      lbs = Array.make n 0.0;
+      ubs = Array.make n 1.0;
+      objs;
+      x0;
+      constrs = List.rev_append !structural capacity;
+    }
 
 let prop_network_shaped =
   QCheck.Test.make ~count:200
@@ -245,7 +253,9 @@ let problem_of case objs =
             (List.map (fun i -> if j < n then coef i j else 1.0) (column j)));
     rhs = Array.map (rhs_of case) rows;
     obj = Array.init (n + m) (fun j -> if j < n then objs.(j) else 0.0);
-    lower = Array.init (n + m) (fun j -> if j < n then 0.0 else fst (slack_bounds (j - n)));
+    lower =
+      Array.init (n + m) (fun j ->
+          if j < n then case.lbs.(j) else fst (slack_bounds (j - n)));
     upper =
       Array.init (n + m) (fun j ->
           if j < n then case.ubs.(j) else snd (slack_bounds (j - n)));
@@ -318,6 +328,58 @@ let prop_start_resolve ~name gen =
           && capped_again.Simplex.iterations = capped.Simplex.iterations - phase1
           && same_solution resolved fresh_model)
 
+(* Degenerate LPs: redundant equality rows (copies and combinations of
+   other equality rows, so their artificials stay basic and
+   [expel_artificials] must leave them), fixed columns (lb = ub, never
+   priced), and small boxes next to wide rows (bound flips).  Every
+   coefficient and witness value is a small multiple of 1/2, so each
+   combined row is exactly consistent with the rows it combines. *)
+let gen_degenerate =
+  let open QCheck.Gen in
+  int_range 2 7 >>= fun n ->
+  array_size (return n) (triple (int_range 1 8) (int_range 0 16) (int_range 0 3))
+  >>= fun boxes ->
+  let ubs = Array.map (fun (a, _, _) -> 0.5 *. float_of_int a) boxes in
+  let x0 = Array.map (fun (a, b, _) -> 0.5 *. float_of_int (b mod (a + 1))) boxes in
+  (* One variable in four is fixed at its witness value. *)
+  let fixed = Array.map (fun (_, _, f) -> f = 0) boxes in
+  let lbs = Array.mapi (fun i x -> if fixed.(i) then x else 0.0) x0 in
+  let ubs = Array.mapi (fun i x -> if fixed.(i) then x else ubs.(i)) x0 in
+  array_size (return n) (float_range (-3.0) 3.0) >>= fun objs ->
+  let row = array_size (return n) (map float_of_int (int_range (-2) 2)) in
+  int_range 1 3 >>= fun neq ->
+  list_repeat neq row >>= fun eqs ->
+  let eqs = Array.of_list eqs in
+  int_range 1 3 >>= fun nred ->
+  list_repeat nred
+    ( triple (int_range 0 (neq - 1)) (int_range 0 (neq - 1))
+        (pair (oneofl [ 1.0; -1.0; 2.0 ]) (oneofl [ 0.0; 1.0; -1.0 ]))
+    >>= fun (a, b, (ca, cb)) ->
+      return (Array.mapi (fun i x -> (ca *. x) +. (cb *. eqs.(b).(i))) eqs.(a)) )
+  >>= fun redundant ->
+  int_range 0 3 >>= fun nineq ->
+  list_repeat nineq
+    ( row >>= fun coefs ->
+      oneofl [ `Le; `Ge ] >>= fun sense ->
+      float_range 0.0 2.0 >>= fun slack -> return (coefs, sense, slack) )
+  >>= fun ineqs ->
+  shuffle_l
+    (List.map (fun c -> (c, `Eq, 0.0)) (Array.to_list eqs @ redundant) @ ineqs)
+  >>= fun constrs -> return { lbs; ubs; objs; x0; constrs }
+
+let prop_degenerate =
+  QCheck.Test.make ~count:300
+    ~name:"degenerate LPs (redundant rows, fixed columns): optimal, feasible, beat the witness"
+    (QCheck.make ~print:print_case gen_degenerate) (fun case ->
+      let sol = M.solve_lp (build case) in
+      sol.M.status = M.Optimal
+      && feasible case sol.M.values
+      && sol.M.objective <= dot case.objs case.x0 +. 1e-6)
+
+let prop_start_degenerate =
+  prop_start_resolve ~name:"degenerate LPs: start re-solve = fresh solve"
+    gen_degenerate
+
 let prop_start_feasible =
   prop_start_resolve ~name:"feasible LPs: start re-solve = fresh solve" gen_case
 
@@ -354,6 +416,7 @@ let prop_infeasible_no_start =
 let test_start_refused () =
   let case =
     {
+      lbs = [| 0.0; 0.0 |];
       ubs = [| 4.0; 4.0 |];
       objs = [| 1.0; 2.0 |];
       x0 = [| 1.0; 1.0 |];
@@ -425,6 +488,8 @@ let suite =
       prop_start_feasible;
       prop_start_dense;
       prop_start_network;
+      prop_degenerate;
+      prop_start_degenerate;
       prop_infeasible_no_start;
     ]
   @ [

@@ -116,6 +116,87 @@ let test_zero_rate_class () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* The one-pass site loads equal the per-site gather bit for bit.
+   Random classes on a 6-switch line: paths that may revisit a switch,
+   chains of one to four kinds drawn with repetition (a repeated kind
+   loads only its last stage), and arbitrary portions, signed zeros
+   included. *)
+let gen_loads_case =
+  let open QCheck.Gen in
+  let n = 6 in
+  let gen_class id =
+    int_range 1 6 >>= fun plen ->
+    int_range 1 4 >>= fun clen ->
+    array_size (return plen) (int_range 0 (n - 1)) >>= fun path ->
+    array_size (return clen) (oneofl Nf.all_kinds) >>= fun chain ->
+    float_range 0.0 1000.0 >>= fun rate ->
+    array_size (return plen)
+      (array_size (return clen)
+         (frequency
+            [ (4, float_range 0.0 1.0); (1, oneofl [ 0.0; -0.0; 1.0; 1e-12 ]) ]))
+    >>= fun dist ->
+    return
+      ( {
+          C.Types.id;
+          src = path.(0);
+          dst = path.(plen - 1);
+          path;
+          chain;
+          src_block = C.Scenario.src_block_of_class_id id;
+          rate;
+        },
+        dist )
+  in
+  int_range 1 8 >>= fun nc ->
+  flatten_l (List.init nc gen_class) >>= fun classes ->
+  let s =
+    {
+      C.Types.topo = Apple_topology.Builders.linear ~n;
+      classes = Array.of_list (List.map fst classes);
+      host_cores = Array.make n C.Types.default_host_cores;
+      seed = 0;
+    }
+  in
+  return
+    ( s,
+      {
+        OE.counts = Array.make_matrix n Nf.num_kinds 0;
+        distribution = Array.of_list (List.map snd classes);
+        objective_value = 0.0;
+        lp_objective = 0.0;
+        solve_seconds = 0.0;
+        model_size = "";
+      } )
+
+let print_loads_case ((s : C.Types.scenario), _) =
+  String.concat "; "
+    (Array.to_list
+       (Array.map
+          (fun (c : C.Types.flow_class) ->
+            Printf.sprintf "path [%s] chain %s rate %h"
+              (String.concat " "
+                 (Array.to_list (Array.map string_of_int c.C.Types.path)))
+              (Nf.chain_to_string (Array.to_list c.C.Types.chain))
+              c.C.Types.rate)
+          s.C.Types.classes))
+
+let prop_loads_one_pass =
+  QCheck.Test.make ~count:300 ~long_factor:10
+    ~name:"one-pass site loads = per-site load, bit for bit"
+    (QCheck.make ~print:print_loads_case gen_loads_case)
+    (fun (s, p) ->
+      let loads = OE.loads s p in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun v row ->
+             Array.for_all Fun.id
+               (Array.mapi
+                  (fun k load ->
+                    Int64.equal (Int64.bits_of_float load)
+                      (Int64.bits_of_float (OE.load s p ~v ~k)))
+                  row))
+           loads))
+
 let suite =
   [
     Alcotest.test_case "tiny optimum" `Quick test_tiny_solves;
@@ -130,4 +211,5 @@ let suite =
     Alcotest.test_case "kind pruning" `Quick test_instances_on_path_only;
     Alcotest.test_case "deterministic" `Quick test_solve_deterministic;
     Alcotest.test_case "zero-rate class" `Quick test_zero_rate_class;
+    QCheck_alcotest.to_alcotest prop_loads_one_pass;
   ]
