@@ -66,6 +66,11 @@ val tags_left : built -> int
     tag collision; the slice admission gate rejects it as tag-space
     exhaustion before the slice ever commits. *)
 
+val by_class :
+  Types.scenario -> Subclass.assignment -> Subclass.subclass list array
+(** The assignment's sub-classes grouped by class id, each group in
+    assignment order; one pass over the assignment. *)
+
 val subclass_prefixes :
   Types.flow_class -> Subclass.subclass list -> depth:int ->
   Apple_classifier.Prefix_split.prefix list array

@@ -19,6 +19,11 @@ let tcam_entries r = max 1 (List.length r.pmatch.m_prefixes)
 
 type vswitch_port = From_network | From_instance of int | From_production_vm
 
+let vswitch_port_id = function
+  | From_network -> -1
+  | From_production_vm -> -2
+  | From_instance i -> i
+
 type vswitch_action =
   | To_instance of int
   | Back_to_network of Tag.host_field

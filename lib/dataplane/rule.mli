@@ -47,6 +47,10 @@ type vswitch_port =
   | From_instance of int  (** local VNF instance id *)
   | From_production_vm
 
+val vswitch_port_id : vswitch_port -> int
+(** [From_network] is -1, [From_production_vm] -2 and [From_instance i]
+    is [i]. *)
+
 type vswitch_action =
   | To_instance of int
   | Back_to_network of Tag.host_field  (** retag the next host and emit *)

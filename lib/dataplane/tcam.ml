@@ -3,15 +3,32 @@ module Counters = Apple_obs.Counters
 
 (* Every installed physical rule gets a per-table uid at install time,
    the key under which Apple_obs.Counters accumulates its match/byte
-   counters (the moral equivalent of an OpenFlow cookie). *)
+   counters (the moral equivalent of an OpenFlow cookie).
+
+   The vSwitch table is [vsw] in install order, then [vsw_pending].
+   [vsw_order] lists [vsw]'s positions sorted by (port, key) and, within
+   one (port, key), by position, so a lookup binary-searches it for the
+   first rule of each key it may match.  Rules installed since the last
+   lookup wait in [vsw_pending], and that lookup folds them in. *)
 type t = {
   sw : int;
   mutable next_uid : int;
   mutable phys : (int * Rule.phys_rule) list;  (* kept sorted by descending priority *)
-  mutable vsw : Rule.vswitch_rule list;
+  mutable vsw : Rule.vswitch_rule array;
+  mutable vsw_order : int array;
+  mutable vsw_pending : Rule.vswitch_rule list;  (* newest first *)
 }
 
-let create ~switch = { sw = switch; next_uid = 0; phys = []; vsw = [] }
+let create ~switch =
+  {
+    sw = switch;
+    next_uid = 0;
+    phys = [];
+    vsw = [||];
+    vsw_order = [||];
+    vsw_pending = [];
+  }
+
 let switch t = t.sw
 
 let fresh_uid t =
@@ -24,17 +41,33 @@ let sort_phys entries =
     (fun (_, a) (_, b) -> Int.compare b.Rule.priority a.Rule.priority)
     entries
 
-let add_phys t r = t.phys <- sort_phys ((fresh_uid t, r) :: t.phys)
-let add_vswitch t r = t.vsw <- r :: t.vsw
+(* Before the first entry of priority <= its own: where the stable sort
+   of [entry :: phys] puts it. *)
+let add_phys t r =
+  let entry = (fresh_uid t, r) in
+  let rec insert = function
+    | ((_, r') :: _) as rest when r'.Rule.priority <= r.Rule.priority ->
+        entry :: rest
+    | e :: rest -> e :: insert rest
+    | [] -> [ entry ]
+  in
+  t.phys <- insert t.phys
+
+let add_vswitch t r = t.vsw_pending <- r :: t.vsw_pending
 
 let phys_rules t = List.map snd t.phys
 let phys_entries t = t.phys
-let vswitch_rules t = List.rev t.vsw
+
+let vswitch_rules t =
+  Array.fold_right List.cons t.vsw (List.rev t.vsw_pending)
 
 let set_phys t rules =
   t.phys <- sort_phys (List.map (fun r -> (fresh_uid t, r)) rules)
 
-let set_vswitch t rules = t.vsw <- List.rev rules
+let set_vswitch t rules =
+  t.vsw <- [||];
+  t.vsw_order <- [||];
+  t.vsw_pending <- List.rev rules
 
 let retain_phys t ~keep =
   let before = List.length t.phys in
@@ -47,7 +80,7 @@ let tcam_entries t =
 let tcam_entries_crossproduct t ~other_table =
   tcam_entries t * max 1 other_table
 
-let vswitch_entries t = List.length t.vsw
+let vswitch_entries t = Array.length t.vsw + List.length t.vsw_pending
 
 type network = t array
 
@@ -108,16 +141,54 @@ let lookup_phys_entry ?(bytes = 0) t tags ~src_ip =
 let lookup_phys t tags ~src_ip =
   Option.map snd (lookup_phys_entry t tags ~src_ip)
 
+(* Total order on (port, key): ports by [Rule.vswitch_port_id], then
+   every [Per_class] key before every [Global] one. *)
+let compare_key (a : Rule.vswitch_key) (b : Rule.vswitch_key) =
+  match (a, b) with
+  | Per_class a, Per_class b ->
+      let c = Int.compare a.cls b.cls in
+      if c <> 0 then c else Int.compare a.subclass b.subclass
+  | Global a, Global b -> Int.compare a b
+  | Per_class _, Global _ -> -1
+  | Global _, Per_class _ -> 1
+
+let compare_rule port key (r : Rule.vswitch_rule) =
+  let c = Int.compare port (Rule.vswitch_port_id r.Rule.v_port) in
+  if c <> 0 then c else compare_key key r.Rule.v_key
+
+let index t =
+  t.vsw <- Array.of_list (vswitch_rules t);
+  t.vsw_pending <- [];
+  let order = Array.init (Array.length t.vsw) Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      let r = t.vsw.(i) in
+      compare_rule (Rule.vswitch_port_id r.Rule.v_port) r.Rule.v_key t.vsw.(j))
+    order;
+  t.vsw_order <- order
+
+(* Install position of the first rule with this (port, key), or max_int. *)
+let first_position t port key =
+  let order = t.vsw_order in
+  let lo = ref 0 and hi = ref (Array.length order) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if compare_rule port key t.vsw.(order.(mid)) > 0 then lo := mid + 1
+    else hi := mid
+  done;
+  if !lo < Array.length order && compare_rule port key t.vsw.(order.(!lo)) = 0
+  then order.(!lo)
+  else max_int
+
 let lookup_vswitch t port ~cls ~subclass =
-  let matching r =
-    r.Rule.v_port = port
-    &&
-    match r.Rule.v_key with
-    | Rule.Per_class { cls = c; subclass = s } ->
-        (* Class recovery needs an intact header. *)
-        (match cls with Some c' -> c' = c && s = subclass | None -> false)
-    | Rule.Global g -> g = subclass
+  if t.vsw_pending <> [] then index t;
+  let port = Rule.vswitch_port_id port in
+  (* Class recovery needs an intact header. *)
+  let per_class =
+    match cls with
+    | Some cls -> first_position t port (Rule.Per_class { cls; subclass })
+    | None -> max_int
   in
-  match List.find_opt matching (List.rev t.vsw) with
-  | Some r -> Some r.Rule.v_action
-  | None -> None
+  match Int.min per_class (first_position t port (Rule.Global subclass)) with
+  | i when i = max_int -> None
+  | i -> Some t.vsw.(i).Rule.v_action

@@ -12,6 +12,10 @@ val create : switch:int -> t
 val switch : t -> int
 
 val add_phys : t -> Rule.phys_rule -> unit
+(** Insert before the first entry of equal or lower priority: the
+    newest rule of a priority band matches first.  Costs the entries
+    ahead of it. *)
+
 val add_vswitch : t -> Rule.vswitch_rule -> unit
 
 val phys_rules : t -> Rule.phys_rule list
@@ -83,6 +87,15 @@ val lookup_vswitch :
   cls:int option ->
   subclass:int ->
   Rule.vswitch_action option
-(** [cls = None] models a packet whose header was rewritten by an NF:
-    header-derived class matching is impossible, so only {!Rule.Global}
-    keyed rules can match. *)
+(** The action of the first rule in {!vswitch_rules} order whose port is
+    the given one and whose key is [Per_class {cls; subclass}] or
+    [Global subclass]; when both keys have a rule, the one installed
+    first wins.  [cls = None] models a packet whose header was rewritten
+    by an NF: header-derived class matching is impossible, so only
+    {!Rule.Global} keyed rules can match.
+
+    A lookup makes two binary searches (one when [cls = None]) over the
+    table's rules sorted by (port, key), so it costs O(log n) and
+    allocates a few words.  The first lookup after {!add_vswitch} or
+    {!set_vswitch} re-sorts the table: O(n log n), once per batch of
+    changes. *)

@@ -20,6 +20,8 @@ type error =
 
 exception Walk_error of error
 
+let host_lookup_limit = 63
+
 (* Integer encodings shared with the flight recorder (documented in
    Apple_obs.Flight and decoded by Apple_obs.Provenance). *)
 let host_code = function Tag.Empty -> -1 | Tag.Fin -> -2 | Tag.Host h -> h
@@ -58,10 +60,10 @@ let host_processing net ~sw ~cls ~tags ~entry_port ~record_instance ~rewriters
     | Some s -> s
     | None -> raise (Walk_error (Vswitch_miss sw))
   in
-  let budget = ref 64 in
+  let lookups = ref 0 in
   let rec step port =
-    decr budget;
-    if !budget <= 0 then raise (Walk_error (Host_loop sw));
+    incr lookups;
+    if !lookups > host_lookup_limit then raise (Walk_error (Host_loop sw));
     let cls_match = if !header_valid then Some cls else None in
     match Tcam.lookup_vswitch table port ~cls:cls_match ~subclass with
     | None -> raise (Walk_error (Vswitch_miss sw))

@@ -22,10 +22,18 @@ type trace = {
   subclass_tag : int option;
 }
 
+val host_lookup_limit : int
+(** vSwitch lookups one visit to an APPLE host may make (63): a
+    pipeline through at most 62 instances.  The walk fails with
+    {!Host_loop} on the next lookup, and the static verifier reports a
+    forwarding loop at the same point. *)
+
 type error =
   | No_matching_rule of int  (** switch where the lookup failed *)
   | Vswitch_miss of int
-  | Host_loop of int  (** vSwitch rules cycled inside a host *)
+  | Host_loop of int
+      (** vSwitch rules cycled inside a host, or ran past
+          {!host_lookup_limit} *)
   | Wrong_host of { switch : int; wanted : int }
   | Link_dead of { from : int; to_ : int }
       (** blackhole: the next path link is failed in the {!Failmask} *)

@@ -4,6 +4,7 @@ module S = Apple_classifier.Src_set
 module Rule = Apple_dataplane.Rule
 module Tag = Apple_dataplane.Tag
 module Tcam = Apple_dataplane.Tcam
+module Walk = Apple_dataplane.Walk
 module Nf = Apple_vnf.Nf
 module Instance = Apple_vnf.Instance
 module Types = Apple_core.Types
@@ -173,11 +174,6 @@ let phys_action_equal (a : Rule.phys_action) (b : Rule.phys_action) =
       _ ) ->
       false
 
-let vswitch_port_id = function
-  | Rule.From_network -> -1
-  | Rule.From_production_vm -> -2
-  | Rule.From_instance i -> i
-
 let vswitch_key_id = function
   | Rule.Per_class { cls; subclass } -> (cls, subclass)
   | Rule.Global g -> (-1, g)
@@ -188,59 +184,84 @@ let walk_branch_budget = 4096
    [Subclass.instance_load_ok]. *)
 let slack = 1.0001
 
-let check (s : Types.scenario) (asg : Subclass.assignment)
-    (built : Rule_generator.built) =
-  Apple_trace.Trace.with_ tr_check @@ fun () ->
-  let net = built.Rule_generator.network in
-  let violations = ref [] in
-  let nviol = ref 0 in
-  let add ?class_id ?sub_id ?switch ~witness code detail =
-    incr nviol;
-    violations := { code; class_id; sub_id; switch; witness; detail } :: !violations
-  in
-  (* A rule with no prefixes matches any source address; a sub-class with
-     no prefixes owns no traffic ([S.of_prefixes []] is empty). *)
-  let rule_pred = function [] -> S.full | ps -> S.of_prefixes ps in
-  let packet_witness pred =
-    match S.witness pred with
-    | Some p -> Packet p
-    | None -> Note "empty header set"
-  in
-  (* Per-switch (rule, predicate) arrays in match order, built once. *)
-  let table_preds =
-    Array.map
-      (fun table ->
-        lazy
-          (Array.of_list
-             (List.map
-                (fun r -> (r, rule_pred r.Rule.pmatch.Rule.m_prefixes))
-                (Tcam.phys_rules table))))
-      net
-  in
-  let preds_of sw = Lazy.force table_preds.(sw) in
+(* Each section below reports through a [finding] and returns its
+   violations in detection order; [check] concatenates the sections. *)
+type finding =
+  ?class_id:int ->
+  ?sub_id:int ->
+  ?switch:int ->
+  witness:witness ->
+  code ->
+  string ->
+  unit
 
-  (* --- table well-formedness: fully-shadowed physical rules --------- *)
+let collect (section : finding -> unit) =
+  let out = ref [] in
+  section (fun ?class_id ?sub_id ?switch ~witness code detail ->
+      out := { code; class_id; sub_id; switch; witness; detail } :: !out);
+  List.rev !out
+
+(* A rule with no prefixes matches any source address; a sub-class with
+   no prefixes owns no traffic ([S.of_prefixes []] is empty). *)
+let rule_pred = function [] -> S.full | ps -> S.of_prefixes ps
+
+let packet_witness pred =
+  match S.witness pred with
+  | Some p -> Packet p
+  | None -> Note "empty header set"
+
+(* Per-switch (rule, predicate) arrays in match order, built on first
+   use. *)
+type table_preds = (Rule.phys_rule * S.t) array Lazy.t array
+
+let table_preds net : table_preds =
+  Array.map
+    (fun table ->
+      lazy
+        (Array.of_list
+           (List.map
+              (fun r -> (r, rule_pred r.Rule.pmatch.Rule.m_prefixes))
+              (Tcam.phys_rules table))))
+    net
+
+let same_pattern a b = pattern_subsumes a b && pattern_subsumes b a
+
+(* --- table well-formedness: fully-shadowed physical rules ----------- *)
+
+(* A rule is shadowed when the earlier rules whose tag pattern subsumes
+   its own claim its whole source set.  One running union per distinct
+   (m_host, m_subclass) pattern seen so far makes a table's pass
+   O(rules x patterns) set operations. *)
+let shadowed_rules (preds : table_preds) =
+  collect @@ fun add ->
   Array.iteri
-    (fun sw _ ->
-      let preds = preds_of sw in
-      Array.iteri
-        (fun i (r, p) ->
-          let covered = ref S.empty in
-          for j = 0 to i - 1 do
-            let rj, pj = preds.(j) in
-            if pattern_subsumes rj.Rule.pmatch r.Rule.pmatch then
-              covered := S.union !covered pj
-          done;
-          if S.subset p !covered then
+    (fun sw table ->
+      let unions = ref [] in
+      Array.iter
+        (fun ((r : Rule.phys_rule), p) ->
+          let m = r.Rule.pmatch in
+          let covered =
+            List.fold_left
+              (fun acc (m', u) ->
+                if pattern_subsumes m' m then S.union acc !u else acc)
+              S.empty !unions
+          in
+          if S.subset p covered then
             add ~switch:sw
               ~witness:(Note (Format.asprintf "%a" Rule.pp_phys_rule r))
               Shadowed_rule
               "rule can never match: higher-priority rules claim its entire \
-               match set")
-        preds)
-    net;
+               match set";
+          match List.find_opt (fun (m', _) -> same_pattern m' m) !unions with
+          | Some (_, u) -> u := S.union !u p
+          | None -> unions := (m, ref p) :: !unions)
+        (Lazy.force table))
+    preds
 
-  (* --- table well-formedness: vSwitch pipelines --------------------- *)
+(* --- table well-formedness: vSwitch pipelines ----------------------- *)
+
+let vswitch_pipelines (net : Tcam.network) =
+  collect @@ fun add ->
   Array.iteri
     (fun sw table ->
       let rules = Tcam.vswitch_rules table in
@@ -253,7 +274,7 @@ let check (s : Types.scenario) (asg : Subclass.assignment)
       List.iter
         (fun r ->
           let k = vswitch_key_id r.Rule.v_key in
-          let port = vswitch_port_id r.Rule.v_port in
+          let port = Rule.vswitch_port_id r.Rule.v_port in
           match Hashtbl.find_opt groups k with
           | Some l ->
               if List.mem_assoc port !l then
@@ -301,21 +322,24 @@ let check (s : Types.scenario) (asg : Subclass.assignment)
               step entry)
             entries)
         (List.rev !key_order))
-    net;
+    net
 
-  (* --- tag space ---------------------------------------------------- *)
-  let tag_of sub =
-    match Hashtbl.find_opt built.Rule_generator.tag_of (Subclass.key sub) with
-    | Some t -> t
-    | None -> (
-        match built.Rule_generator.tag_mode with
-        | `Local -> sub.Subclass.sub_id
-        | `Global -> -1)
-  in
+(* --- tag space ------------------------------------------------------ *)
+
+let tag_of (built : Rule_generator.built) sub =
+  match Hashtbl.find_opt built.Rule_generator.tag_of (Subclass.key sub) with
+  | Some t -> t
+  | None -> (
+      match built.Rule_generator.tag_mode with
+      | `Local -> sub.Subclass.sub_id
+      | `Global -> -1)
+
+let tag_space (built : Rule_generator.built) (asg : Subclass.assignment) =
+  collect @@ fun add ->
   let seen_tags : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (sub : Subclass.subclass) ->
-      let t = tag_of sub in
+      let t = tag_of built sub in
       let class_id = sub.Subclass.class_id and sub_id = sub.Subclass.sub_id in
       if t < 0 || t >= Tag.max_subclasses then
         add ~class_id ~sub_id
@@ -338,14 +362,18 @@ let check (s : Types.scenario) (asg : Subclass.assignment)
                owner)
       | Some _ -> ()
       | None -> Hashtbl.add seen_tags bucket (Subclass.key sub))
-    asg.Subclass.subclasses;
-  (* Overlapping classification rules stamping different tags capture
-     each other's traffic no matter the priority tie-break. *)
+    asg.Subclass.subclasses
+
+(* --- classifier overlaps -------------------------------------------- *)
+
+(* Overlapping classification rules stamping different tags capture
+   each other's traffic no matter the priority tie-break. *)
+let classifier_overlaps (preds : table_preds) =
+  collect @@ fun add ->
   Array.iteri
-    (fun sw _ ->
-      let preds = preds_of sw in
+    (fun sw table ->
       let classify =
-        Array.to_list preds
+        Array.to_list (Lazy.force table)
         |> List.filter (fun ((r : Rule.phys_rule), _) ->
                match r.Rule.action with
                | Rule.Tag_and_deliver _ | Rule.Tag_and_forward _ -> true
@@ -375,236 +403,248 @@ let check (s : Types.scenario) (asg : Subclass.assignment)
             pairs rest
       in
       pairs classify)
-    net;
+    preds
 
-  (* --- per-sub-class symbolic walks --------------------------------- *)
+(* --- per-sub-class symbolic walks ----------------------------------- *)
+
+(* Returns the violations and the number of walks completed. *)
+let subclass_walks (s : Types.scenario) (asg : Subclass.assignment)
+    (built : Rule_generator.built) (preds : table_preds) =
+  let net = built.Rule_generator.network in
   let inst_by_id = Hashtbl.create 64 in
   List.iter
     (fun i -> Hashtbl.replace inst_by_id (Instance.id i) i)
     asg.Subclass.instances;
+  let by_class = Rule_generator.by_class s asg in
   let walks = ref 0 in
-  Array.iter
-    (fun (c : Types.flow_class) ->
-      let class_id = c.Types.id in
-      let subs =
-        List.filter
-          (fun (sub : Subclass.subclass) -> sub.Subclass.class_id = class_id)
-          asg.Subclass.subclasses
-      in
-      if subs <> [] then begin
-        let prefixes =
-          Rule_generator.subclass_prefixes c subs
-            ~depth:built.Rule_generator.split_depth
-        in
-        let chain = Array.to_list c.Types.chain in
-        let plen = Array.length c.Types.path in
-        let on_remaining_path h i =
-          let rec go j = j < plen && (c.Types.path.(j) = h || go (j + 1)) in
-          go (i + 1)
-        in
-        List.iteri
-          (fun s_idx (sub : Subclass.subclass) ->
-            let sub_id = sub.Subclass.sub_id in
-            let pred0 = S.of_prefixes prefixes.(s_idx) in
-            if not (S.is_empty pred0) then begin
-              let expected_tag = tag_of sub in
-              let expected_insts = Subclass.pinned asg sub in
-              let budget = ref walk_branch_budget in
-              let deviation st sw detail =
-                add ~class_id ~sub_id ~switch:sw
-                  ~witness:(packet_witness st.pred) Path_deviation detail
-              in
-              let finish st =
-                incr walks;
-                let got = List.rev st.insts in
-                List.iter
-                  (fun id ->
-                    if not (Hashtbl.mem inst_by_id id) then
-                      add ~class_id ~sub_id ~witness:(packet_witness st.pred)
-                        Isolation
-                        (Printf.sprintf
-                           "walk visits instance %d, which the assignment \
-                            never provisioned"
-                           id))
-                  got;
-                let kinds =
-                  List.filter_map
-                    (fun id ->
-                      Option.map Instance.kind (Hashtbl.find_opt inst_by_id id))
-                    got
+  let violations =
+    collect @@ fun add ->
+    Array.iter
+      (fun (c : Types.flow_class) ->
+        let class_id = c.Types.id in
+        let subs = by_class.(class_id) in
+        if subs <> [] then begin
+          let prefixes =
+            Rule_generator.subclass_prefixes c subs
+              ~depth:built.Rule_generator.split_depth
+          in
+          let chain = Array.to_list c.Types.chain in
+          let plen = Array.length c.Types.path in
+          let on_remaining_path h i =
+            let rec go j = j < plen && (c.Types.path.(j) = h || go (j + 1)) in
+            go (i + 1)
+          in
+          List.iteri
+            (fun s_idx (sub : Subclass.subclass) ->
+              let sub_id = sub.Subclass.sub_id in
+              let pred0 = S.of_prefixes prefixes.(s_idx) in
+              if not (S.is_empty pred0) then begin
+                let expected_tag = tag_of built sub in
+                let expected_insts = Subclass.pinned asg sub in
+                let budget = ref walk_branch_budget in
+                let deviation st sw detail =
+                  add ~class_id ~sub_id ~switch:sw
+                    ~witness:(packet_witness st.pred) Path_deviation detail
                 in
-                if kinds <> chain then
-                  add ~class_id ~sub_id ~witness:(packet_witness st.pred)
-                    Chain_order
-                    (Printf.sprintf "chain %s enforced as %s"
-                       (Nf.chain_to_string chain)
-                       (Nf.chain_to_string kinds));
-                (match st.subcls with
-                | Some t when t <> expected_tag ->
+                let finish st =
+                  incr walks;
+                  let got = List.rev st.insts in
+                  List.iter
+                    (fun id ->
+                      if not (Hashtbl.mem inst_by_id id) then
+                        add ~class_id ~sub_id ~witness:(packet_witness st.pred)
+                          Isolation
+                          (Printf.sprintf
+                             "walk visits instance %d, which the assignment \
+                              never provisioned"
+                             id))
+                    got;
+                  let kinds =
+                    List.filter_map
+                      (fun id ->
+                        Option.map Instance.kind
+                          (Hashtbl.find_opt inst_by_id id))
+                      got
+                  in
+                  if kinds <> chain then
                     add ~class_id ~sub_id ~witness:(packet_witness st.pred)
-                      Tag_collision
-                      (Printf.sprintf
-                         "traffic classified with tag %d but this sub-class \
-                          owns tag %d"
-                         t expected_tag)
-                | Some _ ->
-                    (* Correctly tagged: the walk must use exactly the
-                       pinned instances (isolation at the walk level). *)
-                    if List.length got = Array.length expected_insts then
-                      List.iteri
-                        (fun j id ->
-                          match expected_insts.(j) with
-                          | Some inst when Instance.id inst <> id ->
-                              add ~class_id ~sub_id
-                                ~witness:(packet_witness st.pred) Isolation
+                      Chain_order
+                      (Printf.sprintf "chain %s enforced as %s"
+                         (Nf.chain_to_string chain)
+                         (Nf.chain_to_string kinds));
+                  (match st.subcls with
+                  | Some t when t <> expected_tag ->
+                      add ~class_id ~sub_id ~witness:(packet_witness st.pred)
+                        Tag_collision
+                        (Printf.sprintf
+                           "traffic classified with tag %d but this sub-class \
+                            owns tag %d"
+                           t expected_tag)
+                  | Some _ ->
+                      (* Correctly tagged: the walk must use exactly the
+                         pinned instances (isolation at the walk level). *)
+                      if List.length got = Array.length expected_insts then
+                        List.iteri
+                          (fun j id ->
+                            match expected_insts.(j) with
+                            | Some inst when Instance.id inst <> id ->
+                                add ~class_id ~sub_id
+                                  ~witness:(packet_witness st.pred) Isolation
+                                  (Printf.sprintf
+                                     "stage %d served by instance %d instead \
+                                      of pinned instance %d"
+                                     j id (Instance.id inst))
+                            | Some _ | None -> ())
+                          got
+                  | None -> ());
+                  match (st.subcls, st.host) with
+                  | Some _, Tag.Fin -> ()
+                  | Some _, h ->
+                      add ~class_id ~sub_id
+                        ~witness:(packet_witness st.pred) Path_deviation
+                        (Format.asprintf
+                           "classified walk ends with host tag %a instead of \
+                            fin: remaining processing would leave the routing \
+                            path"
+                           Tag.pp_host_field h)
+                  | None, _ -> ()
+                in
+                let rec hop st i =
+                  if !budget <= 0 then ()
+                  else if i >= plen then finish st
+                  else begin
+                    let sw = c.Types.path.(i) in
+                    let preds = Lazy.force preds.(sw) in
+                    let residual = ref st.pred in
+                    Array.iter
+                      (fun ((r : Rule.phys_rule), rp) ->
+                        if
+                          (not (S.is_empty !residual))
+                          && host_matches r.Rule.pmatch.Rule.m_host st.host
+                          && subclass_matches r.Rule.pmatch.Rule.m_subclass
+                               st.subcls
+                        then begin
+                          let hit = S.inter !residual rp in
+                          if not (S.is_empty hit) then begin
+                            residual := S.diff !residual hit;
+                            decr budget;
+                            apply { st with pred = hit } r.Rule.action sw i
+                          end
+                        end)
+                      preds;
+                    if not (S.is_empty !residual) then
+                      add ~class_id ~sub_id ~switch:sw
+                        ~witness:(packet_witness !residual) Blackhole
+                        (Printf.sprintf "no rule matches at switch %d (hop %d)"
+                           sw i)
+                  end
+                and apply st action sw i =
+                  match action with
+                  | Rule.Goto_next -> hop st (i + 1)
+                  | Rule.Fwd_to_host h ->
+                      if h <> sw then
+                        deviation st sw
+                          (Printf.sprintf
+                             "switch %d asked to deliver to non-local host %d"
+                             sw h)
+                      else host_walk st sw i
+                  | Rule.Tag_and_deliver { subclass; host } ->
+                      let st = { st with subcls = Some subclass } in
+                      if host <> sw then
+                        deviation st sw
+                          (Printf.sprintf
+                             "switch %d asked to deliver to non-local host %d"
+                             sw host)
+                      else host_walk st sw i
+                  | Rule.Tag_and_forward { subclass; host } ->
+                      forward { st with subcls = Some subclass } host sw i
+                  | Rule.Set_host_and_forward host -> forward st host sw i
+                and forward st target sw i =
+                  match target with
+                  | Tag.Host h when not (on_remaining_path h i) ->
+                      deviation st sw
+                        (Printf.sprintf
+                           "forwarding tag rewires the next hop to host %d, \
+                            off the remaining routing path"
+                           h)
+                  | _ -> hop { st with host = target } (i + 1)
+                and host_walk st sw i =
+                  match st.subcls with
+                  | None ->
+                      add ~class_id ~sub_id ~switch:sw
+                        ~witness:(packet_witness st.pred) Blackhole
+                        "untagged packet delivered to an APPLE host"
+                  | Some tag ->
+                      let table = net.(sw) in
+                      let insts = ref st.insts in
+                      let header_valid = ref st.header_valid in
+                      let lookups = ref 0 in
+                      let rec step port =
+                        incr lookups;
+                        if !lookups > Walk.host_lookup_limit then
+                          add ~class_id ~sub_id ~switch:sw
+                            ~witness:(packet_witness st.pred) Forwarding_loop
+                            "vSwitch pipeline never returns the packet to the \
+                             network"
+                        else begin
+                          let cls =
+                            if !header_valid then Some class_id else None
+                          in
+                          match
+                            Tcam.lookup_vswitch table port ~cls ~subclass:tag
+                          with
+                          | None ->
+                              add ~class_id ~sub_id ~switch:sw
+                                ~witness:(packet_witness st.pred) Blackhole
                                 (Printf.sprintf
-                                   "stage %d served by instance %d instead \
-                                    of pinned instance %d"
-                                   j id (Instance.id inst))
-                          | Some _ | None -> ())
-                        got
-                | None -> ());
-                match (st.subcls, st.host) with
-                | Some _, Tag.Fin -> ()
-                | Some _, h ->
-                    add ~class_id ~sub_id
-                      ~witness:(packet_witness st.pred) Path_deviation
-                      (Format.asprintf
-                         "classified walk ends with host tag %a instead of \
-                          fin: remaining processing would leave the routing \
-                          path"
-                         Tag.pp_host_field h)
-                | None, _ -> ()
-              in
-              let rec hop st i =
-                if !budget <= 0 then ()
-                else if i >= plen then finish st
-                else begin
-                  let sw = c.Types.path.(i) in
-                  let preds = preds_of sw in
-                  let residual = ref st.pred in
-                  Array.iter
-                    (fun ((r : Rule.phys_rule), rp) ->
-                      if
-                        (not (S.is_empty !residual))
-                        && host_matches r.Rule.pmatch.Rule.m_host st.host
-                        && subclass_matches r.Rule.pmatch.Rule.m_subclass
-                             st.subcls
-                      then begin
-                        let hit = S.inter !residual rp in
-                        if not (S.is_empty hit) then begin
-                          residual := S.diff !residual hit;
-                          decr budget;
-                          apply { st with pred = hit } r.Rule.action sw i
+                                   "vSwitch miss at switch %d for tag %d" sw
+                                   tag)
+                          | Some (Rule.To_instance inst) ->
+                              insts := inst :: !insts;
+                              (match Hashtbl.find_opt inst_by_id inst with
+                              | Some i
+                                when Nf.rewrites_header (Instance.kind i) ->
+                                  header_valid := false
+                              | Some _ | None -> ());
+                              step (Rule.From_instance inst)
+                          | Some (Rule.Back_to_network target) ->
+                              forward
+                                {
+                                  st with
+                                  insts = !insts;
+                                  header_valid = !header_valid;
+                                }
+                                target sw i
                         end
-                      end)
-                    preds;
-                  if not (S.is_empty !residual) then
-                    add ~class_id ~sub_id ~switch:sw
-                      ~witness:(packet_witness !residual) Blackhole
-                      (Printf.sprintf "no rule matches at switch %d (hop %d)"
-                         sw i)
-                end
-              and apply st action sw i =
-                match action with
-                | Rule.Goto_next -> hop st (i + 1)
-                | Rule.Fwd_to_host h ->
-                    if h <> sw then
-                      deviation st sw
-                        (Printf.sprintf
-                           "switch %d asked to deliver to non-local host %d"
-                           sw h)
-                    else host_walk st sw i
-                | Rule.Tag_and_deliver { subclass; host } ->
-                    let st = { st with subcls = Some subclass } in
-                    if host <> sw then
-                      deviation st sw
-                        (Printf.sprintf
-                           "switch %d asked to deliver to non-local host %d"
-                           sw host)
-                    else host_walk st sw i
-                | Rule.Tag_and_forward { subclass; host } ->
-                    forward { st with subcls = Some subclass } host sw i
-                | Rule.Set_host_and_forward host -> forward st host sw i
-              and forward st target sw i =
-                match target with
-                | Tag.Host h when not (on_remaining_path h i) ->
-                    deviation st sw
-                      (Printf.sprintf
-                         "forwarding tag rewires the next hop to host %d, \
-                          off the remaining routing path"
-                         h)
-                | _ -> hop { st with host = target } (i + 1)
-              and host_walk st sw i =
-                match st.subcls with
-                | None ->
-                    add ~class_id ~sub_id ~switch:sw
-                      ~witness:(packet_witness st.pred) Blackhole
-                      "untagged packet delivered to an APPLE host"
-                | Some tag ->
-                    let table = net.(sw) in
-                    let insts = ref st.insts in
-                    let header_valid = ref st.header_valid in
-                    let steps = ref 0 in
-                    let rec step port =
-                      incr steps;
-                      if !steps > 64 then
-                        add ~class_id ~sub_id ~switch:sw
-                          ~witness:(packet_witness st.pred) Forwarding_loop
-                          "vSwitch pipeline never returns the packet to the \
-                           network"
-                      else begin
-                        let cls =
-                          if !header_valid then Some class_id else None
-                        in
-                        match
-                          Tcam.lookup_vswitch table port ~cls ~subclass:tag
-                        with
-                        | None ->
-                            add ~class_id ~sub_id ~switch:sw
-                              ~witness:(packet_witness st.pred) Blackhole
-                              (Printf.sprintf
-                                 "vSwitch miss at switch %d for tag %d" sw tag)
-                        | Some (Rule.To_instance inst) ->
-                            insts := inst :: !insts;
-                            (match Hashtbl.find_opt inst_by_id inst with
-                            | Some i
-                              when Nf.rewrites_header (Instance.kind i) ->
-                                header_valid := false
-                            | Some _ | None -> ());
-                            step (Rule.From_instance inst)
-                        | Some (Rule.Back_to_network target) ->
-                            forward
-                              {
-                                st with
-                                insts = !insts;
-                                header_valid = !header_valid;
-                              }
-                              target sw i
-                      end
-                    in
-                    step Rule.From_network
-              in
-              hop
-                {
-                  pred = pred0;
-                  host = Tag.Empty;
-                  subcls = None;
-                  header_valid = true;
-                  insts = [];
-                }
-                0;
-              if !budget <= 0 then
-                add ~class_id ~sub_id ~witness:(Block (List.hd prefixes.(s_idx)))
-                  Unverified
-                  "symbolic branch budget exhausted before certifying the \
-                   sub-class"
-            end)
-          subs
-      end)
-    s.Types.classes;
+                      in
+                      step Rule.From_network
+                in
+                hop
+                  {
+                    pred = pred0;
+                    host = Tag.Empty;
+                    subcls = None;
+                    header_valid = true;
+                    insts = [];
+                  }
+                  0;
+                if !budget <= 0 then
+                  add ~class_id ~sub_id
+                    ~witness:(Block (List.hd prefixes.(s_idx)))
+                    Unverified
+                    "symbolic branch budget exhausted before certifying the \
+                     sub-class"
+              end)
+            subs
+        end)
+      s.Types.classes
+  in
+  (violations, !walks)
 
-  (* --- isolation & capacity ----------------------------------------- *)
+(* --- isolation & capacity ------------------------------------------- *)
+
+let isolation_and_capacity (s : Types.scenario) (asg : Subclass.assignment) =
+  collect @@ fun add ->
   let offered : (int, float ref) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (sub : Subclass.subclass) ->
@@ -673,16 +713,28 @@ let check (s : Types.scenario) (asg : Subclass.assignment)
                   (Instance.host inst) load cap))
           Capacity
           "summed sub-class portions exceed the instance's capacity")
-    asg.Subclass.instances;
+    asg.Subclass.instances
 
+let check (s : Types.scenario) (asg : Subclass.assignment)
+    (built : Rule_generator.built) =
+  Apple_trace.Trace.with_ tr_check @@ fun () ->
+  let net = built.Rule_generator.network in
+  let preds = table_preds net in
+  let shadowed = shadowed_rules preds in
+  let pipelines = vswitch_pipelines net in
+  let tags = tag_space built asg in
+  let overlaps = classifier_overlaps preds in
+  let walked, walks = subclass_walks s asg built preds in
+  let capacity = isolation_and_capacity s asg in
   let report =
     {
-      violations = List.rev !violations;
+      violations =
+        List.concat [ shadowed; pipelines; tags; overlaps; walked; capacity ];
       subclasses = List.length asg.Subclass.subclasses;
-      walks = !walks;
+      walks;
       phys_rules =
         Array.fold_left
-          (fun acc t -> acc + List.length (Tcam.phys_rules t))
+          (fun acc t -> acc + List.length (Tcam.phys_entries t))
           0 net;
       vswitch_rules = Tcam.total_vswitch net;
       instances = List.length asg.Subclass.instances;

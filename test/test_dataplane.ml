@@ -580,6 +580,112 @@ let test_all_error_variants () =
       | Ok _ -> Alcotest.failf "%s: walk unexpectedly succeeded" name)
     scenarios
 
+(* ---- the keyed vSwitch lookup and the in-place physical insert ----- *)
+
+(* First match in install order: the definition the keyed lookup must
+   reproduce. *)
+let reference_vswitch rules port ~cls ~subclass =
+  List.find_map
+    (fun r ->
+      let key_matches =
+        match r.Rule.v_key with
+        | Rule.Per_class { cls = c; subclass = s } ->
+            (match cls with Some c' -> c' = c && s = subclass | None -> false)
+        | Rule.Global g -> g = subclass
+      in
+      if r.Rule.v_port = port && key_matches then Some r.Rule.v_action
+      else None)
+    rules
+
+let gen_vswitch_port rng =
+  match Rng.int rng 3 with
+  | 0 -> Rule.From_network
+  | 1 -> Rule.From_production_vm
+  | _ -> Rule.From_instance (Rng.int rng 5)
+
+(* Adds, whole-table replacements and lookups interleaved, so a lookup
+   also follows rules installed after an earlier lookup. *)
+let prop_vswitch_lookup =
+  QCheck.Test.make ~name:"vSwitch lookup = first match in install order"
+    ~count:300 ~long_factor:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 4 in
+      let t = Tcam.create ~switch:0 in
+      let model = ref [] in
+      let ok = ref true in
+      for _ = 1 to 10 + Rng.int rng 60 do
+        match Rng.int rng 10 with
+        | 0 ->
+            let rules =
+              List.init (Rng.int rng 12) (fun _ -> gen_vswitch_rule rng ~n)
+            in
+            Tcam.set_vswitch t rules;
+            model := rules
+        | 1 | 2 | 3 | 4 ->
+            let r = gen_vswitch_rule rng ~n in
+            Tcam.add_vswitch t r;
+            model := !model @ [ r ]
+        | _ ->
+            let port = gen_vswitch_port rng in
+            let cls =
+              if Rng.int rng 3 = 0 then None else Some (Rng.int rng 4)
+            in
+            let subclass = Rng.int rng 6 in
+            if
+              Tcam.lookup_vswitch t port ~cls ~subclass
+              <> reference_vswitch !model port ~cls ~subclass
+            then ok := false
+      done;
+      !ok
+      && Tcam.vswitch_rules t = !model
+      && Tcam.vswitch_entries t = List.length !model)
+
+(* The old add: prepend, then stable-sort by descending priority. *)
+let reference_sort entries =
+  List.stable_sort
+    (fun (_, a) (_, b) -> Int.compare b.Rule.priority a.Rule.priority)
+    entries
+
+let prop_phys_insert =
+  QCheck.Test.make ~name:"add_phys = stable sort of the old table"
+    ~count:300 ~long_factor:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 4 in
+      let t = Tcam.create ~switch:0 in
+      let model = ref [] and next_uid = ref 0 in
+      let fresh r =
+        let uid = !next_uid in
+        incr next_uid;
+        (uid, r)
+      in
+      let ok = ref true in
+      for _ = 1 to 5 + Rng.int rng 40 do
+        (match Rng.int rng 8 with
+        | 0 ->
+            let rules =
+              List.init (Rng.int rng 8) (fun _ -> gen_phys_rule rng ~n)
+            in
+            Tcam.set_phys t rules;
+            model := reference_sort (List.map fresh rules)
+        | 1 ->
+            let k = 1 + Rng.int rng 3 and m = Rng.int rng 3 in
+            let keep uid = uid mod k <> m in
+            let lost = Tcam.retain_phys t ~keep in
+            let kept = List.filter (fun (uid, _) -> keep uid) !model in
+            if lost <> List.length !model - List.length kept then ok := false;
+            model := kept
+        | _ ->
+            let r = gen_phys_rule rng ~n in
+            Tcam.add_phys t r;
+            model := reference_sort (fresh r :: !model));
+        if Tcam.phys_entries t <> !model then ok := false
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "walk happy path" `Quick test_walk_happy_path;
@@ -599,5 +705,7 @@ let suite =
     Alcotest.test_case "colliding priorities stable" `Quick
       test_colliding_priorities_stable;
     QCheck_alcotest.to_alcotest prop_batch;
+    QCheck_alcotest.to_alcotest prop_vswitch_lookup;
+    QCheck_alcotest.to_alcotest prop_phys_insert;
     Alcotest.test_case "all seven error variants" `Quick test_all_error_variants;
   ]

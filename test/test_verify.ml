@@ -404,6 +404,150 @@ let test_isolation () =
   let r = assert_flags V.Isolation cfg in
   assert_witnesses r
 
+(* --- the host pipeline bound ----------------------------------------- *)
+
+(* Stretch one sub-class's first vSwitch pipeline to [k] instances
+   (1_000_000 .. 1_000_000 + k - 1, none provisioned) and ask both the
+   gate and a concrete walk whether the pipeline is too long.  The
+   unprovisioned instances make the gate report isolation and chain
+   order either way; the pipeline-length verdicts are a forwarding loop
+   from the gate and [Host_loop] from the walk, and they must agree:
+   62 instances (63 lookups) pass, 63 fail. *)
+let test_pipeline_bound () =
+  let s, asg, built = fresh () in
+  let net = built.C.Rule_generator.network in
+  let c, sub, (src : Apple_classifier.Prefix_split.prefix) =
+    List.concat_map
+      (fun (c, reps) -> List.map (fun (sub, p) -> (c, sub, p)) reps)
+      (C.Rule_generator.representatives s asg built)
+    |> List.find (fun (_, sub, _) -> Array.length sub.C.Subclass.hops > 0)
+  in
+  let sw = c.C.Types.path.(sub.C.Subclass.hops.(0)) in
+  let tag = Hashtbl.find built.C.Rule_generator.tag_of (C.Subclass.key sub) in
+  let own r =
+    match r.R.v_key with
+    | R.Per_class { cls; subclass } -> cls = c.C.Types.id && subclass = tag
+    | R.Global g -> g = tag
+  in
+  let mine, others = List.partition own (Tcam.vswitch_rules net.(sw)) in
+  let key = (List.hd mine).R.v_key in
+  let exit =
+    List.find_map
+      (fun r ->
+        match r.R.v_action with
+        | R.Back_to_network target -> Some target
+        | R.To_instance _ -> None)
+      mine
+    |> Option.get
+  in
+  let inst j = 1_000_000 + j in
+  let pipeline k =
+    List.init (k + 1) (fun j ->
+        {
+          R.v_port =
+            (if j = 0 then R.From_network else R.From_instance (inst (j - 1)));
+          v_key = key;
+          v_action =
+            (if j = k then R.Back_to_network exit else R.To_instance (inst j));
+        })
+  in
+  List.iter
+    (fun k ->
+      Tcam.set_vswitch net.(sw) (others @ pipeline k);
+      let r = V.check s asg built in
+      let gate_loop =
+        List.exists
+          (fun v ->
+            v.V.code = V.Forwarding_loop
+            && v.V.class_id = Some c.C.Types.id
+            && v.V.sub_id = Some sub.C.Subclass.sub_id)
+          r.V.violations
+      in
+      let walk =
+        Apple_dataplane.Walk.run net ~path:(Array.to_list c.C.Types.path)
+          ~cls:c.C.Types.id ~src_ip:src.Apple_classifier.Prefix_split.addr ()
+      in
+      let name = Printf.sprintf "%d instances" k in
+      Alcotest.(check bool) (name ^ ": gate finds the pipeline too long")
+        (k > 62) gate_loop;
+      Alcotest.(check bool) (name ^ ": walk finds the pipeline too long")
+        (k > 62)
+        (match walk with
+        | Error (Apple_dataplane.Walk.Host_loop _) -> true
+        | Ok _ | Error _ -> false);
+      if k <= 62 then
+        Alcotest.(check bool) (name ^ ": walk completes") true
+          (Result.is_ok walk))
+    [ 62; 63 ]
+
+(* --- shadowed rules against the pairwise definition ------------------ *)
+
+module S = Apple_classifier.Src_set
+
+let subsumes (a : R.phys_match) (b : R.phys_match) =
+  (match (a.R.m_host, b.R.m_host) with
+  | `Any, _ -> true
+  | `Empty, `Empty | `Fin, `Fin -> true
+  | `Host x, `Host y -> x = y
+  | _ -> false)
+  &&
+  match (a.R.m_subclass, b.R.m_subclass) with
+  | `Any, _ -> true
+  | `Subclass x, `Subclass y -> x = y
+  | `Subclass _, `Any -> false
+
+(* Rule i is shadowed when the rules before it whose tag pattern
+   subsumes its own claim its whole source set. *)
+let pairwise_shadowed sw rules =
+  let pred (r : R.phys_rule) =
+    match r.R.pmatch.R.m_prefixes with [] -> S.full | ps -> S.of_prefixes ps
+  in
+  let rules = Array.of_list rules in
+  List.concat
+    (List.init (Array.length rules) (fun i ->
+         let covered = ref S.empty in
+         for j = 0 to i - 1 do
+           if subsumes rules.(j).R.pmatch rules.(i).R.pmatch then
+             covered := S.union !covered (pred rules.(j))
+         done;
+         if S.subset (pred rules.(i)) !covered then
+           [ (sw, Format.asprintf "%a" R.pp_phys_rule rules.(i)) ]
+         else []))
+
+let installed = lazy (fresh ())
+
+let prop_shadowed_pairwise =
+  QCheck.Test.make ~name:"shadowed rules = pairwise definition" ~count:100
+    ~long_factor:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let s, asg, _ = Lazy.force installed in
+      let built = C.Rule_generator.build s asg in
+      let net = built.C.Rule_generator.network in
+      let rng = Apple_prelude.Rng.create seed in
+      let n = Array.length net in
+      let sw = Apple_prelude.Rng.int rng n in
+      Tcam.set_phys net.(sw)
+        (List.init (Apple_prelude.Rng.int rng 14) (fun _ ->
+             Test_dataplane.gen_phys_rule rng ~n));
+      let expected =
+        List.concat
+          (List.init n (fun sw ->
+               pairwise_shadowed sw (Tcam.phys_rules net.(sw))))
+      in
+      let found =
+        List.filter_map
+          (fun v ->
+            match (v.V.code, v.V.switch, v.V.witness) with
+            | V.Shadowed_rule, Some sw, V.Note rule
+              when String.starts_with ~prefix:"rule can never match"
+                     v.V.detail ->
+                Some (sw, rule)
+            | _ -> None)
+          (V.check s asg built).V.violations
+      in
+      found = expected)
+
 (* --- the controller gate -------------------------------------------- *)
 
 let test_gate () =
@@ -461,6 +605,9 @@ let suite =
       test_forwarding_loop;
     Alcotest.test_case "mutation: foreign instance pinned" `Quick
       test_isolation;
+    Alcotest.test_case "gate and walk share the host pipeline bound" `Quick
+      test_pipeline_bound;
+    QCheck_alcotest.to_alcotest prop_shadowed_pairwise;
     Alcotest.test_case "gate rejects corrupted tables" `Quick test_gate;
     Alcotest.test_case "controller honors the gate" `Quick
       test_controller_gate;
