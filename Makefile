@@ -31,13 +31,12 @@ soak:
 	  --schedule examples/soak_internet2.soak --state-dir _soak
 
 # Refresh the committed bench snapshots (BENCH_core.json at a reduced
-# deterministic scale plus the fixed-size phase profile, BENCH_soak.json
-# from the acceptance soak run); review the diff before committing, and
-# keep EXPERIMENTS.md's schema docs in step
-# (tools/check_bench_schema.sh gates that).
+# deterministic scale, BENCH_soak.json from the acceptance soak run);
+# review the diff before committing, and keep EXPERIMENTS.md's schema
+# docs in step (tools/check_bench_schema.sh gates that).
 bench-snapshots:
 	APPLE_BENCH_SCALE=0.2 dune exec bench/main.exe -- table5 fig10 fig11 fig12 \
-	  profile --json BENCH_core.json
+	  --json BENCH_core.json
 	dune exec bin/apple_cli.exe -- soak -t internet2 --seed 42 --epochs 2000 \
 	  --schedule examples/soak_internet2.soak --bench-json BENCH_soak.json \
 	  > /dev/null
@@ -52,25 +51,20 @@ bench-snapshots:
 lint:
 	dune exec tools/apple_lint.exe
 
-# One-stop gate: lint, compile everything, run the full test suite, then
-# a scaled-down smoke of the jobs study so the parallel path is exercised
-# with jobs>1 even on single-core CI boxes, plus the bench-snapshot
-# schema guard and the deterministic soak-totals regression check
-# (re-runs the acceptance soak and diffs BENCH_soak.json's totals and
-# trajectory; only the machine-dependent perf line is exempt), the
-# Chrome-trace export schema guard, the phase-budget regression gate
-# (re-runs the bench profile section against BENCH_core.json's
-# committed apple-profile/1 shares) and the LP work gate (the exact
-# pivots and reduced costs of `apple solve -t internet2` against
-# tools/lp_work.txt).
+# One-stop gate: lint, compile everything, run the full test suite (the
+# work gate included: each benchmark workload's digest window against
+# tools/perf_work.txt), then a scaled-down smoke of the jobs study so the
+# parallel path is exercised with jobs>1 even on single-core CI boxes,
+# the bench-snapshot and lint-report schema guards, the deterministic
+# soak-totals regression check (re-runs the acceptance soak and diffs
+# BENCH_soak.json's totals and trajectory; only the machine-dependent
+# perf line is exempt) and the Chrome-trace export schema guard.
 check: lint build test
 	APPLE_BENCH_SCALE=0.02 APPLE_JOBS=2 APPLE_BENCH_ONLY=jobs dune exec bench/main.exe
 	sh tools/check_bench_schema.sh
 	sh tools/check_lint_schema.sh
 	sh tools/check_soak_totals.sh
 	sh tools/check_trace_schema.sh
-	sh tools/check_phase_budgets.sh
-	sh tools/check_lp_work.sh
 
 clean:
 	dune clean

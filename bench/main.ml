@@ -8,7 +8,7 @@
      dune exec bench/main.exe -- table5 --json bench.json
 
    Positional arguments select what runs: a section (paper | ablations |
-   jobs | failover | soak | slice | profile | micro) or an
+   jobs | failover | soak | slice | micro) or an
    individual artifact (table1 | table3 | table4 | table5 | fig6 ... fig12).  Without arguments,
    APPLE_BENCH_ONLY filters sections (comma-separated); unknown names in
    either place abort with the valid vocabulary.  --json FILE
@@ -22,11 +22,6 @@ module B = Apple_topology.Builders
 module Tr = Apple_traffic
 module Rng = Apple_prelude.Rng
 module T = Apple_telemetry.Telemetry
-module Trace = Apple_trace.Trace
-
-(* Phase self-time shares recorded by [run_profile]; written into the
-   snapshot as the apple-profile/1 block. *)
-let profile_phases : Trace.phase list ref = ref []
 
 let scale =
   match Sys.getenv_opt "APPLE_BENCH_SCALE" with
@@ -41,8 +36,7 @@ let seed =
 (* --- command line --------------------------------------------------- *)
 
 let section_names =
-  [ "paper"; "ablations"; "jobs"; "micro"; "failover"; "soak"; "slice";
-    "profile" ]
+  [ "paper"; "ablations"; "jobs"; "micro"; "failover"; "soak"; "slice" ]
 
 let experiment_names =
   [ "table1"; "table3"; "table4"; "table5"; "fig6"; "fig7"; "fig8"; "fig9";
@@ -106,29 +100,6 @@ let write_snapshot path =
         (if i = List.length exps - 1 then "}\n" else "},\n"))
     exps;
   Buffer.add_string buf "  },\n";
-  (* Phase budgets (apple-profile/1): per-phase self-time shares from
-     the traced profile workload, one phase per line — consumed by
-     tools/check_phase_budgets.sh as the regression baseline. *)
-  if !profile_phases <> [] then begin
-    Buffer.add_string buf "  \"profile\": {\n";
-    Buffer.add_string buf "    \"schema\": \"apple-profile/1\",\n";
-    Buffer.add_string buf "    \"phases\": {\n";
-    let ps = !profile_phases in
-    List.iteri
-      (fun i (p : Apple_trace.Trace.phase) ->
-        Buffer.add_string buf
-          (Printf.sprintf
-             "      \"%s\": {\"count\": %d, \"self_seconds\": %s, \"share\": \
-              %s}%s\n"
-             (json_escape p.Apple_trace.Trace.ph_cat)
-             p.Apple_trace.Trace.ph_count
-             (json_num p.Apple_trace.Trace.ph_self)
-             (json_num p.Apple_trace.Trace.ph_share)
-             (if i = List.length ps - 1 then "" else ",")))
-      ps;
-    Buffer.add_string buf "    }\n";
-    Buffer.add_string buf "  },\n"
-  end;
   (* Pipeline-wide telemetry: every counter, plus pool gauges. *)
   Buffer.add_string buf "  \"counters\": {";
   List.iteri
@@ -562,44 +533,6 @@ let run_micro () =
         results)
     tests
 
-(* Phase-budget profile: one gated per-class epoch plus the full
-   verification walk on Internet2 under the causal tracer, attributing
-   wall self time to pipeline phases.  The workload is {e fixed-size}
-   (independent of APPLE_BENCH_SCALE) so the committed shares in
-   BENCH_core.json compare like-for-like across snapshot refreshes —
-   tools/check_phase_budgets.sh re-runs this section and fails when a
-   phase's share regresses beyond its slack. *)
-let run_profile () =
-  print_endline "---- phase profile (trace-attributed self time) ----\n";
-  let module V = Apple_verify.Verify in
-  let topo = B.internet2 () in
-  let n = Apple_topology.Graph.num_nodes topo.B.graph in
-  let rng = Rng.create seed in
-  let tm = Tr.Synth.gravity rng ~n ~total:6000.0 in
-  let config =
-    { C.Scenario.default_config with C.Scenario.max_classes = 60 }
-  in
-  let scenario = C.Scenario.build ~config ~seed topo tm in
-  Trace.reset ();
-  Trace.set_enabled true;
-  let ctrl =
-    C.Controller.create ~engine:`Per_class ~gate:V.gate scenario
-  in
-  ignore (C.Controller.run_epoch ctrl);
-  (match C.Controller.verify ctrl with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("profile bench: verify failed: " ^ e));
-  Trace.set_enabled false;
-  let phases = Trace.phases ~mode:Trace.Wall () in
-  profile_phases := phases;
-  List.iter
-    (fun (p : Trace.phase) ->
-      Printf.printf "  %-10s %5d span(s)  self %.6f s  share %5.1f%%\n"
-        p.Trace.ph_cat p.Trace.ph_count p.Trace.ph_self
-        (100.0 *. p.Trace.ph_share))
-    phases;
-  print_newline ()
-
 let () =
   Printf.printf
     "APPLE reproduction benchmarks (seed=%d scale=%.2f)\n\
@@ -619,6 +552,5 @@ let () =
   if wants "soak" then run_soak ();
   if wants "slice" then run_slice ();
   if wants "micro" then run_micro ();
-  if wants "profile" then run_profile ();
   Option.iter write_snapshot json_path;
   print_endline "\nbench: done"

@@ -197,15 +197,11 @@ let verify t =
       | Ok () -> ()
       | Error e -> fail "distribution: %s" e);
       (* Sub-class weights realize the distribution. *)
+      let by_class = Rule_generator.by_class t.s assignment in
       Array.iter
         (fun c ->
-          let subs =
-            List.filter
-              (fun sub -> sub.Subclass.class_id = c.Types.id)
-              assignment.Subclass.subclasses
-          in
           let d = report.placement.Optimization_engine.distribution.(c.Types.id) in
-          if not (Subclass.weights_consistent c d subs) then
+          if not (Subclass.weights_consistent c d by_class.(c.Types.id)) then
             fail "class %d: sub-class weights drift from distribution" c.Types.id)
         t.s.Types.classes;
       if not (Subclass.instance_load_ok assignment ~slack:1.0001) then

@@ -1,5 +1,6 @@
 module Counters = Apple_obs.Counters
 module Flight = Apple_obs.Flight
+module T = Apple_telemetry.Telemetry
 
 type trace = {
   visited : int list;
@@ -78,6 +79,7 @@ let host_processing net ~sw ~cls ~tags ~entry_port ~record_instance ~rewriters
   step entry_port
 
 let tr_walk = Apple_trace.Trace.span ~cat:"dataplane" "dataplane.walk"
+let m_walks = T.Counter.create "apple.dataplane.walks"
 
 (* Failure-mask predicates; with no mask (or a clear one) every check
    collapses to a constant.  Hoisted out of the walk so a batch pays for
@@ -89,6 +91,7 @@ let mask_preds = function
 
 let run_one net ~preds ~path ~cls ~src_ip ~start_in_host ~rewriters ~flow () =
   Apple_trace.Trace.with_ ~cls tr_walk @@ fun () ->
+  if T.enabled () then T.Counter.incr m_walks;
   let obs = Counters.enabled () in
   let sw_dead, link_dead, inst_dead = preds in
   let tags = Tag.fresh () in

@@ -260,68 +260,73 @@ let shadowed_rules (preds : table_preds) =
 
 (* --- table well-formedness: vSwitch pipelines ----------------------- *)
 
+(* The action of a key's rule for [port]; a group holds one per port. *)
+let rec port_action port = function
+  | [] -> None
+  | (r : Rule.vswitch_rule) :: rest ->
+      if Rule.vswitch_port_id r.v_port = port then Some r.v_action
+      else port_action port rest
+
+(* Repeated (port, key) rules in match order, then each key's pipelines
+   from its entry ports, keys in first-seen order. *)
 let vswitch_pipelines (net : Tcam.network) =
   collect @@ fun add ->
   Array.iteri
     (fun sw table ->
-      let rules = Tcam.vswitch_rules table in
-      (* Group by key, preserving first-seen key order and per-key match
-         order. *)
-      let groups : (int * int, (int * Rule.vswitch_action) list ref) Hashtbl.t =
-        Hashtbl.create 16
-      in
-      let key_order = ref [] in
-      List.iter
-        (fun r ->
-          let k = vswitch_key_id r.Rule.v_key in
-          let port = Rule.vswitch_port_id r.Rule.v_port in
-          match Hashtbl.find_opt groups k with
-          | Some l ->
-              if List.mem_assoc port !l then
-                add ~switch:sw
-                  ~witness:(Note (Format.asprintf "%a" Rule.pp_vswitch_rule r))
-                  Shadowed_rule
-                  "vSwitch rule repeats an earlier (port, key) match and can \
-                   never fire"
-              else l := (port, r.Rule.v_action) :: !l
-          | None ->
-              Hashtbl.add groups k (ref [ (port, r.Rule.v_action) ]);
-              key_order := k :: !key_order)
-        rules;
-      List.iter
-        (fun k ->
-          let l = List.rev !(Hashtbl.find groups k) in
-          let entries = List.filter (fun (p, _) -> p = -1 || p = -2) l in
+      match Tcam.vswitch_rules table with
+      | [] -> ()
+      | rules ->
+          (* Each key's rules, the first of each port only, newest first. *)
+          let groups = Hashtbl.create 16 and keys = ref [] in
           List.iter
-            (fun (entry, _) ->
-              let visited = ref [] in
-              let rec step port =
-                if List.mem port !visited then
-                  add ~switch:sw
-                    ~witness:
-                      (Note
-                         (Printf.sprintf "key (%d,%d) revisits port %d"
-                            (fst k) (snd k) port))
-                    Forwarding_loop "vSwitch pipeline loops between instances"
-                else begin
-                  visited := port :: !visited;
-                  match List.assoc_opt port l with
-                  | None ->
+            (fun (r : Rule.vswitch_rule) ->
+              match Hashtbl.find_opt groups r.v_key with
+              | None ->
+                  Hashtbl.add groups r.v_key (ref [ r ]);
+                  keys := r.v_key :: !keys
+              | Some group -> (
+                  match port_action (Rule.vswitch_port_id r.v_port) !group with
+                  | None -> group := r :: !group
+                  | Some _ ->
                       add ~switch:sw
                         ~witness:
-                          (Note
-                             (Printf.sprintf
-                                "key (%d,%d) has no rule for instance port %d"
-                                (fst k) (snd k) port))
+                          (Note (Format.asprintf "%a" Rule.pp_vswitch_rule r))
+                        Shadowed_rule
+                        "vSwitch rule repeats an earlier (port, key) match \
+                         and can never fire"))
+            rules;
+          List.iter
+            (fun key ->
+              let group = !(Hashtbl.find groups key) in
+              let note what port =
+                let k1, k2 = vswitch_key_id key in
+                Note (Printf.sprintf "key (%d,%d) %s %d" k1 k2 what port)
+              in
+              let rec follow visited port =
+                if List.mem port visited then
+                  add ~switch:sw
+                    ~witness:(note "revisits port" port)
+                    Forwarding_loop "vSwitch pipeline loops between instances"
+                else
+                  match port_action port group with
+                  | None ->
+                      add ~switch:sw
+                        ~witness:(note "has no rule for instance port" port)
                         Blackhole
                         "vSwitch pipeline dead-ends before Back_to_network"
-                  | Some (Rule.To_instance i) -> step i
+                  | Some (Rule.To_instance i) -> follow (port :: visited) i
                   | Some (Rule.Back_to_network _) -> ()
-                end
               in
-              step entry)
-            entries)
-        (List.rev !key_order))
+              (* The entry ports, From_network (-1) and From_production_vm
+                 (-2), in install order. *)
+              List.fold_left
+                (fun entries (r : Rule.vswitch_rule) ->
+                  match Rule.vswitch_port_id r.v_port with
+                  | (-1 | -2) as port -> port :: entries
+                  | _ -> entries)
+                [] group
+              |> List.iter (follow []))
+            (List.rev !keys))
     net
 
 (* --- tag space ------------------------------------------------------ *)
