@@ -219,7 +219,10 @@ let bench_scenario =
      let config = { C.Scenario.default_config with C.Scenario.max_classes = 12 } in
      C.Scenario.build ~config ~seed named tm)
 
-let bench_placement = lazy (C.Optimization_engine.solve (Lazy.force bench_scenario))
+let bench_placement =
+  lazy
+    (C.Optimization_engine.solve ~method_:C.Optimization_engine.Lp_round
+       (Lazy.force bench_scenario))
 let bench_assignment =
   lazy (C.Subclass.assign (Lazy.force bench_scenario) (Lazy.force bench_placement))
 let bench_rules =
@@ -228,7 +231,9 @@ let bench_rules =
 let test_optimize =
   Test.make ~name:"optimization-engine (internet2, 12 classes)"
     (Staged.stage (fun () ->
-         ignore (C.Optimization_engine.solve (Lazy.force bench_scenario))))
+         ignore
+           (C.Optimization_engine.solve ~method_:C.Optimization_engine.Lp_round
+              (Lazy.force bench_scenario))))
 
 let test_decompose =
   Test.make ~name:"sub-class decomposition (one class)"

@@ -200,9 +200,9 @@ let engine_conv =
 
 let engine_info =
   let doc =
-    "Placement engine: $(b,best) (LP/greedy selector), $(b,lp) \
-     (monolithic LP pipeline), $(b,per-class) (parallel per-class \
-     decomposition) or $(b,greedy)."
+    "Placement engine: $(b,best) (per-class shortest paths raced \
+     against the greedy), $(b,lp) (monolithic LP pipeline), \
+     $(b,per-class) (parallel per-class decomposition) or $(b,greedy)."
   in
   Arg.info [ "engine" ] ~docv:"ENGINE" ~doc
 

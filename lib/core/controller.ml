@@ -74,8 +74,18 @@ let run_epoch t =
   Tr.with_ tr_epoch @@ fun () ->
   let placement =
     match t.engine with
-    | `Best -> Engine_select.solve_best ~objective:t.objective ?jobs:t.jobs t.s
-    | `Lp -> Optimization_engine.solve ~objective:t.objective t.s
+    | `Best ->
+        (* A shaped controller races the LP pipeline: the shortest-path
+           placements consolidate more, and the shaping pass then clones
+           more shared instances onto full hosts. *)
+        let method_ =
+          Option.map (fun _ -> Optimization_engine.Lp_round) t.shape
+        in
+        Engine_select.solve_best ~objective:t.objective ?method_ ?jobs:t.jobs
+          t.s
+    | `Lp ->
+        Optimization_engine.solve ~objective:t.objective
+          ~method_:Optimization_engine.Lp_round t.s
     | `Per_class ->
         Optimization_engine.solve ~objective:t.objective
           ~method_:Optimization_engine.Per_class ?jobs:t.jobs t.s

@@ -26,9 +26,13 @@ type epoch_report = {
 }
 
 type engine = [ `Best | `Lp | `Per_class | `Greedy ]
-(** Placement engine for the epoch: the LP/greedy selector (default),
-    the monolithic LP pipeline, the parallel per-class decomposition, or
-    the greedy heuristic alone. *)
+(** Placement engine for the epoch: the selector (default), which races
+    {!Optimization_engine.solve}'s shortest-path placement against the
+    greedy ({!Engine_select.solve}); the monolithic LP pipeline
+    ({!Optimization_engine.Lp_round}); the parallel per-class
+    decomposition; or the greedy heuristic alone.  A controller created
+    with [?shape] races the LP pipeline in [`Best] instead (see
+    {!create}). *)
 
 type gate =
   Types.scenario ->
@@ -66,7 +70,12 @@ val create :
     every value.  [load_source] (default [Oracle]) is forwarded to the
     Dynamic Handler built on each epoch.  [gate] (none by default) vets
     each epoch's rule tables before installation; [shape] (none by
-    default) rewrites the assignment before rules are generated. *)
+    default) rewrites the assignment before rules are generated.  With a
+    [shape], [`Best] races {!Optimization_engine.Lp_round} against the
+    greedy instead of the default shortest paths: the slicing layer's
+    isolation pass clones each isolated slice's shared instances, and
+    the more a placement consolidates, the more clones overflow host
+    budgets. *)
 
 val run_epoch : t -> epoch_report
 (** Global optimization for the scenario's current rates: solve, pin

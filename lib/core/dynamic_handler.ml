@@ -606,15 +606,20 @@ let step t =
      distribution (a rollback reclaims weight another episode parked);
      renormalizing keeps the data plane semantics — every packet of the
      class goes somewhere — while the next rounds converge. *)
+  let renormalized = ref false in
   Array.iter
     (fun subs ->
       let total = List.fold_left (fun acc p -> acc +. p.Netstate.weight) 0.0 subs in
-      if subs <> [] && total > 1e-9 && abs_float (total -. 1.0) > 1e-9 then
+      if subs <> [] && total > 1e-9 && abs_float (total -. 1.0) > 1e-9 then begin
+        renormalized := true;
         List.iter
           (fun p -> p.Netstate.weight <- p.Netstate.weight /. total)
-          subs)
+          subs
+      end)
     t.state.Netstate.per_class;
-  Netstate.recompute_loads t.state
+  (* With no failover and no renormalization, no weight moved since the
+     last recompute: the loads are current. *)
+  if hot <> [] || !renormalized then Netstate.recompute_loads t.state
 
 let overloaded_instances t = List.map (fun e -> e.instance) t.episodes
 

@@ -1,16 +1,16 @@
 type choice = Lp_pipeline | Greedy
 
-let solve ?objective ?jobs (s : Types.scenario) =
+let solve ?objective ?method_ ?jobs (s : Types.scenario) =
   let lp =
-    try Some (Optimization_engine.solve ?objective s)
+    try Some (Optimization_engine.solve ?objective ?method_ s)
     with Optimization_engine.Infeasible _ -> None
   in
   let greedy =
     try
       let p = Heuristic_engine.solve ?objective ?jobs s in
       (* Trust but verify: the greedy is only kept when the validator
-         passes (the LP pipeline is already validated by construction
-         and by tests). *)
+         passes (the optimization engine's placement is already
+         validated by construction and by tests). *)
       match Optimization_engine.check_distribution s p with
       | Ok () -> Some p
       | Error _ -> None
@@ -20,7 +20,7 @@ let solve ?objective ?jobs (s : Types.scenario) =
   | None, None ->
       raise
         (Optimization_engine.Infeasible
-           "both the LP pipeline and the greedy heuristic failed")
+           "both the optimization engine and the greedy heuristic failed")
   | Some p, None -> (p, Lp_pipeline)
   | None, Some p -> (p, Greedy)
   | Some a, Some b ->
@@ -28,7 +28,8 @@ let solve ?objective ?jobs (s : Types.scenario) =
         b.Optimization_engine.objective_value
         < a.Optimization_engine.objective_value -. 1e-9
       then
-        (* Keep the LP's bound and total time for honest reporting. *)
+        (* Keep the relaxation bound and total time for honest
+           reporting. *)
         ( {
             b with
             Optimization_engine.lp_objective = a.Optimization_engine.lp_objective;
@@ -39,4 +40,5 @@ let solve ?objective ?jobs (s : Types.scenario) =
           Greedy )
       else (a, Lp_pipeline)
 
-let solve_best ?objective ?jobs s = fst (solve ?objective ?jobs s)
+let solve_best ?objective ?method_ ?jobs s =
+  fst (solve ?objective ?method_ ?jobs s)

@@ -195,7 +195,9 @@ let jobs_table ?(jobs_list = [ 1; 2; 4 ]) ?(repeat = 3) opts =
       let n = Apple_topology.Graph.num_nodes named.Builders.graph in
       let tm = Synth.gravity rng ~n ~total:18_000.0 in
       let scenario = Scenario.build ~seed:opts.seed named tm in
-      let lp = Optimization_engine.solve scenario in
+      let lp =
+        Optimization_engine.solve ~method_:Optimization_engine.Lp_round scenario
+      in
       let per_class j =
         let best = ref infinity and result = ref None in
         for _ = 1 to max 1 repeat do
@@ -608,7 +610,11 @@ let ablation_engines opts =
         let r = f () in
         (r, Unix.gettimeofday () -. t0) (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
       in
-      let lp, lp_t = time (fun () -> Optimization_engine.solve s) in
+      let lp, lp_t =
+        time (fun () ->
+            Optimization_engine.solve ~method_:Optimization_engine.Lp_round s)
+      in
+      let paths, paths_t = time (fun () -> Optimization_engine.solve s) in
       let greedy, greedy_t = time (fun () -> Heuristic_engine.solve s) in
       let best, best_t = time (fun () -> Engine_select.solve_best s) in
       List.iter
@@ -623,12 +629,15 @@ let ablation_engines opts =
             ])
         [
           ("LP relax + round", lp, lp_t);
+          ("shortest paths", paths, paths_t);
           ("greedy heuristic", greedy, greedy_t);
           ("selector (best)", best, best_t);
         ])
     (Builders.all_paper_topologies ());
   {
-    title = "Ablation: placement engines (LP pipeline vs greedy vs selector)";
+    title =
+      "Ablation: placement engines (LP pipeline vs shortest paths vs greedy vs \
+       selector)";
     body = Table.render t;
   }
 
@@ -639,10 +648,13 @@ let ablation_passes opts =
   List.iter
     (fun (named : Builders.named) ->
       let s = scenario_for opts named in
-      let full = Optimization_engine.solve s in
+      let lp_round = Optimization_engine.Lp_round in
+      let full = Optimization_engine.solve ~method_:lp_round s in
       let base = Optimization_engine.instance_count full in
       let variant name ~reweight ~consolidate =
-        let p = Optimization_engine.solve ~reweight ~consolidate s in
+        let p =
+          Optimization_engine.solve ~method_:lp_round ~reweight ~consolidate s
+        in
         let k = Optimization_engine.instance_count p in
         Table.add_row t
           [
@@ -1002,7 +1014,7 @@ let ablation_scale opts =
       let config = { Scenario.default_config with Scenario.max_classes = 100 } in
       let s = Scenario.build ~config ~seed:opts.seed named tm in
       let t0 = Unix.gettimeofday () in (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
-      let lp = Optimization_engine.solve s in
+      let lp = Optimization_engine.solve ~method_:Optimization_engine.Lp_round s in
       let lp_t = Unix.gettimeofday () -. t0 in (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
       let t1 = Unix.gettimeofday () in (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
       let greedy = Heuristic_engine.solve s in

@@ -17,12 +17,15 @@ let tr_repair = Tr.span ~cat:"solve" "opt.repair"
 let tr_consolidate = Tr.span ~cat:"solve" "opt.consolidate"
 let tr_ilp = Tr.span ~cat:"solve" "opt.ilp"
 let tr_class = Tr.span ~cat:"solve" "opt.class_lp"
+let tr_paths = Tr.span ~cat:"solve" "opt.paths"
 let m_per_class_rounds = T.Counter.create "apple.opt.per_class_rounds"
 let m_class_lps = T.Counter.create "apple.opt.class_lps"
+let m_pricing_passes = T.Counter.create "apple.opt.pricing_passes"
+let m_lp_fallbacks = T.Counter.create "apple.opt.lp_fallbacks"
 
 type objective = Min_instances | Min_cores
 
-type method_ = Lp_round | Ilp of int | Per_class
+type method_ = Shortest_paths | Lp_round | Ilp of int | Per_class
 
 type placement = {
   counts : int array array;
@@ -521,8 +524,9 @@ let check_status (sol : Model.solution) =
 
 (* Per-site price of routing a unit of load through (v, k) given the
    current site loads: ceil(load/cap)/(load/cap), the ratio rounding
-   pays when the last instance there is nearly empty.  Used both by the
-   Lp_round reweighting pass and between Per_class rounds. *)
+   pays when the last instance there is nearly empty.  Used by the
+   Lp_round reweighting pass, between Shortest_paths passes and between
+   Per_class rounds. *)
 let site_prices loads =
   Array.map
     (Array.mapi (fun k load ->
@@ -530,6 +534,21 @@ let site_prices loads =
          let units = load /. cap in
          if load <= 1e-9 then 8.0 else min 8.0 (ceil units /. units)))
     loads
+
+(* Start prices before any load is known, the same at every kind of a
+   switch: hops that much traffic crosses begin cheap, so the first
+   placement already consolidates mass where sharing is likely instead
+   of spreading it uniformly. *)
+let hub_prices (s : Types.scenario) =
+  let n = Graph.num_nodes s.Types.topo.Builders.graph in
+  let hub = Array.make n 0.0 in
+  Array.iter
+    (fun c ->
+      Array.iter (fun v -> hub.(v) <- hub.(v) +. c.Types.rate) c.Types.path)
+    s.Types.classes;
+  let max_hub = Array.fold_left max 1e-9 hub in
+  Array.init n (fun v ->
+      Array.make Nf.num_kinds (1.0 +. (0.25 *. (1.0 -. (hub.(v) /. max_hub)))))
 
 (* Between Per_class rounds: {!site_prices} plus a core-budget surcharge
    on switches whose projected instance counts exceed their host budget.
@@ -607,158 +626,75 @@ let solve_class_lp ~objective ~prices (c : Types.flow_class) =
             Array.init clen (fun _ -> if i = 0 then 1.0 else 0.0))
   end
 
-let per_class_rounds = 3
+(* One class's cheapest chain-ordered placement under fixed site prices,
+   whole stages at single hops: the reweighted LP's objective with q
+   substituted.  Stage j of kind k at hop i costs
+   weight(k) x price x rate / cap when j is the stage {!chain_stage}
+   names for k, and nothing otherwise: such a cell loads no site.
+   [best.(j).(i)] is the cheapest placement of stages 0..j with stage j
+   at hop i, the running minimum of row j-1 up to hop i keeps each stage
+   at or after its predecessor, and [from] remembers where that minimum
+   sits.  Strict comparisons give ties to the earliest hop.  A shortest
+   path in the class's hop x stage layered graph; O(hops x stages). *)
+let cheapest_sequence ~objective ~prices (c : Types.flow_class) =
+  let plen = Array.length c.Types.path in
+  let clen = Array.length c.Types.chain in
+  let dist = Array.init plen (fun _ -> Array.make clen 0.0) in
+  if plen > 0 && clen > 0 then begin
+    let best = Array.make_matrix clen plen 0.0 in
+    let from = Array.make_matrix clen plen 0 in
+    for j = 0 to clen - 1 do
+      let k = Nf.kind_index c.Types.chain.(j) in
+      let loads_site = Option.equal Int.equal (chain_stage c k) (Some j) in
+      let cap = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
+      let low = ref infinity and at = ref 0 in
+      for i = 0 to plen - 1 do
+        if j > 0 && best.(j - 1).(i) < !low then begin
+          low := best.(j - 1).(i);
+          at := i
+        end;
+        let cost =
+          if loads_site then
+            kind_weight objective k *. prices.(c.Types.path.(i)).(k)
+            *. c.Types.rate /. cap
+          else 0.0
+        in
+        best.(j).(i) <- (if j = 0 then cost else cost +. !low);
+        from.(j).(i) <- !at
+      done
+    done;
+    let last = clen - 1 in
+    let i = ref 0 in
+    for i' = 1 to plen - 1 do
+      if best.(last).(i') < best.(last).(!i) then i := i'
+    done;
+    for j = last downto 0 do
+      dist.(!i).(j) <- 1.0;
+      i := from.(j).(!i)
+    done
+  end;
+  dist
 
-let solve ?(objective = Min_instances) ?(method_ = Lp_round) ?(reweight = true)
-    ?(consolidate = true) ?jobs (s : Types.scenario) =
-  let t0 = Unix.gettimeofday () in (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-  in
-  match method_ with
-  | Ilp max_nodes ->
-      let model, q, d = build_model s ~objective ~integer:true in
-      let model_size = Format.asprintf "%a" Model.pp_stats model in
-      let sol = Tr.with_ tr_ilp (fun () -> Model.solve_ilp ~max_nodes model) in
-      check_status sol;
-      let dist = extract_distribution s d sol in
-      let n = Graph.num_nodes s.Types.topo.Builders.graph in
-      let counts = Array.make_matrix n Nf.num_kinds 0 in
-      for v = 0 to n - 1 do
-        for k = 0 to Nf.num_kinds - 1 do
-          match q.(v).(k) with
-          | None -> ()
-          | Some var ->
-              counts.(v).(k) <- int_of_float (Float.round (Model.value sol var))
-        done
-      done;
-      {
-        counts;
-        distribution = dist;
-        objective_value = objective_of_counts ~objective counts;
-        lp_objective = sol.Model.objective;
-        solve_seconds = Unix.gettimeofday () -. t0; (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
-        model_size;
-      }
-  | Lp_round ->
-      let model, q, d = build_model s ~objective ~integer:false in
-      let model_size = Format.asprintf "%a" Model.pp_stats model in
-      let sol1 = Tr.with_ tr_relax (fun () -> Model.solve_lp model) in
-      check_status sol1;
-      let dist1 = extract_distribution s d sol1 in
-      (* The fractional objective is degenerate — spreading load across
-         sites costs the same as consolidating it — so follow-up passes
-         make under-utilized sites expensive, steering the LP toward
-         vertices that ceil-rounding wastes little on (a concave-cost
-         Frank–Wolfe style reweighting).  Only q's costs change, so the
-         re-solve reprices the relaxation's own model and starts from
-         its feasible start: phase 1 reads only rows and bounds. *)
-      let refine dist =
-        let w = site_prices (site_loads s dist) in
-        Array.iteri
-          (fun v row ->
-            Array.iteri
-              (fun k -> function
-                | Some qv ->
-                    Model.set_obj model qv (kind_weight objective k *. w.(v).(k))
-                | None -> ())
-              row)
-          q;
-        let sol' = Model.solve_lp ?start:sol1.Model.start model in
-        match sol'.Model.status with
-        | Model.Optimal | Model.Limit -> extract_distribution s d sol'
-        | Model.Infeasible | Model.Unbounded -> dist
-      in
-      let dist =
-        if reweight then Tr.with_ tr_reweight (fun () -> refine dist1)
-        else dist1
-      in
-      let counts = Tr.with_ tr_repair (fun () -> repair_resources s dist) in
-      let counts =
-        if consolidate then
-          Tr.with_ tr_consolidate (fun () -> consolidate_pass s dist counts)
-        else counts
-      in
-      {
-        counts;
-        distribution = dist;
-        objective_value = objective_of_counts ~objective counts;
-        lp_objective = sol1.Model.objective;
-        solve_seconds = Unix.gettimeofday () -. t0; (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
-        model_size;
-      }
-  | Per_class ->
-      (* Price-directed decomposition: each round solves every class's
-         small LP independently (fanned across [jobs] domains), merges
-         the distributions in class order, then reprices the sites from
-         the merged load.  The parallel map writes each class's result
-         into its own slot, so the merged distribution — and everything
-         downstream — is byte-identical for any [jobs]. *)
-      let n = Graph.num_nodes s.Types.topo.Builders.graph in
-      let classes = s.Types.classes in
-      let nclasses = Array.length classes in
-      (* Hub-biased start: hops carrying much traffic begin cheap, so
-         the first round already consolidates mass where sharing is
-         likely instead of spreading uniformly. *)
-      let hub = Array.make n 0.0 in
-      Array.iter
-        (fun c ->
-          Array.iter (fun v -> hub.(v) <- hub.(v) +. c.Types.rate) c.Types.path)
-        classes;
-      let max_hub = Array.fold_left max 1e-9 hub in
-      let prices =
-        ref
-          (Array.init n (fun v ->
-               Array.make Nf.num_kinds
-                 (1.0 +. (0.25 *. (1.0 -. (hub.(v) /. max_hub))))))
-      in
-      let rounds = if reweight then per_class_rounds else 1 in
-      let dist = ref [||] in
-      for _ = 1 to rounds do
-        let p = !prices in
-        Tr.with_ tr_round (fun () ->
-            dist :=
-              Pool.run ~jobs
-                (fun c ->
-                  Tr.with_ ~cls:c.Types.id tr_class (fun () ->
-                      solve_class_lp ~objective ~prices:p c))
-                classes);
-        T.Counter.incr m_per_class_rounds;
-        T.Counter.add m_class_lps nclasses;
-        (* Repricing reads the merged distribution sequentially — float
-           accumulation order is fixed regardless of [jobs]. *)
-        prices := per_class_prices s !dist
-      done;
-      let dist = !dist in
-      (* Fractional lower bound of the coupled problem: q >= load/cap. *)
-      let lp_objective =
-        let loads = site_loads s dist in
-        let acc = ref 0.0 in
-        for v = 0 to n - 1 do
-          for k = 0 to Nf.num_kinds - 1 do
-            let cap = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
-            let load = loads.(v).(k) in
-            acc := !acc +. (kind_weight objective k *. load /. cap)
-          done
-        done;
-        !acc
-      in
-      let counts = Tr.with_ tr_repair (fun () -> repair_resources s dist) in
-      let counts =
-        if consolidate then
-          Tr.with_ tr_consolidate (fun () -> consolidate_pass s dist counts)
-        else counts
-      in
-      {
-        counts;
-        distribution = dist;
-        objective_value = objective_of_counts ~objective counts;
-        lp_objective;
-        solve_seconds = Unix.gettimeofday () -. t0; (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
-        model_size =
-          Printf.sprintf "per-class decomposition: %d classes x %d rounds (jobs=%d)"
-            nclasses rounds jobs;
-      }
+(* The relaxation's optimum, in closed form.  At any optimum of the
+   relaxation q = load/cap (the host rows only bound q above), and the
+   completion rows fix each class's load of every kind in its chain at
+   its rate, so every feasible point costs the same: each class pays
+   rate x weight/cap once per distinct kind of its chain. *)
+let relaxation_bound ~objective (s : Types.scenario) =
+  Array.fold_left
+    (fun acc c ->
+      let per_mbps = ref 0.0 in
+      Array.iteri
+        (fun j kind ->
+          let k = Nf.kind_index kind in
+          if Option.equal Int.equal (chain_stage c k) (Some j) then
+            per_mbps :=
+              !per_mbps
+              +. kind_weight objective k
+                 /. (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps)
+        c.Types.chain;
+      acc +. (c.Types.rate *. !per_mbps))
+    0.0 s.Types.classes
 
 let load (s : Types.scenario) placement ~v ~k =
   load_of_distribution s placement.distribution ~v ~k
@@ -804,6 +740,197 @@ let check_distribution (s : Types.scenario) placement =
   match !errors with
   | [] -> Ok ()
   | msgs -> Error (String.concat "; " (List.rev msgs))
+
+let per_class_rounds = 3
+
+let solve ?(objective = Min_instances) ?(method_ = Shortest_paths)
+    ?(reweight = true) ?(consolidate = true) ?jobs (s : Types.scenario) =
+  let t0 = Unix.gettimeofday () in (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
+  let seconds () = Unix.gettimeofday () -. t0 in (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
+  let jobs =
+    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
+  in
+  (* Integral counts for a distribution: the repair pass, then the
+     consolidation pass unless it is switched off. *)
+  let round dist =
+    let counts = Tr.with_ tr_repair (fun () -> repair_resources s dist) in
+    if consolidate then
+      Tr.with_ tr_consolidate (fun () -> consolidate_pass s dist counts)
+    else counts
+  in
+  let lp_round () =
+    let model, q, d = build_model s ~objective ~integer:false in
+    let model_size = Format.asprintf "%a" Model.pp_stats model in
+    let sol1 = Tr.with_ tr_relax (fun () -> Model.solve_lp model) in
+    check_status sol1;
+    let dist1 = extract_distribution s d sol1 in
+    (* The fractional objective is degenerate — spreading load across
+       sites costs the same as consolidating it — so follow-up passes
+       make under-utilized sites expensive, steering the LP toward
+       vertices that ceil-rounding wastes little on (a concave-cost
+       Frank–Wolfe style reweighting).  Only q's costs change, so the
+       re-solve reprices the relaxation's own model and starts from its
+       feasible start: phase 1 reads only rows and bounds. *)
+    let refine dist =
+      let w = site_prices (site_loads s dist) in
+      Array.iteri
+        (fun v row ->
+          Array.iteri
+            (fun k -> function
+              | Some qv ->
+                  Model.set_obj model qv (kind_weight objective k *. w.(v).(k))
+              | None -> ())
+            row)
+        q;
+      let sol' = Model.solve_lp ?start:sol1.Model.start model in
+      match sol'.Model.status with
+      | Model.Optimal | Model.Limit -> extract_distribution s d sol'
+      | Model.Infeasible | Model.Unbounded -> dist
+    in
+    let dist =
+      if reweight then Tr.with_ tr_reweight (fun () -> refine dist1) else dist1
+    in
+    let counts = round dist in
+    {
+      counts;
+      distribution = dist;
+      objective_value = objective_of_counts ~objective counts;
+      lp_objective = sol1.Model.objective;
+      solve_seconds = seconds ();
+      model_size;
+    }
+  in
+  match method_ with
+  | Ilp max_nodes ->
+      let model, q, d = build_model s ~objective ~integer:true in
+      let model_size = Format.asprintf "%a" Model.pp_stats model in
+      let sol = Tr.with_ tr_ilp (fun () -> Model.solve_ilp ~max_nodes model) in
+      check_status sol;
+      let dist = extract_distribution s d sol in
+      let n = Graph.num_nodes s.Types.topo.Builders.graph in
+      let counts = Array.make_matrix n Nf.num_kinds 0 in
+      for v = 0 to n - 1 do
+        for k = 0 to Nf.num_kinds - 1 do
+          match q.(v).(k) with
+          | None -> ()
+          | Some var ->
+              counts.(v).(k) <- int_of_float (Float.round (Model.value sol var))
+        done
+      done;
+      {
+        counts;
+        distribution = dist;
+        objective_value = objective_of_counts ~objective counts;
+        lp_objective = sol.Model.objective;
+        solve_seconds = seconds ();
+        model_size;
+      }
+  | Lp_round -> lp_round ()
+  | Shortest_paths -> (
+      (* Every class on its cheapest chain-ordered sequence of hops under
+         site prices, then the integral counts.  The first pass prices
+         hubs; each next one prices the loads of the placement kept so
+         far ({!site_prices}) and is kept only when the objective
+         strictly falls.  Objectives are sums of integer-weighted
+         counts, so the passes end.  The LP pipeline decides what this
+         cannot: a first pass whose repair finds no feasible counts, or
+         a result that fails {!check_distribution}. *)
+      let passes = ref 0 in
+      let place prices =
+        incr passes;
+        T.Counter.incr m_pricing_passes;
+        let dist =
+          Tr.with_ tr_paths (fun () ->
+              Array.map (cheapest_sequence ~objective ~prices) s.Types.classes)
+        in
+        let counts = round dist in
+        (dist, counts, objective_of_counts ~objective counts)
+      in
+      let rec reprice ((dist, _, value) as kept) =
+        match place (site_prices (site_loads s dist)) with
+        | (_, _, value') as next when value' < value -> reprice next
+        | _ -> kept
+        | exception Infeasible _ -> kept
+      in
+      let fallback () =
+        T.Counter.incr m_lp_fallbacks;
+        lp_round ()
+      in
+      match place (hub_prices s) with
+      | exception Infeasible _ -> fallback ()
+      | first -> (
+          let distribution, counts, objective_value =
+            if reweight then reprice first else first
+          in
+          let p =
+            {
+              counts;
+              distribution;
+              objective_value;
+              lp_objective = relaxation_bound ~objective s;
+              solve_seconds = seconds ();
+              model_size =
+                Printf.sprintf "shortest paths: %d classes x %d pricing passes"
+                  (Array.length s.Types.classes)
+                  !passes;
+            }
+          in
+          match check_distribution s p with
+          | Ok () -> p
+          | Error _ -> fallback ()))
+  | Per_class ->
+      (* Price-directed decomposition: each round solves every class's
+         small LP independently (fanned across [jobs] domains), merges
+         the distributions in class order, then reprices the sites from
+         the merged load.  The parallel map writes each class's result
+         into its own slot, so the merged distribution — and everything
+         downstream — is byte-identical for any [jobs]. *)
+      let n = Graph.num_nodes s.Types.topo.Builders.graph in
+      let classes = s.Types.classes in
+      let nclasses = Array.length classes in
+      let prices = ref (hub_prices s) in
+      let rounds = if reweight then per_class_rounds else 1 in
+      let dist = ref [||] in
+      for _ = 1 to rounds do
+        let p = !prices in
+        Tr.with_ tr_round (fun () ->
+            dist :=
+              Pool.run ~jobs
+                (fun c ->
+                  Tr.with_ ~cls:c.Types.id tr_class (fun () ->
+                      solve_class_lp ~objective ~prices:p c))
+                classes);
+        T.Counter.incr m_per_class_rounds;
+        T.Counter.add m_class_lps nclasses;
+        (* Repricing reads the merged distribution sequentially — float
+           accumulation order is fixed regardless of [jobs]. *)
+        prices := per_class_prices s !dist
+      done;
+      let dist = !dist in
+      (* Fractional lower bound of the coupled problem: q >= load/cap. *)
+      let lp_objective =
+        let loads = site_loads s dist in
+        let acc = ref 0.0 in
+        for v = 0 to n - 1 do
+          for k = 0 to Nf.num_kinds - 1 do
+            let cap = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
+            let load = loads.(v).(k) in
+            acc := !acc +. (kind_weight objective k *. load /. cap)
+          done
+        done;
+        !acc
+      in
+      let counts = round dist in
+      {
+        counts;
+        distribution = dist;
+        objective_value = objective_of_counts ~objective counts;
+        lp_objective;
+        solve_seconds = seconds ();
+        model_size =
+          Printf.sprintf "per-class decomposition: %d classes x %d rounds (jobs=%d)"
+            nclasses rounds jobs;
+      }
 
 let instance_count placement =
   Array.fold_left

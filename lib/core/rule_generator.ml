@@ -34,14 +34,15 @@ let subclass_prefixes (cls : Types.flow_class) subs ~depth =
   Prefix.split ~base:cls.Types.src_block ~weights ~depth
 
 (* The assignment's sub-classes grouped by class id, each group in
-   assignment order. *)
+   assignment order: filled from the end of the assignment, so every
+   cell is allocated once. *)
 let by_class (s : Types.scenario) (assignment : Subclass.assignment) =
   let groups = Array.make (Array.length s.Types.classes) [] in
-  List.iter
-    (fun sub ->
+  List.fold_right
+    (fun sub () ->
       groups.(sub.Subclass.class_id) <- sub :: groups.(sub.Subclass.class_id))
-    assignment.Subclass.subclasses;
-  Array.map List.rev groups
+    assignment.Subclass.subclasses ();
+  groups
 
 let representatives s assignment built =
   let groups = by_class s assignment in

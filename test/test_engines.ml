@@ -48,17 +48,29 @@ let test_heuristic_infeasible () =
        false
      with OE.Infeasible _ -> true)
 
+(* The selector keeps the better of the engines it races, under either
+   optimization-engine method: never worse than either of them. *)
 let test_selector_never_worse () =
   List.iter
     (fun seed ->
       let s = Helpers.small_scenario ~seed () in
-      let lp = OE.solve s in
-      let best, _ = ES.solve s in
-      Alcotest.(check bool) "selector <= lp pipeline" true
-        (best.OE.objective_value <= lp.OE.objective_value +. 1e-9);
-      match OE.check_distribution s best with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail e)
+      List.iter
+        (fun (name, method_) ->
+          let best, _ = ES.solve ~method_ s in
+          List.iter
+            (fun (engine, p) ->
+              (* The selector drops a greedy placement that fails the
+                 validator. *)
+              if Result.is_ok (OE.check_distribution s p) then
+                Alcotest.(check bool)
+                  (Printf.sprintf "seed %d: %s race <= %s" seed name engine)
+                  true
+                  (best.OE.objective_value <= p.OE.objective_value +. 1e-9))
+            [ (name, OE.solve ~method_ s); ("greedy", HE.solve s) ];
+          match OE.check_distribution s best with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail e)
+        [ ("shortest paths", OE.Shortest_paths); ("lp", OE.Lp_round) ])
     [ 7; 8; 9 ]
 
 let test_selector_reports_choice () =

@@ -82,6 +82,55 @@ let prop_failover_invariants =
           if not (C.Netstate.weights_valid state) then ok := false;
           !ok)
 
+(* [Dynamic_handler.step] leaves the loads current: after every step
+   over a random rate trajectory, each instance's offered load equals
+   what a fresh [Netstate.recompute_loads] gives, bit for bit — also
+   after the steps that move no weight and so skip their recompute. *)
+let prop_step_loads_current =
+  QCheck.Test.make ~name:"loads after each failover step equal a recompute"
+    ~count:8 ~long_factor:25
+    QCheck.(
+      pair (int_range 0 10_000)
+        (list_of_size (Gen.int_range 3 12) (float_range 0.2 12.0)))
+    (fun (seed, swings) ->
+      let s = build_random seed in
+      match C.Engine_select.solve_best s with
+      | exception C.Optimization_engine.Infeasible _ -> true
+      | p ->
+          let state = C.Netstate.of_assignment s (C.Subclass.assign s p) in
+          let handler = C.Dynamic_handler.create state in
+          C.Netstate.recompute_loads state;
+          let base = Array.map (fun c -> c.C.Types.rate) s.C.Types.classes in
+          let rng = Rng.create (seed + 1) in
+          (* Every instance a recompute touches, with its load's bits. *)
+          let loads () =
+            let pinned =
+              Array.to_list state.C.Netstate.per_class
+              |> List.concat_map (fun subs ->
+                     List.concat_map
+                       (fun q -> Array.to_list q.C.Netstate.stage_instances)
+                       subs)
+            in
+            List.map
+              (fun i -> (Instance.id i, Int64.bits_of_float (Instance.offered i)))
+              (C.Resource_orchestrator.instances state.C.Netstate.orchestrator
+              @ pinned)
+          in
+          List.for_all
+            (fun factor ->
+              (* A swing, or a quiet step with the rates left alone. *)
+              if factor > 1.0 then begin
+                let h = Rng.int rng (Array.length s.C.Types.classes) in
+                s.C.Types.classes.(h).C.Types.rate <- base.(h) *. factor
+              end;
+              C.Dynamic_handler.step handler;
+              let after = loads () in
+              C.Netstate.recompute_loads state;
+              List.equal
+                (fun (a, x) (b, y) -> a = b && Int64.equal x y)
+                after (loads ()))
+            swings)
+
 (* Walks: every sub-class of every random scenario traverses its chain in
    order on its own path — with a witness packet from every prefix of the
    sub-class, not just the first. *)
@@ -197,6 +246,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_pipeline_verifies;
     QCheck_alcotest.to_alcotest prop_failover_invariants;
+    QCheck_alcotest.to_alcotest prop_step_loads_current;
     QCheck_alcotest.to_alcotest prop_every_prefix_walks;
     QCheck_alcotest.to_alcotest prop_online_never_overloads;
   ]

@@ -197,6 +197,134 @@ let prop_loads_one_pass =
                   row))
            loads))
 
+(* The shortest-path placement of one class costs what the per-class
+   LP's optimum costs, under random positive site prices.  Chains repeat
+   no kind, as {!Apple_core.Policy.validate} requires (the per-class LP
+   charges every stage, the sequence only the last of each kind); paths
+   may revisit a switch.  Costs, not placements, are compared: ties may
+   be broken differently.  The LP's optimum carries its 1e-7-per-hop tie
+   bias, hence the tolerance. *)
+let objective_of_int = function 0 -> OE.Min_instances | _ -> OE.Min_cores
+
+let placement_cost ~objective ~prices (c : C.Types.flow_class) dist =
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun j kind ->
+      let k = Nf.kind_index kind in
+      let last = ref j in
+      Array.iteri
+        (fun j' kind' -> if Nf.kind_index kind' = k then last := j')
+        c.C.Types.chain;
+      if !last = j then begin
+        let w =
+          match objective with
+          | OE.Min_instances -> 1.0
+          | OE.Min_cores -> float_of_int (Nf.spec kind).Nf.cores
+        in
+        Array.iteri
+          (fun i v ->
+            acc :=
+              !acc
+              +. dist.(i).(j) *. w *. prices.(v).(k) *. c.C.Types.rate
+                 /. (Nf.spec kind).Nf.capacity_mbps)
+          c.C.Types.path
+      end)
+    c.C.Types.chain;
+  !acc
+
+(* Each stage whole at one hop, at or after its predecessor's. *)
+let is_sequence dist =
+  let clen = if Array.length dist = 0 then 0 else Array.length dist.(0) in
+  let hop_of j =
+    let hops = ref [] in
+    Array.iteri
+      (fun i row ->
+        if row.(j) = 1.0 then hops := i :: !hops
+        else if row.(j) <> 0.0 then hops := -1 :: !hops)
+      dist;
+    match !hops with [ i ] when i >= 0 -> Some i | _ -> None
+  in
+  let hops = List.init clen hop_of in
+  List.for_all Option.is_some hops
+  && List.sort compare hops = hops
+
+let gen_priced_class =
+  let open QCheck.Gen in
+  let n = 6 in
+  int_range 1 6 >>= fun plen ->
+  int_range 1 4 >>= fun clen ->
+  array_size (return plen) (int_range 0 (n - 1)) >>= fun path ->
+  shuffle_l Nf.all_kinds >>= fun kinds ->
+  let chain = Array.of_list (List.filteri (fun j _ -> j < clen) kinds) in
+  float_range 1.0 1000.0 >>= fun rate ->
+  array_size (return n) (array_size (return Nf.num_kinds) (float_range 0.05 8.0))
+  >>= fun prices ->
+  int_range 0 1 >>= fun objective ->
+  return
+    ( {
+        C.Types.id = 0;
+        src = path.(0);
+        dst = path.(plen - 1);
+        path;
+        chain;
+        src_block = C.Scenario.src_block_of_class_id 0;
+        rate;
+      },
+      prices,
+      objective )
+
+let print_priced_class ((c : C.Types.flow_class), _, objective) =
+  Printf.sprintf "path [%s] chain %s rate %h objective %d"
+    (String.concat " " (Array.to_list (Array.map string_of_int c.C.Types.path)))
+    (Nf.chain_to_string (Array.to_list c.C.Types.chain))
+    c.C.Types.rate objective
+
+let prop_sequence_is_class_lp_optimum =
+  QCheck.Test.make ~count:300 ~long_factor:10
+    ~name:"cheapest sequence costs the per-class LP's optimum"
+    (QCheck.make ~print:print_priced_class gen_priced_class)
+    (fun (c, prices, objective) ->
+      let objective = objective_of_int objective in
+      let dp = OE.cheapest_sequence ~objective ~prices c in
+      let lp = OE.solve_class_lp ~objective ~prices c in
+      let dp_cost = placement_cost ~objective ~prices c dp in
+      let lp_cost = placement_cost ~objective ~prices c lp in
+      if not (is_sequence dp) then
+        QCheck.Test.fail_reportf "not a chain-ordered 0/1 sequence";
+      if Float.abs (dp_cost -. lp_cost) > 1e-5 +. (1e-9 *. dp_cost) then
+        QCheck.Test.fail_reportf "sequence costs %h, the LP's optimum %h" dp_cost
+          lp_cost;
+      true)
+
+(* The default method states the relaxation's optimum in closed form:
+   it equals the LP pipeline's relaxation objective, under both
+   objectives, on random feasible scenarios. *)
+let prop_bound_closed_form =
+  QCheck.Test.make ~count:20 ~long_factor:10
+    ~name:"closed-form bound = the relaxation's optimum"
+    QCheck.(pair (int_range 0 10_000) (int_range 0 1))
+    (fun (seed, objective) ->
+      let objective = objective_of_int objective in
+      let named =
+        match seed mod 3 with
+        | 0 -> Apple_topology.Builders.internet2 ()
+        | 1 -> Apple_topology.Builders.geant ()
+        | _ -> Apple_topology.Builders.linear ~n:6
+      in
+      let s =
+        Helpers.small_scenario ~seed ~named
+          ~total:(1000.0 +. float_of_int (seed mod 17 * 300))
+          ~max_classes:(4 + (seed mod 29)) ()
+      in
+      match OE.solve ~objective ~method_:OE.Lp_round s with
+      | exception OE.Infeasible _ -> QCheck.assume_fail ()
+      | lp ->
+          let bound = (OE.solve ~objective s).OE.lp_objective in
+          let want = lp.OE.lp_objective in
+          if Float.abs (bound -. want) > 1e-9 *. Float.max 1.0 (Float.abs want)
+          then QCheck.Test.fail_reportf "closed form %h, relaxation %h" bound want;
+          true)
+
 let suite =
   [
     Alcotest.test_case "tiny optimum" `Quick test_tiny_solves;
@@ -212,4 +340,6 @@ let suite =
     Alcotest.test_case "deterministic" `Quick test_solve_deterministic;
     Alcotest.test_case "zero-rate class" `Quick test_zero_rate_class;
     QCheck_alcotest.to_alcotest prop_loads_one_pass;
+    QCheck_alcotest.to_alcotest prop_sequence_is_class_lp_optimum;
+    QCheck_alcotest.to_alcotest prop_bound_closed_form;
   ]

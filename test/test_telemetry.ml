@@ -334,7 +334,9 @@ let test_lp_round_phase1_once () =
   let run reweight =
     with_telemetry @@ fun () ->
     T.reset ();
-    ignore (Apple_core.Optimization_engine.solve ~reweight s);
+    ignore
+      (Apple_core.Optimization_engine.solve
+         ~method_:Apple_core.Optimization_engine.Lp_round ~reweight s);
     ( value "apple.lp.solves",
       value "apple.lp.phase1_solves",
       value "apple.lp.phase1_reused",
@@ -348,6 +350,29 @@ let test_lp_round_phase1_once () =
   Alcotest.(check int) "phase1_reused" 1 reused;
   Alcotest.(check int) "phase1_pivots = the relaxation's" relax_phase1
     phase1_pivots
+
+(* The default method counts its pricing passes, and falls back to the
+   LP pipeline when its first repair finds no feasible counts: on hosts
+   of two cores the shortest paths' repair fails, the fallback's
+   relaxation is infeasible, and the solve raises after one LP. *)
+let test_shortest_paths_fallback () =
+  let value name = T.Counter.value (T.Counter.create name) in
+  let s = Helpers.tiny_scenario () in
+  let starved = { s with Apple_core.Types.host_cores = Array.make 4 2 } in
+  with_telemetry @@ fun () ->
+  T.reset ();
+  ignore (Apple_core.Optimization_engine.solve s);
+  Alcotest.(check bool) "passes counted" true
+    (value "apple.opt.pricing_passes" >= 1);
+  Alcotest.(check int) "no fallback" 0 (value "apple.opt.lp_fallbacks");
+  Alcotest.(check int) "no LP" 0 (value "apple.lp.solves");
+  T.reset ();
+  (match Apple_core.Optimization_engine.solve starved with
+  | _ -> Alcotest.fail "a starved scenario placed"
+  | exception Apple_core.Optimization_engine.Infeasible _ -> ());
+  Alcotest.(check int) "one pass" 1 (value "apple.opt.pricing_passes");
+  Alcotest.(check int) "one fallback" 1 (value "apple.opt.lp_fallbacks");
+  Alcotest.(check int) "the fallback's relaxation" 1 (value "apple.lp.solves")
 
 let suite =
   [
@@ -375,4 +400,6 @@ let suite =
     Alcotest.test_case "format_of_string" `Quick test_format_of_string;
     Alcotest.test_case "lp: one phase 1 per Lp_round solve" `Quick
       test_lp_round_phase1_once;
+    Alcotest.test_case "opt: shortest paths count passes and fallbacks"
+      `Quick test_shortest_paths_fallback;
   ]

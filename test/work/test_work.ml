@@ -29,6 +29,8 @@ let counters =
     "apple.lp.phase1_pivots";
     "apple.lp.phase1_reused";
     "apple.lp.reduced_costs";
+    "apple.opt.pricing_passes";
+    "apple.opt.lp_fallbacks";
     "apple.verify.walks";
     "apple.dataplane.walks";
     words;
