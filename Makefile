@@ -53,14 +53,13 @@ lint:
 
 # One-stop gate: lint, compile everything, run the full test suite (the
 # work gate included: each benchmark workload's digest window against
-# tools/perf_work.txt), then a scaled-down smoke of the jobs study so the
-# parallel path is exercised with jobs>1 even on single-core CI boxes,
-# the bench-snapshot and lint-report schema guards, the deterministic
-# soak-totals regression check (re-runs the acceptance soak and diffs
-# BENCH_soak.json's totals and trajectory; only the machine-dependent
-# perf line is exempt) and the Chrome-trace export schema guard.
+# tools/perf_work.txt; test_parallel runs the domain pool at jobs=4),
+# then the bench-snapshot and lint-report schema guards, the
+# deterministic soak-totals regression check (re-runs the acceptance
+# soak and diffs BENCH_soak.json's totals and trajectory; only the
+# machine-dependent perf line is exempt) and the Chrome-trace export
+# schema guard.
 check: lint build test
-	APPLE_BENCH_SCALE=0.02 APPLE_JOBS=2 APPLE_BENCH_ONLY=jobs dune exec bench/main.exe
 	sh tools/check_bench_schema.sh
 	sh tools/check_lint_schema.sh
 	sh tools/check_soak_totals.sh

@@ -1,14 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, runs the serial-vs-parallel jobs study, then runs Bechamel
-   micro-benchmarks on the hot kernels.
+   evaluation, then runs Bechamel micro-benchmarks on the hot kernels.
 
      dune exec bench/main.exe                 # full paper scale
      APPLE_BENCH_SCALE=0.05 dune exec bench/main.exe   # quick smoke run
-     APPLE_BENCH_ONLY=jobs dune exec bench/main.exe    # one section
+     APPLE_BENCH_ONLY=soak dune exec bench/main.exe    # one section
      dune exec bench/main.exe -- table5 --json bench.json
 
    Positional arguments select what runs: a section (paper | ablations |
-   jobs | failover | soak | slice | micro) or an
+   failover | soak | slice | micro) or an
    individual artifact (table1 | table3 | table4 | table5 | fig6 ... fig12).  Without arguments,
    APPLE_BENCH_ONLY filters sections (comma-separated); unknown names in
    either place abort with the valid vocabulary.  --json FILE
@@ -36,13 +35,13 @@ let seed =
 (* --- command line --------------------------------------------------- *)
 
 let section_names =
-  [ "paper"; "ablations"; "jobs"; "micro"; "failover"; "soak"; "slice" ]
+  [ "paper"; "ablations"; "micro"; "failover"; "soak"; "slice" ]
 
 let experiment_names =
   [ "table1"; "table3"; "table4"; "table5"; "fig6"; "fig7"; "fig8"; "fig9";
     "fig10"; "fig11"; "fig12" ]
 
-(* Positional arguments win; otherwise APPLE_BENCH_ONLY="paper,jobs"
+(* Positional arguments win; otherwise APPLE_BENCH_ONLY="paper,soak"
    filters sections.  Unknown names — in either place — abort instead of
    silently running nothing (Apple_bench_args validates both). *)
 let args =
@@ -81,7 +80,7 @@ let json_num v =
 let write_snapshot path =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"apple-bench-core/1\",\n";
+  Buffer.add_string buf "  \"schema\": \"apple-bench-core/2\",\n";
   Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" seed);
   Buffer.add_string buf (Printf.sprintf "  \"scale\": %s,\n" (json_num scale));
   Buffer.add_string buf "  \"experiments\": {\n";
@@ -137,7 +136,7 @@ let run_artifact opts name =
       let rendered, raw = C.Experiments.table5 opts in
       print rendered;
       record "table5"
-        (List.map (fun (topo, s) -> (topo ^ ".lp_solve_seconds", s)) raw)
+        (List.map (fun (topo, s) -> (topo ^ ".solve_seconds", s)) raw)
   | "fig6" -> print (C.Experiments.fig6 opts)
   | "fig7" -> print (C.Experiments.fig7 opts)
   | "fig8" -> print (C.Experiments.fig8 opts)
@@ -184,24 +183,6 @@ let reproduce_paper opts = List.iter (run_artifact opts) experiment_names
 let run_ablations opts =
   print_endline "---- ablations (beyond the paper's figures) ----\n";
   List.iter C.Experiments.print (C.Experiments.ablations opts)
-
-(* Serial vs parallel: the per-class decomposition at several jobs
-   values against the monolithic LP, plus the determinism check. *)
-let run_jobs opts =
-  print_endline "---- jobs study (APPLE_JOBS / --jobs) ----\n";
-  Printf.printf "recommended_domain_count = %d\n\n%!"
-    (Domain.recommended_domain_count ());
-  let rendered, raw = C.Experiments.jobs_table opts in
-  C.Experiments.print rendered;
-  record "jobs"
-    (List.concat_map
-       (fun (topo, lp_s, per_jobs, identical) ->
-         ((topo ^ ".lp_seconds", lp_s)
-         :: (topo ^ ".identical", if identical then 1.0 else 0.0)
-         :: List.map
-              (fun (j, s) -> (Printf.sprintf "%s.jobs%d_seconds" topo j, s))
-              per_jobs))
-       raw)
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel micro-benchmarks on the framework's kernels.       *)
@@ -552,7 +533,6 @@ let () =
       (fun name -> if wants name then run_artifact opts name)
       experiment_names;
   if wants "ablations" then run_ablations opts;
-  if wants "jobs" then run_jobs opts;
   if wants "failover" then run_failover opts;
   if wants "soak" then run_soak ();
   if wants "slice" then run_slice ();

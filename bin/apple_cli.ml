@@ -194,15 +194,13 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let engine_conv =
-  Arg.enum
-    [ ("best", `Best); ("lp", `Lp); ("per-class", `Per_class); ("greedy", `Greedy) ]
+let engine_conv = Arg.enum [ ("best", `Best); ("lp", `Lp); ("greedy", `Greedy) ]
 
 let engine_info =
   let doc =
     "Placement engine: $(b,best) (per-class shortest paths raced \
-     against the greedy), $(b,lp) (monolithic LP pipeline), \
-     $(b,per-class) (parallel per-class decomposition) or $(b,greedy)."
+     against the greedy), $(b,lp) (monolithic LP pipeline) or \
+     $(b,greedy)."
   in
   Arg.info [ "engine" ] ~docv:"ENGINE" ~doc
 
@@ -245,7 +243,7 @@ let build_scenario ?tm topo ~seed ~total ~max_classes =
 
 let experiment_names =
   [ "table1"; "table3"; "table4"; "table5"; "fig6"; "fig7"; "fig8"; "fig9";
-    "fig10"; "fig11"; "fig12"; "jobs"; "ablations"; "all" ]
+    "fig10"; "fig11"; "fig12"; "ablations"; "all" ]
 
 let run_experiment name seed scale load_source () =
   let opts = { C.Experiments.seed; scale } in
@@ -266,7 +264,6 @@ let run_experiment name seed scale load_source () =
   | "fig10" -> C.Experiments.print (first (C.Experiments.fig10 opts)); `Ok ()
   | "fig11" -> C.Experiments.print (first (C.Experiments.fig11 opts)); `Ok ()
   | "fig12" -> C.Experiments.print (first (C.Experiments.fig12 opts)); `Ok ()
-  | "jobs" -> C.Experiments.print (first (C.Experiments.jobs_table opts)); `Ok ()
   | "ablations" ->
       List.iter C.Experiments.print (C.Experiments.ablations opts);
       `Ok ()

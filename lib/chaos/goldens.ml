@@ -172,26 +172,21 @@ let lp_kernel () =
             { Apple_core.Scenario.default_config with max_classes = 32; ecmp = false }
           in
           let s = Apple_core.Scenario.build ~config ~seed:(200 + i) topo tm in
-          List.iter
-            (fun (name, method_) ->
-              let p0 = T.Counter.value pivots in
-              match Opt.solve ~method_ ~jobs:1 s with
-              | p ->
-                  Printf.bprintf b
-                    "%s %s pivots=%d lp_obj=%h distribution=%s inst=%d cores=%d\n"
-                    topo.Builders.label name
-                    (T.Counter.value pivots - p0)
-                    p.Opt.lp_objective
-                    (md5_floats
-                       (List.concat_map
-                          (fun hops ->
-                            List.concat_map Array.to_list (Array.to_list hops))
-                          (Array.to_list p.Opt.distribution)))
-                    (Opt.instance_count p) (Opt.core_count p)
-              | exception Opt.Infeasible why ->
-                  Printf.bprintf b "%s %s infeasible: %s\n" topo.Builders.label
-                    name why)
-            [ ("lp-round", Opt.Lp_round); ("per-class", Opt.Per_class) ])
+          let p0 = T.Counter.value pivots in
+          match Opt.solve ~method_:Opt.Lp_round s with
+          | p ->
+              Printf.bprintf b
+                "%s lp-round pivots=%d lp_obj=%h distribution=%s inst=%d cores=%d\n"
+                topo.Builders.label
+                (T.Counter.value pivots - p0)
+                p.Opt.lp_objective
+                (md5_floats
+                   (List.concat_map
+                      (fun hops -> List.concat_map Array.to_list (Array.to_list hops))
+                      (Array.to_list p.Opt.distribution)))
+                (Opt.instance_count p) (Opt.core_count p)
+          | exception Opt.Infeasible why ->
+              Printf.bprintf b "%s lp-round infeasible: %s\n" topo.Builders.label why)
         [
           (Builders.internet2 (), 6_000.0);
           (Builders.geant (), 6_000.0);

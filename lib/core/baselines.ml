@@ -131,7 +131,7 @@ let properties_table (s : Types.scenario) =
      the other rows restate each framework's mechanism (Table I). *)
   let apple_ok =
     try
-      let placement = Engine_select.solve_best s in
+      let placement = Engine_select.solve s in
       let asg = Subclass.assign s placement in
       let built = Rule_generator.build s asg in
       let inst_kind = Hashtbl.create 64 in

@@ -23,7 +23,7 @@ type epoch_report = {
   solve_seconds : float;
 }
 
-type engine = [ `Best | `Lp | `Per_class | `Greedy ]
+type engine = [ `Best | `Lp | `Greedy ]
 
 type gate =
   Types.scenario ->
@@ -81,14 +81,10 @@ let run_epoch t =
         let method_ =
           Option.map (fun _ -> Optimization_engine.Lp_round) t.shape
         in
-        Engine_select.solve_best ~objective:t.objective ?method_ ?jobs:t.jobs
-          t.s
+        Engine_select.solve ~objective:t.objective ?method_ ?jobs:t.jobs t.s
     | `Lp ->
         Optimization_engine.solve ~objective:t.objective
           ~method_:Optimization_engine.Lp_round t.s
-    | `Per_class ->
-        Optimization_engine.solve ~objective:t.objective
-          ~method_:Optimization_engine.Per_class ?jobs:t.jobs t.s
     | `Greedy -> Heuristic_engine.solve ~objective:t.objective ?jobs:t.jobs t.s
   in
   let assignment = Subclass.assign t.s placement in

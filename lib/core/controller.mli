@@ -25,14 +25,13 @@ type epoch_report = {
   solve_seconds : float;
 }
 
-type engine = [ `Best | `Lp | `Per_class | `Greedy ]
+type engine = [ `Best | `Lp | `Greedy ]
 (** Placement engine for the epoch: the selector (default), which races
     {!Optimization_engine.solve}'s shortest-path placement against the
     greedy ({!Engine_select.solve}); the monolithic LP pipeline
-    ({!Optimization_engine.Lp_round}); the parallel per-class
-    decomposition; or the greedy heuristic alone.  A controller created
-    with [?shape] races the LP pipeline in [`Best] instead (see
-    {!create}). *)
+    ({!Optimization_engine.Lp_round}); or the greedy heuristic alone.  A
+    controller created with [?shape] races the LP pipeline in [`Best]
+    instead (see {!create}). *)
 
 type gate =
   Types.scenario ->
@@ -64,8 +63,8 @@ val create :
   ?shape:shape ->
   Types.scenario ->
   t
-(** [jobs] bounds the domains used by the parallel sections of the
-    [`Per_class] and [`Greedy] engines and of [`Best]'s greedy half (default
+(** [jobs] bounds the domains used by the greedy's parallel section, in
+    [`Greedy] and in [`Best]'s greedy half (default
     {!Apple_parallel.Pool.default_jobs}); placements are identical for
     every value.  [load_source] (default [Oracle]) is forwarded to the
     Dynamic Handler built on each epoch.  [gate] (none by default) vets

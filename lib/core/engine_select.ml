@@ -1,5 +1,3 @@
-type choice = Lp_pipeline | Greedy
-
 let solve ?objective ?method_ ?jobs (s : Types.scenario) =
   let lp =
     try Some (Optimization_engine.solve ?objective ?method_ s)
@@ -21,24 +19,21 @@ let solve ?objective ?method_ ?jobs (s : Types.scenario) =
       raise
         (Optimization_engine.Infeasible
            "both the optimization engine and the greedy heuristic failed")
-  | Some p, None -> (p, Lp_pipeline)
-  | None, Some p -> (p, Greedy)
+  | Some p, None | None, Some p -> p
   | Some a, Some b ->
+      (* The race ran both engines, so its time is both solves'. *)
+      let solve_seconds =
+        a.Optimization_engine.solve_seconds
+        +. b.Optimization_engine.solve_seconds
+      in
       if
         b.Optimization_engine.objective_value
         < a.Optimization_engine.objective_value -. 1e-9
       then
-        (* Keep the relaxation bound and total time for honest
-           reporting. *)
-        ( {
-            b with
-            Optimization_engine.lp_objective = a.Optimization_engine.lp_objective;
-            solve_seconds =
-              a.Optimization_engine.solve_seconds
-              +. b.Optimization_engine.solve_seconds;
-          },
-          Greedy )
-      else (a, Lp_pipeline)
-
-let solve_best ?objective ?method_ ?jobs s =
-  fst (solve ?objective ?method_ ?jobs s)
+        (* Keep the relaxation bound for honest reporting. *)
+        {
+          b with
+          Optimization_engine.lp_objective = a.Optimization_engine.lp_objective;
+          solve_seconds;
+        }
+      else { a with Optimization_engine.solve_seconds }

@@ -54,7 +54,7 @@ let table1 opts =
 
 let table3 opts =
   let scenario = small_scenario opts in
-  let placement = Engine_select.solve_best scenario in
+  let placement = Engine_select.solve scenario in
   let asg = Subclass.assign scenario placement in
   let built = Rule_generator.build scenario asg in
   (* Show the busiest ingress switch's APPLE table. *)
@@ -130,16 +130,7 @@ let table4 _opts =
   { title = "Table IV: VNF data sheets"; body = Table.render t }
 
 let table5 opts =
-  (* Second per-class column always runs jobs>1 so the parallel path is
-     exercised even where recommended_domain_count is 1. *)
-  let jobs = max 2 (Apple_parallel.Pool.default_jobs ()) in
-  let t =
-    Table.create
-      [
-        "Topology"; "Nodes"; "Links"; "Classes"; "Time";
-        "Per-class j=1"; Printf.sprintf "Per-class j=%d" jobs;
-      ]
-  in
+  let t = Table.create [ "Topology"; "Nodes"; "Links"; "Classes"; "Time" ] in
   let raw = ref [] in
   List.iter
     (fun (named : Builders.named) ->
@@ -147,15 +138,7 @@ let table5 opts =
       let n = Apple_topology.Graph.num_nodes named.Builders.graph in
       let tm = Synth.gravity rng ~n ~total:18_000.0 in
       let scenario = Scenario.build ~seed:opts.seed named tm in
-      let placement = Engine_select.solve_best scenario in
-      let pc1 =
-        Optimization_engine.solve ~method_:Optimization_engine.Per_class
-          ~jobs:1 scenario
-      in
-      let pcn =
-        Optimization_engine.solve ~method_:Optimization_engine.Per_class ~jobs
-          scenario
-      in
+      let placement = Engine_select.solve scenario in
       raw := (named.Builders.label, placement.Optimization_engine.solve_seconds) :: !raw;
       Table.add_row t
         [
@@ -166,91 +149,10 @@ let table5 opts =
           Printf.sprintf "%.3f second%s"
             placement.Optimization_engine.solve_seconds
             (if placement.Optimization_engine.solve_seconds >= 2.0 then "s" else "");
-          Printf.sprintf "%.3f s" pc1.Optimization_engine.solve_seconds;
-          Printf.sprintf "%.3f s" pcn.Optimization_engine.solve_seconds;
         ])
     (Builders.all_paper_topologies ());
   ( {
       title = "Table V: average computation time of different topologies";
-      body = Table.render t;
-    },
-    List.rev !raw )
-
-(* Serial vs parallel study for the decomposed engine: per-class solve
-   times at several [jobs] values against the monolithic LP, with a
-   mechanical check that every jobs value produced the same placement.
-   Minimum of [repeat] runs per cell — timing noise shrinks, results
-   cannot change (the engine is deterministic). *)
-let jobs_table ?(jobs_list = [ 1; 2; 4 ]) ?(repeat = 3) opts =
-  let t =
-    Table.create
-      ([ "Topology"; "Classes"; "Monolithic LP" ]
-      @ List.map (fun j -> Printf.sprintf "Per-class j=%d" j) jobs_list
-      @ [ "Decomposition speedup"; "Identical" ])
-  in
-  let raw = ref [] in
-  List.iter
-    (fun (named : Builders.named) ->
-      let rng = Rng.create opts.seed in
-      let n = Apple_topology.Graph.num_nodes named.Builders.graph in
-      let tm = Synth.gravity rng ~n ~total:18_000.0 in
-      let scenario = Scenario.build ~seed:opts.seed named tm in
-      let lp =
-        Optimization_engine.solve ~method_:Optimization_engine.Lp_round scenario
-      in
-      let per_class j =
-        let best = ref infinity and result = ref None in
-        for _ = 1 to max 1 repeat do
-          let p =
-            Optimization_engine.solve
-              ~method_:Optimization_engine.Per_class ~jobs:j scenario
-          in
-          if p.Optimization_engine.solve_seconds < !best then
-            best := p.Optimization_engine.solve_seconds;
-          result := Some p
-        done;
-        (Option.get !result, !best)
-      in
-      let runs = List.map per_class jobs_list in
-      let identical =
-        match runs with
-        | [] -> true
-        | (first, _) :: rest ->
-            List.for_all
-              (fun ((p : Optimization_engine.placement), _) ->
-                p.Optimization_engine.counts
-                  = first.Optimization_engine.counts
-                && p.Optimization_engine.distribution
-                   = first.Optimization_engine.distribution)
-              rest
-      in
-      let t1 = match runs with (_, s) :: _ -> s | [] -> nan in
-      raw :=
-        ( named.Builders.label,
-          lp.Optimization_engine.solve_seconds,
-          List.map2 (fun j (_, s) -> (j, s)) jobs_list runs,
-          identical )
-        :: !raw;
-      Table.add_row t
-        ([
-           named.Builders.label;
-           string_of_int (Array.length scenario.Types.classes);
-           Printf.sprintf "%.3f s (%d inst)"
-             lp.Optimization_engine.solve_seconds
-             (Optimization_engine.instance_count lp);
-         ]
-        @ List.map (fun (_, s) -> Printf.sprintf "%.3f s" s) runs
-        @ [
-            Printf.sprintf "%.1fx (%d inst)"
-              (lp.Optimization_engine.solve_seconds /. max 1e-9 t1)
-              (Optimization_engine.instance_count
-                 (fst (List.hd runs)));
-            check identical;
-          ]))
-    (Builders.all_paper_topologies ());
-  ( {
-      title =
-        "Jobs study: monolithic LP vs parallel per-class decomposition (APPLE_JOBS)";
       body = Table.render t;
     },
     List.rev !raw )
@@ -616,7 +518,7 @@ let ablation_engines opts =
       in
       let paths, paths_t = time (fun () -> Optimization_engine.solve s) in
       let greedy, greedy_t = time (fun () -> Heuristic_engine.solve s) in
-      let best, best_t = time (fun () -> Engine_select.solve_best s) in
+      let best, best_t = time (fun () -> Engine_select.solve s) in
       List.iter
         (fun (name, p, seconds) ->
           Table.add_row t
@@ -679,7 +581,7 @@ let ablation_split_depth opts =
   (* Needs fractional sub-class weights, so run at heavy load where the
      Optimization Engine genuinely splits classes across instances. *)
   let s = small_scenario opts in
-  let placement = Engine_select.solve_best s in
+  let placement = Engine_select.solve s in
   let asg = Subclass.assign s placement in
   let t =
     Table.create
@@ -787,7 +689,7 @@ let ablation_tag_mode opts =
   let rng = Rng.create opts.seed in
   let tm = Synth.gravity rng ~n:12 ~total:4000.0 in
   let s = Scenario.build ~config ~seed:opts.seed named tm in
-  let placement = Engine_select.solve_best s in
+  let placement = Engine_select.solve s in
   let asg = Subclass.assign s placement in
   let t =
     Table.create

@@ -25,20 +25,9 @@ val table4 : opts -> rendered
 (** VNF data sheets. *)
 
 val table5 : opts -> rendered * (string * float) list
-(** Optimization Engine computation time per topology (monolithic LP and
-    the per-class decomposition at jobs=1 / jobs=N); also returns the raw
-    [(topology, seconds)] pairs of the monolithic solve. *)
-
-val jobs_table :
-  ?jobs_list:int list ->
-  ?repeat:int ->
-  opts ->
-  rendered * (string * float * (int * float) list * bool) list
-(** Serial-vs-parallel study of the [Per_class] engine: per topology, the
-    monolithic LP time, the per-class time at each jobs value (minimum of
-    [repeat] runs), and whether every jobs value produced the identical
-    placement.  Raw rows are [(topology, lp_seconds, (jobs, seconds)
-    list, identical)]. *)
+(** Placement computation time per topology: the default race
+    ({!Engine_select.solve}), both engines' time summed; also returns
+    the raw [(topology, seconds)] pairs. *)
 
 val fig6 : opts -> rendered
 val fig7 : opts -> rendered

@@ -2,7 +2,6 @@ module Nf = Apple_vnf.Nf
 module Model = Apple_lp.Model
 module Graph = Apple_topology.Graph
 module Builders = Apple_topology.Builders
-module Pool = Apple_parallel.Pool
 module T = Apple_telemetry.Telemetry
 
 (* Per-phase spans around the solve pipeline.  Span bodies are the
@@ -12,20 +11,16 @@ module Tr = Apple_trace.Trace
 
 let tr_relax = Tr.span ~cat:"solve" "opt.relax"
 let tr_reweight = Tr.span ~cat:"solve" "opt.reweight"
-let tr_round = Tr.span ~cat:"solve" "opt.round"
 let tr_repair = Tr.span ~cat:"solve" "opt.repair"
 let tr_consolidate = Tr.span ~cat:"solve" "opt.consolidate"
 let tr_ilp = Tr.span ~cat:"solve" "opt.ilp"
-let tr_class = Tr.span ~cat:"solve" "opt.class_lp"
 let tr_paths = Tr.span ~cat:"solve" "opt.paths"
-let m_per_class_rounds = T.Counter.create "apple.opt.per_class_rounds"
-let m_class_lps = T.Counter.create "apple.opt.class_lps"
 let m_pricing_passes = T.Counter.create "apple.opt.pricing_passes"
 let m_lp_fallbacks = T.Counter.create "apple.opt.lp_fallbacks"
 
 type objective = Min_instances | Min_cores
 
-type method_ = Shortest_paths | Lp_round | Ilp of int | Per_class
+type method_ = Shortest_paths | Lp_round | Ilp of int
 
 type placement = {
   counts : int array array;
@@ -525,8 +520,7 @@ let check_status (sol : Model.solution) =
 (* Per-site price of routing a unit of load through (v, k) given the
    current site loads: ceil(load/cap)/(load/cap), the ratio rounding
    pays when the last instance there is nearly empty.  Used by the
-   Lp_round reweighting pass, between Shortest_paths passes and between
-   Per_class rounds. *)
+   Lp_round reweighting pass and between Shortest_paths passes. *)
 let site_prices loads =
   Array.map
     (Array.mapi (fun k load ->
@@ -550,35 +544,12 @@ let hub_prices (s : Types.scenario) =
   Array.init n (fun v ->
       Array.make Nf.num_kinds (1.0 +. (0.25 *. (1.0 -. (hub.(v) /. max_hub)))))
 
-(* Between Per_class rounds: {!site_prices} plus a core-budget surcharge
-   on switches whose projected instance counts exceed their host budget.
-   The per-class LPs carry no Eq. (6), so the budget has to bite through
-   the price: overloaded hosts get steeply more expensive each round,
-   pushing mass to hops with spare cores before the final repair pass. *)
-let per_class_prices (s : Types.scenario) dist =
-  let loads = site_loads s dist in
-  let weights = site_prices loads in
-  let counts = counts_of_loads loads in
-  let n = Graph.num_nodes s.Types.topo.Builders.graph in
-  for v = 0 to n - 1 do
-    let used = cores_at counts v in
-    let budget = max 1 s.Types.host_cores.(v) in
-    if used > budget then begin
-      let over = float_of_int used /. float_of_int budget in
-      for k = 0 to Nf.num_kinds - 1 do
-        weights.(v).(k) <- weights.(v).(k) *. 4.0 *. over
-      done
-    end
-  done;
-  weights
-
 (* One class's stage-distribution LP under fixed site prices: only the
    class's own order and completion constraints (Eq. 3–4) appear, so the
-   model has plen*clen variables instead of the whole scenario's.  The
-   capacity coupling (Eq. 5) is priced into the objective instead of
-   constrained, which is what makes the classes independent — and
-   therefore solvable in parallel.  The function touches nothing mutable
-   outside its own model. *)
+   model has plen*clen variables instead of the whole scenario's, and
+   the capacity coupling (Eq. 5) is priced into the objective instead
+   of constrained.  No placement path calls it: it is the simplex
+   reference that {!cheapest_sequence}'s optimum is checked against. *)
 let solve_class_lp ~objective ~prices (c : Types.flow_class) =
   let plen = Array.length c.Types.path in
   let clen = Array.length c.Types.chain in
@@ -741,15 +712,10 @@ let check_distribution (s : Types.scenario) placement =
   | [] -> Ok ()
   | msgs -> Error (String.concat "; " (List.rev msgs))
 
-let per_class_rounds = 3
-
 let solve ?(objective = Min_instances) ?(method_ = Shortest_paths)
-    ?(reweight = true) ?(consolidate = true) ?jobs (s : Types.scenario) =
+    ?(reweight = true) ?(consolidate = true) (s : Types.scenario) =
   let t0 = Unix.gettimeofday () in (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
   let seconds () = Unix.gettimeofday () -. t0 in (* lint: L5 — wall-clock solve timing, reported as perf metadata only *)
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-  in
   (* Integral counts for a distribution: the repair pass, then the
      consolidation pass unless it is switched off. *)
   let round dist =
@@ -878,59 +844,6 @@ let solve ?(objective = Min_instances) ?(method_ = Shortest_paths)
           match check_distribution s p with
           | Ok () -> p
           | Error _ -> fallback ()))
-  | Per_class ->
-      (* Price-directed decomposition: each round solves every class's
-         small LP independently (fanned across [jobs] domains), merges
-         the distributions in class order, then reprices the sites from
-         the merged load.  The parallel map writes each class's result
-         into its own slot, so the merged distribution — and everything
-         downstream — is byte-identical for any [jobs]. *)
-      let n = Graph.num_nodes s.Types.topo.Builders.graph in
-      let classes = s.Types.classes in
-      let nclasses = Array.length classes in
-      let prices = ref (hub_prices s) in
-      let rounds = if reweight then per_class_rounds else 1 in
-      let dist = ref [||] in
-      for _ = 1 to rounds do
-        let p = !prices in
-        Tr.with_ tr_round (fun () ->
-            dist :=
-              Pool.run ~jobs
-                (fun c ->
-                  Tr.with_ ~cls:c.Types.id tr_class (fun () ->
-                      solve_class_lp ~objective ~prices:p c))
-                classes);
-        T.Counter.incr m_per_class_rounds;
-        T.Counter.add m_class_lps nclasses;
-        (* Repricing reads the merged distribution sequentially — float
-           accumulation order is fixed regardless of [jobs]. *)
-        prices := per_class_prices s !dist
-      done;
-      let dist = !dist in
-      (* Fractional lower bound of the coupled problem: q >= load/cap. *)
-      let lp_objective =
-        let loads = site_loads s dist in
-        let acc = ref 0.0 in
-        for v = 0 to n - 1 do
-          for k = 0 to Nf.num_kinds - 1 do
-            let cap = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
-            let load = loads.(v).(k) in
-            acc := !acc +. (kind_weight objective k *. load /. cap)
-          done
-        done;
-        !acc
-      in
-      let counts = round dist in
-      {
-        counts;
-        distribution = dist;
-        objective_value = objective_of_counts ~objective counts;
-        lp_objective;
-        solve_seconds = seconds ();
-        model_size =
-          Printf.sprintf "per-class decomposition: %d classes x %d rounds (jobs=%d)"
-            nclasses rounds jobs;
-      }
 
 let instance_count placement =
   Array.fold_left

@@ -24,12 +24,6 @@ type method_ =
           the result fails {!check_distribution}. *)
   | Lp_round  (** LP relaxation + round + repair (the paper's choice) *)
   | Ilp of int  (** exact branch and bound with the given node budget *)
-  | Per_class
-      (** price-directed decomposition: rounds of independent per-class
-          LPs (order + completion constraints only, capacity priced into
-          the objective) solved in parallel across domains, merged in
-          class order and repriced between rounds.  Deterministic for
-          any [jobs]. *)
 
 type placement = {
   counts : int array array;
@@ -56,15 +50,13 @@ val solve :
   ?method_:method_ ->
   ?reweight:bool ->
   ?consolidate:bool ->
-  ?jobs:int ->
   Types.scenario ->
   placement
 (** Defaults: [Min_instances], [Shortest_paths], both post-passes on.
-    [reweight] enables the passes that price under-utilized sites: for
-    [Shortest_paths] the re-pricing passes after the first (hub-priced)
-    one, for [Lp_round] the second LP, for [Per_class] the repricing
-    rounds (three rounds, or a single one when [false]); [consolidate]
-    enables the post-rounding instance-merging pass.  Both exist for the
+    [reweight] enables the passes that price under-utilized sites: the
+    re-pricing passes after [Shortest_paths]' first (hub-priced) one,
+    and [Lp_round]'s second LP.  [consolidate] enables the post-rounding
+    instance-merging pass.  [Ilp] reads neither.  Both exist for the
     bench's ablation study — disable them only to measure their
     contribution.
 
@@ -79,12 +71,7 @@ val solve :
     model ({!Apple_lp.Model.set_obj}) and re-solves from the
     relaxation's feasible start ({!Apple_lp.Model.solve_lp}[ ~start]).
     A solve therefore builds one model and runs one phase 1, and its
-    placement is bit-identical to re-solving from scratch.
-
-    [jobs] (default {!Apple_parallel.Pool.default_jobs}, i.e. the
-    [APPLE_JOBS] environment variable or the machine's domain count)
-    bounds the domains used by [Per_class]'s parallel class fan-out; the
-    result is byte-identical for every [jobs] value. *)
+    placement is bit-identical to re-solving from scratch. *)
 
 val cheapest_sequence :
   objective:objective ->
@@ -105,8 +92,9 @@ val solve_class_lp :
   Types.flow_class ->
   float array array
 (** The same class's placement as an LP over its order and completion
-    rows (Eq. 3–4): one round of [Per_class].  Every stage's cell costs
-    what {!cheapest_sequence} charges a site-loading one, plus a
+    rows (Eq. 3–4), with the capacity rows priced into the objective:
+    the simplex reference for {!cheapest_sequence}.  Every stage's cell
+    costs what {!cheapest_sequence} charges a site-loading one, plus a
     1e-7-per-hop tie bias.  For a chain that repeats no kind, as
     {!Policy.validate} requires, its optimum costs what
     {!cheapest_sequence}'s placement costs. *)

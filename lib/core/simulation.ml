@@ -25,7 +25,7 @@ let replay ?config ?failover_config ~seed (named : Builders.named) ~profile =
   let snapshots = Synth.for_topology rng profile named in
   let mean_tm = Matrix.mean_of snapshots in
   let scenario = Scenario.build ?config ~seed named mean_tm in
-  let placement = Engine_select.solve_best scenario in
+  let placement = Engine_select.solve scenario in
   let ingress = Baselines.ingress_placement scenario in
   (* Two independent states: frozen weights vs fast failover. *)
   let make_state () = Netstate.of_assignment scenario (Subclass.assign scenario placement) in
@@ -70,7 +70,7 @@ let tcam_samples ?config ~seed ~runs (named : Builders.named) ~profile =
       in
       let mean_tm = Matrix.mean_of snapshots in
       let scenario = Scenario.build ?config ~seed:(seed + r) named mean_tm in
-      let placement = Engine_select.solve_best scenario in
+      let placement = Engine_select.solve scenario in
       let asg = Subclass.assign scenario placement in
       let built = Rule_generator.build scenario asg in
       Rule_generator.reduction_ratio built)

@@ -5,8 +5,7 @@ module T = Apple_telemetry.Telemetry
 
 (* Counters mirror the [apple.lp.*] debug trace points so solver
    behaviour is visible without enabling debug logging.  All updates go
-   through Atomics, so concurrent per-class solves in pool workers are
-   safe. *)
+   through Atomics, so a solve on any domain counts safely. *)
 let m_solves = T.Counter.create "apple.lp.solves"
 let m_pivots = T.Counter.create "apple.lp.pivots"
 let m_phase1_solves = T.Counter.create "apple.lp.phase1_solves"

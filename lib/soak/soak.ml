@@ -72,7 +72,6 @@ let default_config topo =
 let engine_name = function
   | `Best -> "best"
   | `Lp -> "lp"
-  | `Per_class -> "per-class"
   | `Greedy -> "greedy"
 
 let load_name = function Oracle -> "oracle" | Polled -> "polled"

@@ -1,11 +1,11 @@
 (** Causal epoch tracing and continuous profiling — the one span API.
 
     Every pipeline unit of work — controller epoch, optimization phase,
-    per-class LP solve, rule generation, verifier gate, dataplane walk,
-    heal — runs inside a {!with_} region that records one event into a
-    single ring shared by all domains: trace/span/parent ids, the
-    executing domain, wall-clock and sim-clock begin/end stamps, and
-    [Gc] minor/major allocation deltas.  Causality crosses the
+    rule generation, verifier gate, dataplane walk, heal — runs inside
+    a {!with_} region that records one event into a single ring shared
+    by all domains: trace/span/parent ids, the executing domain,
+    wall-clock and sim-clock begin/end stamps, and [Gc] minor/major
+    allocation deltas.  Causality crosses the
     [lib/parallel] domain pool via {!capture}/{!branch}: the submitter
     captures its span context once per map and every item runs as a
     [pool.item] child span on whichever domain claimed it.  The

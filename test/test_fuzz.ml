@@ -54,7 +54,7 @@ let prop_failover_invariants =
     QCheck.(pair (int_range 0 10_000) (list_of_size (Gen.int_range 3 8) (float_range 0.5 12.0)))
     (fun (seed, swings) ->
       let s = build_random seed in
-      match C.Engine_select.solve_best s with
+      match C.Engine_select.solve s with
       | exception C.Optimization_engine.Infeasible _ -> true
       | p ->
           let asg = C.Subclass.assign s p in
@@ -94,7 +94,7 @@ let prop_step_loads_current =
         (list_of_size (Gen.int_range 3 12) (float_range 0.2 12.0)))
     (fun (seed, swings) ->
       let s = build_random seed in
-      match C.Engine_select.solve_best s with
+      match C.Engine_select.solve s with
       | exception C.Optimization_engine.Infeasible _ -> true
       | p ->
           let state = C.Netstate.of_assignment s (C.Subclass.assign s p) in
@@ -140,7 +140,7 @@ let prop_every_prefix_walks =
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let s = build_random seed in
-      match C.Engine_select.solve_best s with
+      match C.Engine_select.solve s with
       | exception C.Optimization_engine.Infeasible _ -> true
       | p ->
           let asg = C.Subclass.assign s p in
@@ -197,56 +197,10 @@ let prop_every_prefix_walks =
             s.C.Types.classes;
           !ok)
 
-(* Online arrivals on top of random scenarios: accepted flows never break
-   instance capacity. *)
-let prop_online_never_overloads =
-  QCheck.Test.make ~name:"online admissions never overload instances"
-    ~count:8 ~long_factor:25
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let s = build_random seed in
-      match C.Engine_select.solve_best s with
-      | exception C.Optimization_engine.Infeasible _ -> true
-      | p ->
-          let asg = C.Subclass.assign s p in
-          let state = C.Netstate.of_assignment s asg in
-          C.Netstate.recompute_loads state;
-          let rng = Rng.create (seed + 7) in
-          let g = s.C.Types.topo.B.graph in
-          let n = Apple_topology.Graph.num_nodes g in
-          for _ = 1 to 10 do
-            let src = Rng.int rng n and dst = Rng.int rng n in
-            if src <> dst then
-              match Apple_topology.Graph.shortest_path g src dst with
-              | None -> ()
-              | Some path ->
-                  let id = Array.length state.C.Netstate.scenario.C.Types.classes in
-                  let cls =
-                    {
-                      C.Types.id;
-                      src;
-                      dst;
-                      path = Array.of_list path;
-                      chain =
-                        Array.of_list
-                          (C.Policy.draw rng C.Policy.default_mix);
-                      src_block = C.Scenario.src_block_of_class_id id;
-                      rate = 20.0 +. Rng.float rng 400.0;
-                    }
-                  in
-                  ignore (C.Online_engine.admit state cls)
-          done;
-          List.for_all
-            (fun inst ->
-              Instance.offered inst
-              <= (Instance.spec inst).Nf.capacity_mbps +. 1e-6)
-            (C.Resource_orchestrator.instances state.C.Netstate.orchestrator))
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pipeline_verifies;
     QCheck_alcotest.to_alcotest prop_failover_invariants;
     QCheck_alcotest.to_alcotest prop_step_loads_current;
     QCheck_alcotest.to_alcotest prop_every_prefix_walks;
-    QCheck_alcotest.to_alcotest prop_online_never_overloads;
   ]

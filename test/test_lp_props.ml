@@ -470,9 +470,11 @@ let test_no_warnings_during_solving () =
     (fun () ->
       let s = Helpers.small_scenario ~max_classes:12 () in
       ignore (Apple_core.Optimization_engine.solve s);
+      (* The default method runs no LP; the LP pipeline's trace points
+         come from [Lp_round]. *)
       ignore
         (Apple_core.Optimization_engine.solve
-           ~method_:Apple_core.Optimization_engine.Per_class ~jobs:1 s));
+           ~method_:Apple_core.Optimization_engine.Lp_round s));
   Alcotest.(check int) "no warnings while solving" 0 !warnings;
   Alcotest.(check bool) "trace points fired" true (!debugs > 0)
 

@@ -155,7 +155,7 @@ let test_unroutable () =
 let test_end_to_end_generated_dataplane () =
   (* Drive packets through tables generated by the real pipeline. *)
   let s = Helpers.tiny_scenario () in
-  let p = C.Engine_select.solve_best s in
+  let p = C.Engine_select.solve s in
   let asg = C.Subclass.assign s p in
   let built = C.Rule_generator.build s asg in
   let c = s.C.Types.classes.(0) in

@@ -1,15 +1,13 @@
 (* The domain pool's determinism contract, end to end: pool-level unit
-   tests, then the guarantee the engines advertise — placements, rule
-   tables and online admissions are byte-identical for every jobs
-   value. *)
+   tests, then the guarantee the engines advertise — placements and rule
+   tables are byte-identical for every jobs value.  The default race
+   ({!Engine_select.solve}) reaches the pool through its greedy half. *)
 
 module Pool = Apple_parallel.Pool
 module C = Apple_core
 module OE = C.Optimization_engine
 module HE = C.Heuristic_engine
-module OL = C.Online_engine
 module ES = C.Engine_select
-module Nf = Apple_vnf.Nf
 module B = Apple_topology.Builders
 
 (* --- pool unit tests ------------------------------------------------ *)
@@ -68,9 +66,9 @@ let test_pool_shutdown_degrades () =
 let placements_equal (a : OE.placement) (b : OE.placement) =
   a.OE.counts = b.OE.counts && a.OE.distribution = b.OE.distribution
 
-let test_per_class_jobs_determinism () =
+let test_race_jobs_determinism () =
   let s = Helpers.small_scenario ~max_classes:60 () in
-  let solve jobs = OE.solve ~method_:OE.Per_class ~jobs s in
+  let solve jobs = ES.solve ~jobs s in
   let p1 = solve 1 and p2 = solve 2 and p4 = solve 4 in
   Alcotest.(check bool) "jobs=1 = jobs=2" true (placements_equal p1 p2);
   Alcotest.(check bool) "jobs=1 = jobs=4" true (placements_equal p1 p4);
@@ -81,12 +79,12 @@ let test_per_class_jobs_determinism () =
 let rule_tables network =
   Array.map Apple_dataplane.Tcam.phys_rules network
 
-let test_per_class_rules_identical_all_topologies () =
+let test_race_rules_identical_all_topologies () =
   List.iter
     (fun named ->
       let s = Helpers.small_scenario ~named ~max_classes:40 () in
-      let p1 = OE.solve ~method_:OE.Per_class ~jobs:1 s in
-      let p4 = OE.solve ~method_:OE.Per_class ~jobs:4 s in
+      let p1 = ES.solve ~jobs:1 s in
+      let p4 = ES.solve ~jobs:4 s in
       let label = s.C.Types.topo.B.label in
       Alcotest.(check bool) (label ^ ": placements identical") true
         (placements_equal p1 p4);
@@ -102,10 +100,11 @@ let test_per_class_rules_identical_all_topologies () =
 let test_metrics_do_not_change_engine_output () =
   (* Telemetry is a side channel: enabling it must leave the engine's
      output untouched, at every jobs value.  Baseline with metrics off,
-     then identical solves with metrics on at jobs 1 and 4. *)
+     then identical solves with metrics on at jobs 1 and 4.  The race
+     runs the LP pipeline, so the LP counters have solves to observe. *)
   let module T = Apple_telemetry.Telemetry in
   let s = Helpers.small_scenario ~max_classes:60 () in
-  let solve jobs = OE.solve ~method_:OE.Per_class ~jobs s in
+  let solve jobs = ES.solve ~method_:OE.Lp_round ~jobs s in
   let baseline = solve 4 in
   Fun.protect
     ~finally:(fun () ->
@@ -128,99 +127,14 @@ let test_heuristic_jobs_determinism () =
   let p4 = HE.solve ~jobs:4 s in
   Alcotest.(check bool) "greedy jobs=1 = jobs=4" true (placements_equal p1 p4)
 
-(* --- online admit_batch --------------------------------------------- *)
-
-let online_state () =
-  let s = Helpers.small_scenario ~max_classes:20 () in
-  let p = ES.solve_best s in
-  let asg = C.Subclass.assign s p in
-  let state = C.Netstate.of_assignment s asg in
-  C.Netstate.recompute_loads state;
-  state
-
-let arrivals (state : C.Netstate.t) =
-  let s = state.C.Netstate.scenario in
-  let g = s.C.Types.topo.B.graph in
-  let base = Array.length s.C.Types.classes in
-  let n = Apple_topology.Graph.num_nodes g in
-  Array.init 8 (fun i ->
-      let src = i mod (n - 1) and dst = n - 1 in
-      let path =
-        match Apple_topology.Graph.shortest_path g src dst with
-        | Some p -> Array.of_list p
-        | None -> Alcotest.fail "disconnected topology"
-      in
-      {
-        C.Types.id = base + i;
-        src;
-        dst;
-        path;
-        chain =
-          Array.of_list
-            (Nf.chain_of_string
-               (if i mod 2 = 0 then "firewall -> ids" else "firewall"));
-        src_block = C.Scenario.src_block_of_class_id (base + i);
-        rate = 120.0 +. (30.0 *. float_of_int i);
-      })
-
-let outcome_sig (o : OL.outcome) =
-  ( o.OL.accepted,
-    List.map Apple_vnf.Instance.id o.OL.new_instances,
-    match o.OL.subclass with
-    | None -> None
-    | Some p -> Some (p.C.Netstate.hops, p.C.Netstate.p_class) )
-
-let test_admit_batch_jobs_determinism () =
-  (* Two identical states, batch-admitted with different jobs: every
-     outcome — acceptance, spawned instance ids, pinned hops — must
-     coincide, as must the resulting state sizes. *)
-  let s1 = online_state () and s2 = online_state () in
-  let o1 = OL.admit_batch ~jobs:1 s1 (arrivals s1) in
-  let o4 = OL.admit_batch ~jobs:4 s2 (arrivals s2) in
-  Alcotest.(check int) "same batch size" (Array.length o1) (Array.length o4);
-  Array.iteri
-    (fun i a ->
-      Alcotest.(check bool)
-        (Printf.sprintf "outcome %d identical" i)
-        true
-        (outcome_sig a = outcome_sig o4.(i)))
-    o1;
-  Alcotest.(check int) "same instance total" (OL.total_instances s1)
-    (OL.total_instances s2);
-  Alcotest.(check bool) "weights valid" true (C.Netstate.weights_valid s1);
-  List.iter
-    (fun inst ->
-      Alcotest.(check bool) "within capacity" true
-        (Apple_vnf.Instance.offered inst
-        <= (Apple_vnf.Instance.spec inst).Nf.capacity_mbps +. 1e-6))
-    (C.Resource_orchestrator.instances s1.C.Netstate.orchestrator)
-
-let test_admit_batch_singletons_match_admit () =
-  (* A full batch may keep a stale-but-still-applicable plan where a live
-     sequential admit would replan, so batch-of-n is NOT promised to equal
-     n sequential admits.  Batch-of-1 is: each plan is made against the
-     live state, exactly like admit. *)
-  let s1 = online_state () and s2 = online_state () in
-  Array.iteri
-    (fun i cls ->
-      let b = (OL.admit_batch ~jobs:4 s1 [| cls |]).(0) in
-      let q = OL.admit s2 cls in
-      Alcotest.(check bool)
-        (Printf.sprintf "singleton batch %d = admit" i)
-        true
-        (outcome_sig b = outcome_sig q))
-    (arrivals s1);
-  Alcotest.(check int) "states converged" (OL.total_instances s1)
-    (OL.total_instances s2)
-
 (* --- packet walks over a parallel-produced placement ----------------- *)
 
-let test_walk_geant_per_class_placement () =
-  (* Solve GEANT with the parallel engine, realize sub-classes and rules,
+let test_walk_geant_race_placement () =
+  (* Solve GEANT with the race at jobs=4, realize sub-classes and rules,
      then packet-walk every sub-class: the chain must be enforced in
      order and the forwarding path must be exactly the routing path. *)
   let s = Helpers.small_scenario ~named:(B.geant ()) ~max_classes:40 () in
-  let p = OE.solve ~method_:OE.Per_class ~jobs:4 s in
+  let p = ES.solve ~jobs:4 s in
   (match OE.check_distribution s p with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -281,17 +195,13 @@ let suite =
     Alcotest.test_case "pool: shutdown degrades to sequential" `Quick
       test_pool_shutdown_degrades;
     Alcotest.test_case "per-class placement identical for jobs 1/2/4" `Quick
-      test_per_class_jobs_determinism;
+      test_race_jobs_determinism;
     Alcotest.test_case "per-class rule tables identical (GEANT, UNIV1)" `Slow
-      test_per_class_rules_identical_all_topologies;
+      test_race_rules_identical_all_topologies;
     Alcotest.test_case "greedy identical across jobs" `Quick
       test_heuristic_jobs_determinism;
     Alcotest.test_case "metrics collection never changes engine output" `Quick
       test_metrics_do_not_change_engine_output;
-    Alcotest.test_case "admit_batch identical across jobs" `Quick
-      test_admit_batch_jobs_determinism;
-    Alcotest.test_case "singleton admit_batch matches admit" `Quick
-      test_admit_batch_singletons_match_admit;
     Alcotest.test_case "walks hold on a parallel GEANT placement" `Slow
-      test_walk_geant_per_class_placement;
+      test_walk_geant_race_placement;
   ]

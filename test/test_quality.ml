@@ -63,8 +63,8 @@ let rows =
          {
            name;
            optimum = count (OE.solve ~method_:(OE.Ilp node_budget) s);
-           best = count (ES.solve_best s);
-           lp_race = count (ES.solve_best ~method_:OE.Lp_round s);
+           best = count (ES.solve s);
+           lp_race = count (ES.solve ~method_:OE.Lp_round s);
          })
        (Lazy.force corpus))
 

@@ -85,7 +85,7 @@ let test_needs_global_detection () =
 
 let test_auto_mode_selects_global () =
   let s = nat_scenario () in
-  let p = C.Engine_select.solve_best s in
+  let p = C.Engine_select.solve s in
   let asg = C.Subclass.assign s p in
   let built = C.Rule_generator.build s asg in
   Alcotest.(check bool) "auto -> global" true
@@ -97,7 +97,7 @@ let test_auto_mode_selects_global () =
 
 let test_end_to_end_with_rewriting () =
   let s = nat_scenario () in
-  let p = C.Engine_select.solve_best s in
+  let p = C.Engine_select.solve s in
   let asg = C.Subclass.assign s p in
   let built = C.Rule_generator.build s asg in
   let rewriters i =
@@ -144,7 +144,7 @@ let test_local_mode_fails_end_to_end () =
   (* Forcing Local mode on a NAT scenario must produce walks that break
      once rewriting is modelled — the negative control. *)
   let s = nat_scenario () in
-  let p = C.Engine_select.solve_best s in
+  let p = C.Engine_select.solve s in
   let asg = C.Subclass.assign s p in
   let built = C.Rule_generator.build ~tag_mode:`Local s asg in
   let rewriters i =

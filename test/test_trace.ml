@@ -244,9 +244,10 @@ let test_rows_and_phases () =
 
 (* --- jobs invariance ------------------------------------------------ *)
 
-(* One gated per-class epoch over a small scenario, traced; the sim
-   render zeroes every host-dependent field, so it must come out byte
-   for byte the same whatever the worker count. *)
+(* One gated epoch of the default engine over a small scenario, traced;
+   its greedy half maps over the domain pool, and the sim render zeroes
+   every host-dependent field, so it must come out byte for byte the
+   same whatever the worker count. *)
 let traced_epoch_render ~seed ~jobs =
   let s = Helpers.small_scenario ~seed ~total:3000.0 ~max_classes:12 () in
   Trace.reset ();
@@ -255,8 +256,7 @@ let traced_epoch_render ~seed ~jobs =
     ~finally:(fun () -> Trace.set_enabled false)
     (fun () ->
       let ctrl =
-        C.Controller.create ~engine:`Per_class ~jobs
-          ~gate:Apple_verify.Verify.gate s
+        C.Controller.create ~jobs ~gate:Apple_verify.Verify.gate s
       in
       ignore (C.Controller.run_epoch ctrl);
       Trace.render_chrome ~mode:Trace.Sim ())

@@ -83,10 +83,10 @@ let test_certify_engines () =
   let s = H.small_scenario ~seed:77 ~total:3000.0 ~max_classes:20 () in
   let solvers =
     [
-      ("lp", fun () -> C.Optimization_engine.solve s);
-      ( "per-class",
+      ("shortest-paths", fun () -> C.Optimization_engine.solve s);
+      ( "lp-round",
         fun () ->
-          C.Optimization_engine.solve ~method_:C.Optimization_engine.Per_class
+          C.Optimization_engine.solve ~method_:C.Optimization_engine.Lp_round
             s );
       ("greedy", fun () -> C.Heuristic_engine.solve s);
     ]
