@@ -77,6 +77,21 @@ let json_escape s =
 let json_num v =
   if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
 
+(* Which domain claimed each chunk of the domain pool's work changes
+   between runs of the same build, so a committed snapshot leaves these
+   out. *)
+let run_dependent =
+  [
+    "apple.pool.chunks_by_submitter";
+    "apple.pool.chunks_by_worker";
+    "apple.pool.utilization";
+  ]
+
+let stable metrics =
+  List.filter
+    (fun (n, _) -> not (List.exists (String.equal n) run_dependent))
+    metrics
+
 let write_snapshot path =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
@@ -99,14 +114,15 @@ let write_snapshot path =
         (if i = List.length exps - 1 then "}\n" else "},\n"))
     exps;
   Buffer.add_string buf "  },\n";
-  (* Pipeline-wide telemetry: every counter, plus pool gauges. *)
+  (* Pipeline-wide telemetry: every counter and gauge but the
+     run-dependent ones. *)
   Buffer.add_string buf "  \"counters\": {";
   List.iteri
     (fun i (n, v) ->
       Buffer.add_string buf
         (Printf.sprintf "%s\"%s\": %d" (if i = 0 then "" else ", ")
            (json_escape n) v))
-    (T.counters ());
+    (stable (T.counters ()));
   Buffer.add_string buf "},\n";
   Buffer.add_string buf "  \"gauges\": {";
   List.iteri
@@ -114,7 +130,7 @@ let write_snapshot path =
       Buffer.add_string buf
         (Printf.sprintf "%s\"%s\": %s" (if i = 0 then "" else ", ")
            (json_escape n) (json_num v)))
-    (T.gauges ());
+    (stable (T.gauges ()));
   Buffer.add_string buf "}\n}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents buf);

@@ -431,8 +431,8 @@ let verify_action topo seed total max_classes engine jobs flight_out () =
   (* Capture the full report through the controller's admission gate so
      the command exercises the same code path as a gated epoch. *)
   let captured = ref None in
-  let gate s asg built =
-    captured := Some (V.check s asg built, asg, built);
+  let gate ?changed s asg built =
+    captured := Some (V.check ?changed s asg built, asg, built);
     Ok ()
   in
   let controller = C.Controller.create ~engine ?jobs ~gate scenario in

@@ -26,6 +26,7 @@ type epoch_report = {
 type engine = [ `Best | `Lp | `Greedy ]
 
 type gate =
+  ?changed:int list ->
   Types.scenario ->
   Subclass.assignment ->
   Rule_generator.built ->
@@ -48,6 +49,13 @@ type t = {
   mutable state : Netstate.t option;
   mutable handler : Dynamic_handler.t option;
   mutable assignment : Subclass.assignment option;
+  mutable written : int array;
+      (* [Tcam.writes] of each installed table after the controller's
+         own last write to it *)
+  mutable healed : int list option;
+      (* while the gate's last verdict was [Ok] and every table write
+         since is a one-table heal's: the switches those heals rewrote,
+         ascending *)
 }
 
 let create ?(objective = Optimization_engine.Min_instances) ?(engine = `Best)
@@ -66,9 +74,23 @@ let create ?(objective = Optimization_engine.Min_instances) ?(engine = `Best)
     state = None;
     handler = None;
     assignment = None;
+    written = [||];
+    healed = None;
   }
 
 let set_load_source t src = t.load_source <- src
+
+let record_writes t (net : Apple_dataplane.Tcam.network) =
+  t.written <- Array.map Apple_dataplane.Tcam.writes net
+
+let rec same_writes written (net : Apple_dataplane.Tcam.network) sw =
+  sw >= Array.length net
+  || Apple_dataplane.Tcam.writes net.(sw) = written.(sw)
+     && same_writes written net (sw + 1)
+
+(* Is every table exactly as the controller last wrote it? *)
+let as_written t (net : Apple_dataplane.Tcam.network) =
+  Array.length net = Array.length t.written && same_writes t.written net 0
 
 let run_epoch t =
   Tr.with_ tr_epoch @@ fun () ->
@@ -101,6 +123,7 @@ let run_epoch t =
       match Tr.with_ tr_gate (fun () -> gate t.s assignment rules) with
       | Ok () -> ()
       | Error msg ->
+          t.healed <- None;
           T.Counter.incr m_rejected;
           Log.err (fun m -> m "epoch rejected by verify gate: %s" msg);
           raise (Rejected msg)));
@@ -119,6 +142,8 @@ let run_epoch t =
   t.report <- Some report;
   t.state <- Some state;
   t.assignment <- Some assignment;
+  record_writes t rules.Rule_generator.network;
+  t.healed <- Option.map (fun _ -> []) t.gate;
   t.handler <-
     Some
       (Dynamic_handler.create ~config:t.failover ~load_source:t.load_source
@@ -154,6 +179,8 @@ let reinstall_rules t =
       t.report <-
         Some
           { report with rules; tcam_entries = rules.Rule_generator.tcam_with_tagging };
+      record_writes t rules.Rule_generator.network;
+      t.healed <- None;
       rules
   | _ -> invalid_arg "Controller.reinstall_rules: run_epoch first"
 
@@ -163,8 +190,52 @@ let recheck_gate t =
   | Some gate -> (
       match (t.assignment, t.report) with
       | Some assignment, Some report ->
-          Tr.with_ tr_gate (fun () -> gate t.s assignment report.rules)
+          (* Narrow to the healed switches only when nothing but those
+             heals has written a table since the last [Ok]. *)
+          let changed =
+            match t.healed with
+            | Some (_ :: _) when as_written t report.rules.Rule_generator.network
+              ->
+                t.healed
+            | Some _ | None -> None
+          in
+          let verdict =
+            Tr.with_ tr_gate (fun () -> gate ?changed t.s assignment report.rules)
+          in
+          t.healed <- (match verdict with Ok () -> Some [] | Error _ -> None);
+          verdict
       | _ -> Error "no epoch has been run")
+
+(* [dead] renamed to [replacement] in one vSwitch rule. *)
+let rename ~dead ~replacement (r : Apple_dataplane.Rule.vswitch_rule) =
+  let module R = Apple_dataplane.Rule in
+  let v_port =
+    match r.R.v_port with
+    | R.From_instance i when i = dead -> R.From_instance replacement
+    | p -> p
+  and v_action =
+    match r.R.v_action with
+    | R.To_instance i when i = dead -> R.To_instance replacement
+    | a -> a
+  in
+  if v_port == r.R.v_port && v_action == r.R.v_action then r
+  else { r with R.v_port; v_action }
+
+(* The switches whose vSwitch tables the rule generator fills with the
+   re-pinned stages: the hop switch of each (sub-class key, stage). *)
+let hop_switches t (assignment : Subclass.assignment) stale =
+  List.fold_left
+    (fun acc (sub : Subclass.subclass) ->
+      let k = Subclass.key sub in
+      List.fold_left
+        (fun acc (k', stage) ->
+          if k' <> k then acc
+          else
+            let c = t.s.Types.classes.(sub.Subclass.class_id) in
+            c.Types.path.(sub.Subclass.hops.(stage)) :: acc)
+        acc stale)
+    [] assignment.Subclass.subclasses
+  |> List.sort_uniq Int.compare
 
 let heal_instance t ~dead ~replacement =
   match (t.state, t.handler, t.assignment) with
@@ -191,7 +262,27 @@ let heal_instance t ~dead ~replacement =
       t.assignment <- Some { assignment with Subclass.instances };
       Apple_dataplane.Failmask.restore_instance state.Netstate.mask
         (Instance.id dead);
-      ignore (reinstall_rules t)
+      (* Tables as the controller wrote them equal the rule generator's
+         output, so renaming the dead instance where its stages are
+         served gives what a full regeneration would.  Anything else
+         (a TCAM loss, an outside write) regenerates every table. *)
+      (match t.report with
+      | Some report when as_written t report.rules.Rule_generator.network ->
+          let net = report.rules.Rule_generator.network in
+          let rename =
+            rename ~dead:(Instance.id dead) ~replacement:(Instance.id replacement)
+          in
+          let switches = hop_switches t assignment stale in
+          List.iter
+            (fun sw ->
+              let table = net.(sw) in
+              Apple_dataplane.Tcam.set_vswitch table
+                (List.map rename (Apple_dataplane.Tcam.vswitch_rules table));
+              t.written.(sw) <- Apple_dataplane.Tcam.writes table)
+            switches;
+          t.healed <-
+            Option.map (fun h -> List.sort_uniq Int.compare (switches @ h)) t.healed
+      | Some _ | None -> ignore (reinstall_rules t))
   | _ -> invalid_arg "Controller.heal_instance: run_epoch first"
 
 let verify t =

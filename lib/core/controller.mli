@@ -34,6 +34,7 @@ type engine = [ `Best | `Lp | `Greedy ]
     instead (see {!create}). *)
 
 type gate =
+  ?changed:int list ->
   Types.scenario ->
   Subclass.assignment ->
   Rule_generator.built ->
@@ -41,7 +42,10 @@ type gate =
 (** Admission check run on every generated configuration before it is
     installed.  [Apple_verify.Verify.gate] is the intended instance (the
     dependency points the other way, so the verifier is injected rather
-    than imported). *)
+    than imported).  [changed], when given, lists the switches whose
+    tables are all that changed since the gate's last [Ok] (see
+    {!recheck_gate}); the gate may then check only what they can
+    reach. *)
 
 type shape = Types.scenario -> Subclass.assignment -> Subclass.assignment
 (** Post-placement assignment rewrite applied between {!Subclass.assign}
@@ -103,15 +107,22 @@ val handler : t -> Dynamic_handler.t option
 
 val reinstall_rules : t -> Rule_generator.built
 (** Regenerate and install the rule tables from the current scenario and
-    assignment — the recovery action after TCAM rule loss or a heal.
-    The epoch report is updated in place; previously obtained
-    {!epoch_report.rules} values are stale afterwards.  Requires a prior
-    {!run_epoch}. *)
+    assignment — the recovery action after TCAM rule loss.  The epoch
+    report is updated in place; previously obtained
+    {!epoch_report.rules} values are stale afterwards, and the next
+    {!recheck_gate} runs in full.  Requires a prior {!run_epoch}. *)
 
 val recheck_gate : t -> (unit, string) result
 (** Re-run the admission gate against the currently installed tables
     (trivially [Ok] when no gate was configured) — every healed epoch
-    must pass before the chaos engine calls recovery complete. *)
+    must pass before the chaos engine calls recovery complete.
+
+    The gate gets [?changed] (the switches one-table heals rewrote)
+    only when its last verdict was [Ok] and no table has been written
+    since except by such heals: every table's {!Apple_dataplane.Tcam.writes}
+    still equals what the controller recorded after its own last write.
+    An epoch, {!reinstall_rules}, a heal that regenerated, a failed
+    verdict or any outside write makes the next re-check full. *)
 
 val heal_instance :
   t ->
@@ -121,7 +132,15 @@ val heal_instance :
 (** Complete recovery from a VM death once the respawned [replacement]
     is ready: heal the Dynamic Handler (swap pinnings, restore repaired
     weights), update the assignment records, clear [dead] from the
-    failure mask and {!reinstall_rules}.  Requires a prior
+    failure mask and bring the tables up to date.
+
+    When every table is exactly as the controller last wrote it, the
+    tables equal the rule generator's output, so renaming [dead] to
+    [replacement] in the vSwitch tables of the switches serving its
+    stages (its host's) gives what {!reinstall_rules} would; only those
+    tables are written, and {!epoch_report.rules} keeps its network.
+    Otherwise — a TCAM loss or another write since — every table is
+    regenerated as {!reinstall_rules} does.  Requires a prior
     {!run_epoch}. *)
 
 val set_load_source : t -> Dynamic_handler.load_source -> unit

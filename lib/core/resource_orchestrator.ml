@@ -26,7 +26,6 @@ let total_cores t = Array.fold_left ( + ) 0 t.host_cores
 let used_cores t v = t.used.(v)
 let available_cores t v = t.host_cores.(v) - t.used.(v)
 let instances t = List.rev t.all
-let instances_at t v = List.filter (fun i -> Instance.host i = v) (instances t)
 
 let reserve t ~host ~cores =
   if cores > available_cores t host then

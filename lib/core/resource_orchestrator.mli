@@ -19,8 +19,6 @@ val available_cores : t -> int -> int
 val instances : t -> Apple_vnf.Instance.t list
 (** All running instances, launch order. *)
 
-val instances_at : t -> int -> Apple_vnf.Instance.t list
-
 exception Out_of_resources of { host : int; wanted : int; available : int }
 
 val launch :

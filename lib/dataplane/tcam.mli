@@ -11,6 +11,14 @@ type t
 val create : switch:int -> t
 val switch : t -> int
 
+val writes : t -> int
+(** How many times the table has been written: every call of
+    {!add_phys}, {!add_vswitch}, {!set_phys}, {!set_vswitch} and
+    {!retain_phys} counts one.  Lookups never count, including the one
+    that folds newly added vSwitch rules into the index.  The controller
+    compares these counts with the ones it recorded after its own writes
+    to tell whether anything else has changed its tables since. *)
+
 val add_phys : t -> Rule.phys_rule -> unit
 (** Insert before the first entry of equal or lower priority: the
     newest rule of a priority band matches first.  Costs the entries
@@ -95,7 +103,7 @@ val lookup_vswitch :
     {!Rule.Global} keyed rules can match.
 
     A lookup makes two binary searches (one when [cls = None]) over the
-    table's rules sorted by (port, key), so it costs O(log n) and
-    allocates a few words.  The first lookup after {!add_vswitch} or
-    {!set_vswitch} re-sorts the table: O(n log n), once per batch of
-    changes. *)
+    table's (port, key) pairs, sorted and kept as ints, so it costs
+    O(log n) and allocates only the returned option.  The first lookup
+    after {!add_vswitch} or {!set_vswitch} re-sorts the table: O(n log n),
+    once per batch of changes. *)

@@ -62,10 +62,11 @@ let host_processing net ~sw ~cls ~tags ~entry_port ~record_instance ~rewriters
     | None -> raise (Walk_error (Vswitch_miss sw))
   in
   let lookups = ref 0 in
+  let some_cls = Some cls in
   let rec step port =
     incr lookups;
     if !lookups > host_lookup_limit then raise (Walk_error (Host_loop sw));
-    let cls_match = if !header_valid then Some cls else None in
+    let cls_match = if !header_valid then some_cls else None in
     match Tcam.lookup_vswitch table port ~cls:cls_match ~subclass with
     | None -> raise (Walk_error (Vswitch_miss sw))
     | Some (Rule.To_instance inst) ->

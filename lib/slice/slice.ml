@@ -563,7 +563,7 @@ let isolation_breach ~iso_of_class ~slice_of_class (asg : Subclass.assignment) =
 
 let gate_of t ~iso_of_class ~slice_of_class ~verified :
     Controller.gate =
- fun s asg built ->
+ fun ?changed s asg built ->
   (match t.chaos_hook with Some f -> f s asg built | None -> ());
   let left = Rule_generator.tags_left built in
   if left < 0 then
@@ -582,7 +582,7 @@ let gate_of t ~iso_of_class ~slice_of_class ~verified :
           Ok ()
         end
         else
-          let report = Verify.check s asg built in
+          let report = Verify.check ?changed s asg built in
           verified := report.Verify.subclasses;
           if Verify.ok report then Ok ()
           else

@@ -232,30 +232,32 @@ let same_pattern a b = pattern_subsumes a b && pattern_subsumes b a
    its own claim its whole source set.  One running union per distinct
    (m_host, m_subclass) pattern seen so far makes a table's pass
    O(rules x patterns) set operations. *)
-let shadowed_rules (preds : table_preds) =
+let shadowed_rules ~in_scope (preds : table_preds) =
   collect @@ fun add ->
   Array.iteri
     (fun sw table ->
-      let unions = ref [] in
-      Array.iter
-        (fun ((r : Rule.phys_rule), p) ->
-          let m = r.Rule.pmatch in
-          let covered =
-            List.fold_left
-              (fun acc (m', u) ->
-                if pattern_subsumes m' m then S.union acc !u else acc)
-              S.empty !unions
-          in
-          if S.subset p covered then
-            add ~switch:sw
-              ~witness:(Note (Format.asprintf "%a" Rule.pp_phys_rule r))
-              Shadowed_rule
-              "rule can never match: higher-priority rules claim its entire \
-               match set";
-          match List.find_opt (fun (m', _) -> same_pattern m' m) !unions with
-          | Some (_, u) -> u := S.union !u p
-          | None -> unions := (m, ref p) :: !unions)
-        (Lazy.force table))
+      if in_scope sw then begin
+        let unions = ref [] in
+        Array.iter
+          (fun ((r : Rule.phys_rule), p) ->
+            let m = r.Rule.pmatch in
+            let covered =
+              List.fold_left
+                (fun acc (m', u) ->
+                  if pattern_subsumes m' m then S.union acc !u else acc)
+                S.empty !unions
+            in
+            if S.subset p covered then
+              add ~switch:sw
+                ~witness:(Note (Format.asprintf "%a" Rule.pp_phys_rule r))
+                Shadowed_rule
+                "rule can never match: higher-priority rules claim its \
+                 entire match set";
+            match List.find_opt (fun (m', _) -> same_pattern m' m) !unions with
+            | Some (_, u) -> u := S.union !u p
+            | None -> unions := (m, ref p) :: !unions)
+          (Lazy.force table)
+      end)
     preds
 
 (* --- table well-formedness: vSwitch pipelines ----------------------- *)
@@ -269,11 +271,11 @@ let rec port_action port = function
 
 (* Repeated (port, key) rules in match order, then each key's pipelines
    from its entry ports, keys in first-seen order. *)
-let vswitch_pipelines (net : Tcam.network) =
+let vswitch_pipelines ~in_scope (net : Tcam.network) =
   collect @@ fun add ->
   Array.iteri
     (fun sw table ->
-      match Tcam.vswitch_rules table with
+      match if in_scope sw then Tcam.vswitch_rules table else [] with
       | [] -> ()
       | rules ->
           (* Each key's rules, the first of each port only, newest first. *)
@@ -373,18 +375,20 @@ let tag_space (built : Rule_generator.built) (asg : Subclass.assignment) =
 
 (* Overlapping classification rules stamping different tags capture
    each other's traffic no matter the priority tie-break. *)
-let classifier_overlaps (preds : table_preds) =
+let classifier_overlaps ~in_scope (preds : table_preds) =
   collect @@ fun add ->
   Array.iteri
     (fun sw table ->
       let classify =
-        Array.to_list (Lazy.force table)
-        |> List.filter (fun ((r : Rule.phys_rule), _) ->
-               match r.Rule.action with
-               | Rule.Tag_and_deliver _ | Rule.Tag_and_forward _ -> true
-               | Rule.Fwd_to_host _ | Rule.Set_host_and_forward _
-               | Rule.Goto_next ->
-                   false)
+        if not (in_scope sw) then []
+        else
+          Array.to_list (Lazy.force table)
+          |> List.filter (fun ((r : Rule.phys_rule), _) ->
+                 match r.Rule.action with
+                 | Rule.Tag_and_deliver _ | Rule.Tag_and_forward _ -> true
+                 | Rule.Fwd_to_host _ | Rule.Set_host_and_forward _
+                 | Rule.Goto_next ->
+                     false)
       in
       let rec pairs = function
         | [] -> ()
@@ -412,8 +416,12 @@ let classifier_overlaps (preds : table_preds) =
 
 (* --- per-sub-class symbolic walks ----------------------------------- *)
 
-(* Returns the violations and the number of walks completed. *)
-let subclass_walks (s : Types.scenario) (asg : Subclass.assignment)
+let rec crosses in_scope (path : int array) i =
+  i < Array.length path && (in_scope path.(i) || crosses in_scope path (i + 1))
+
+(* Walks every sub-class of the classes whose path crosses a switch in
+   scope; returns the violations and the number of walks completed. *)
+let subclass_walks ~in_scope (s : Types.scenario) (asg : Subclass.assignment)
     (built : Rule_generator.built) (preds : table_preds) =
   let net = built.Rule_generator.network in
   let inst_by_id = Hashtbl.create 64 in
@@ -428,12 +436,13 @@ let subclass_walks (s : Types.scenario) (asg : Subclass.assignment)
       (fun (c : Types.flow_class) ->
         let class_id = c.Types.id in
         let subs = by_class.(class_id) in
-        if subs <> [] then begin
+        if subs <> [] && crosses in_scope c.Types.path 0 then begin
           let prefixes =
             Rule_generator.subclass_prefixes c subs
               ~depth:built.Rule_generator.split_depth
           in
           let chain = Array.to_list c.Types.chain in
+          let some_class = Some class_id in
           let plen = Array.length c.Types.path in
           let on_remaining_path h i =
             let rec go j = j < plen && (c.Types.path.(j) = h || go (j + 1)) in
@@ -592,9 +601,7 @@ let subclass_walks (s : Types.scenario) (asg : Subclass.assignment)
                             "vSwitch pipeline never returns the packet to the \
                              network"
                         else begin
-                          let cls =
-                            if !header_valid then Some class_id else None
-                          in
+                          let cls = if !header_valid then some_class else None in
                           match
                             Tcam.lookup_vswitch table port ~cls ~subclass:tag
                           with
@@ -720,16 +727,27 @@ let isolation_and_capacity (s : Types.scenario) (asg : Subclass.assignment) =
           "summed sub-class portions exceed the instance's capacity")
     asg.Subclass.instances
 
-let check (s : Types.scenario) (asg : Subclass.assignment)
+(* Membership in [changed]; every switch when it is absent. *)
+let scope net = function
+  | None -> fun _ -> true
+  | Some changed ->
+      let member = Array.make (Array.length net) false in
+      List.iter
+        (fun sw -> if sw >= 0 && sw < Array.length member then member.(sw) <- true)
+        changed;
+      fun sw -> member.(sw)
+
+let check ?changed (s : Types.scenario) (asg : Subclass.assignment)
     (built : Rule_generator.built) =
   Apple_trace.Trace.with_ tr_check @@ fun () ->
   let net = built.Rule_generator.network in
+  let in_scope = scope net changed in
   let preds = table_preds net in
-  let shadowed = shadowed_rules preds in
-  let pipelines = vswitch_pipelines net in
+  let shadowed = shadowed_rules ~in_scope preds in
+  let pipelines = vswitch_pipelines ~in_scope net in
   let tags = tag_space built asg in
-  let overlaps = classifier_overlaps preds in
-  let walked, walks = subclass_walks s asg built preds in
+  let overlaps = classifier_overlaps ~in_scope preds in
+  let walked, walks = subclass_walks ~in_scope s asg built preds in
   let capacity = isolation_and_capacity s asg in
   let report =
     {
@@ -752,8 +770,8 @@ let check (s : Types.scenario) (asg : Subclass.assignment)
   end;
   report
 
-let gate s asg built =
-  let r = check s asg built in
+let gate ?changed s asg built =
+  let r = check ?changed s asg built in
   if ok r then Ok ()
   else
     let head =

@@ -97,18 +97,37 @@ type violation = {
 type report = {
   violations : violation list;  (** detection order; empty = certified *)
   subclasses : int;  (** sub-classes analyzed *)
-  walks : int;  (** symbolic walks completed *)
+  walks : int;  (** symbolic walks completed (only those in scope) *)
   phys_rules : int;  (** physical rules inspected *)
   vswitch_rules : int;  (** vSwitch rules inspected *)
   instances : int;  (** provisioned instances audited *)
 }
 
 val check :
-  Types.scenario -> Subclass.assignment -> Rule_generator.built -> report
-(** Run the full static analysis.  Instance capacity allows a
+  ?changed:int list ->
+  Types.scenario ->
+  Subclass.assignment ->
+  Rule_generator.built ->
+  report
+(** Run the static analysis.  Instance capacity allows a
     multiplicative headroom of 1.0001, matching
     {!Subclass.instance_load_ok}.  Deterministic: violations come out in
-    a fixed order for a given configuration. *)
+    a fixed order for a given configuration.
+
+    Without [changed] every section runs in full.  With it, the
+    shadowed-rule, classifier-overlap and vSwitch-pipeline checks run
+    only at the switches in [changed], and the walks only for the
+    classes whose path crosses one of them; tag space, isolation and
+    capacity still run in full.
+
+    Precondition for [changed]: this check certified (0 violations) a
+    configuration from which the given one differs only in the tables
+    of the switches in [changed], in stage pins that named an instance
+    hosted at one of them, in the instances provisioned there, and in
+    class rates.  The result then lists the same violations, in the
+    same order, as the full check would; only [walks] is smaller.
+    {!Apple_core.Controller.recheck_gate} passes the switches its
+    one-table heals rewrote since the gate's last [Ok]. *)
 
 val ok : report -> bool
 val count : report -> code -> int
@@ -118,11 +137,13 @@ val summary : report -> string
 (** One line: certification or the violation tally by fault class. *)
 
 val gate :
+  ?changed:int list ->
   Types.scenario ->
   Subclass.assignment ->
   Rule_generator.built ->
   (unit, string) result
-(** {!check} shaped as a {!Apple_core.Controller.gate}: [Ok ()] on a
+(** {!check} (with [changed] passed on) shaped as a
+    {!Apple_core.Controller.gate}: [Ok ()] on a
     certified configuration, [Error (summary ^ first violations)]
     otherwise.  Install with
     [Controller.create ~gate:Verify.gate scenario]. *)

@@ -38,7 +38,9 @@ let test_instances_listing () =
   Alcotest.(check (list int)) "launch order" [ I.id a; I.id b; I.id c ]
     (List.map I.id (RO.instances t));
   Alcotest.(check (list int)) "per host" [ I.id a; I.id c ]
-    (List.map I.id (RO.instances_at t 0))
+    (List.filter_map
+       (fun i -> if I.host i = 0 then Some (I.id i) else None)
+       (RO.instances t))
 
 let test_destroy_idempotent () =
   let t = mk () in

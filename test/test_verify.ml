@@ -572,7 +572,7 @@ let test_controller_gate () =
   let c = C.Controller.create ~gate:V.gate s in
   let _report = C.Controller.run_epoch c in
   (* ...and a refusing gate rejects it without installing anything. *)
-  let c2 = C.Controller.create ~gate:(fun _ _ _ -> Error "nope") s in
+  let c2 = C.Controller.create ~gate:(fun ?changed:_ _ _ _ -> Error "nope") s in
   (match C.Controller.run_epoch c2 with
   | exception C.Controller.Rejected m ->
       Alcotest.(check string) "rejection message" "nope" m
