@@ -55,9 +55,12 @@ let fig6_packet () =
 
 (* The LP kernel corpus: one line per solve, floats as [%h] (exact) and
    vectors as the MD5 of their [%h] rendering, so any change to a pivot
-   decision, a primal value or a dual shows up.  Three parts: random
-   small LPs shaped like the property tests' cases, the bench micro
-   20x30 covering LP, and the Optimization Engine on four topologies. *)
+   decision, a primal value or a dual shows up.  Five parts: random
+   small LPs shaped like the property tests' cases and degenerate ones
+   shaped like their [gen_degenerate] cases, each followed by a
+   re-solve from its start under a second objective; the bench micro
+   20x30 covering LP; the Optimization Engine on four topologies; and
+   the engine on Internet2 scenarios of slice size. *)
 module Simplex = Apple_lp.Simplex
 module Lp_model = Apple_lp.Model
 module T = Apple_telemetry.Telemetry
@@ -73,6 +76,59 @@ let lp_line b ~status ~pivots ~objective ~primal ~duals =
     objective
     (md5_floats (Array.to_list primal))
     (md5_floats (Array.to_list duals))
+
+let simplex_status = function
+  | Simplex.Optimal -> "optimal"
+  | Simplex.Infeasible -> "infeasible"
+  | Simplex.Unbounded -> "unbounded"
+  | Simplex.Iteration_limit -> "limit"
+
+let simplex_line b prefix (r : Simplex.result) =
+  lp_line b ~status:(prefix ^ simplex_status r.Simplex.status)
+    ~pivots:r.Simplex.iterations ~objective:r.Simplex.objective
+    ~primal:r.Simplex.primal ~duals:r.Simplex.duals
+
+(* The solve's line, then the line of its re-solve from the start under
+   new costs drawn from [obj_rng] for the structural columns (those
+   before the slacks), where the re-solve's phase 2 and its inherited
+   refresh cadence decide the pivots. *)
+let solve_and_resolve b obj_rng (p : Simplex.problem) =
+  let r = Simplex.solve p in
+  simplex_line b "" r;
+  let structurals = p.Simplex.num_vars - p.Simplex.num_rows in
+  let obj =
+    Array.init p.Simplex.num_vars (fun j ->
+        if j < structurals then Rng.float obj_rng 6.0 -. 3.0 else 0.0)
+  in
+  match r.Simplex.start with
+  | Some s -> simplex_line b "resolve " (Simplex.resolve s obj)
+  | None -> Buffer.add_string b "resolve: no start\n"
+
+(* Standard form of rows [(coefs, slack bounds, rhs)] over [lower, upper]
+   structurals, one slack column per row; a structural column lists only
+   its nonzero coefficients. *)
+let standard_form ~lower ~upper ~objs rows =
+  let n = Array.length objs and nc = Array.length rows in
+  let total = n + nc in
+  let coef i j = match rows.(i) with coefs, _, _ -> coefs.(j) in
+  let column j =
+    List.filter (fun i -> not (Float.equal (coef i j) 0.0)) (List.init nc Fun.id)
+  in
+  let slack_bounds i = match rows.(i) with _, bounds, _ -> bounds in
+  {
+    Simplex.num_vars = total;
+    num_rows = nc;
+    col_index =
+      Array.init total (fun j -> if j < n then Array.of_list (column j) else [| j - n |]);
+    col_value =
+      Array.init total (fun j ->
+          if j < n then Array.of_list (List.map (fun i -> coef i j) (column j))
+          else [| 1.0 |]);
+    rhs = Array.map (fun (_, _, rhs) -> rhs) rows;
+    obj = Array.init total (fun j -> if j < n then objs.(j) else 0.0);
+    lower = Array.init total (fun j -> if j < n then lower.(j) else fst (slack_bounds (j - n)));
+    upper = Array.init total (fun j -> if j < n then upper.(j) else snd (slack_bounds (j - n)));
+  }
 
 (* Random bounded LP in Simplex standard form: n <= 5 structurals in
    [0, ub], up to 4 rows of mixed sense with a slack column each, and a
@@ -96,21 +152,84 @@ let random_lp rng =
         | 1 -> (coefs, (neg_infinity, 0.0), !lhs0 -. slack)
         | _ -> (coefs, (0.0, 0.0), !lhs0))
   in
-  let total = n + nc in
-  let slack_bounds i = match rows.(i) with _, bounds, _ -> bounds in
-  {
-    Simplex.num_vars = total;
-    num_rows = nc;
-    col_index =
-      Array.init total (fun j -> if j < n then Array.init nc Fun.id else [| j - n |]);
-    col_value =
-      Array.init total (fun j ->
-          if j < n then Array.map (fun (coefs, _, _) -> coefs.(j)) rows else [| 1.0 |]);
-    rhs = Array.map (fun (_, _, rhs) -> rhs) rows;
-    obj = Array.init total (fun j -> if j < n then objs.(j) else 0.0);
-    lower = Array.init total (fun j -> if j < n then 0.0 else fst (slack_bounds (j - n)));
-    upper = Array.init total (fun j -> if j < n then ubs.(j) else snd (slack_bounds (j - n)));
-  }
+  standard_form ~lower:(Array.make n 0.0) ~upper:ubs ~objs rows
+
+(* A degenerate LP, drawn as the property tests' [gen_degenerate] draws
+   its cases: 2-7 structurals in boxes of 0.5-4 on a half-integer
+   witness, one in four fixed at its witness value; 1-3 equality rows
+   with coefficients in -2..2, 1-3 redundant combinations of them, and
+   up to 3 inequalities, in shuffled order.  Redundant rows keep
+   artificials basic at zero, fixed columns never enter, ties on small
+   integer data stall pivots, and narrow boxes make bound flips. *)
+let degenerate_lp rng =
+  let n = 2 + Rng.int rng 6 in
+  let boxes =
+    Array.init n (fun _ ->
+        let a = 1 + Rng.int rng 8 in
+        let w = Rng.int rng 17 in
+        let f = Rng.int rng 4 in
+        (a, w, f))
+  in
+  let x0 = Array.map (fun (a, w, _) -> 0.5 *. float_of_int (w mod (a + 1))) boxes in
+  let fixed i = match boxes.(i) with _, _, f -> f = 0 in
+  let lower = Array.mapi (fun i x -> if fixed i then x else 0.0) x0 in
+  let upper =
+    Array.mapi (fun i (a, _, _) -> if fixed i then x0.(i) else 0.5 *. float_of_int a) boxes
+  in
+  let objs = Array.init n (fun _ -> Rng.float rng 6.0 -. 3.0) in
+  let row () = Array.init n (fun _ -> float_of_int (Rng.int rng 5 - 2)) in
+  let eqs = Array.init (1 + Rng.int rng 3) (fun _ -> row ()) in
+  let neq = Array.length eqs in
+  let redundant =
+    Array.init (1 + Rng.int rng 3) (fun _ ->
+        let a = Rng.int rng neq in
+        let b = Rng.int rng neq in
+        let ca = [| 1.0; -1.0; 2.0 |].(Rng.int rng 3) in
+        let cb = [| 0.0; 1.0; -1.0 |].(Rng.int rng 3) in
+        Array.mapi (fun i x -> (ca *. x) +. (cb *. eqs.(b).(i))) eqs.(a))
+  in
+  let lhs0 coefs =
+    let acc = ref 0.0 in
+    Array.iteri (fun j c -> acc := !acc +. (c *. x0.(j))) coefs;
+    !acc
+  in
+  let ineqs =
+    Array.init (Rng.int rng 4) (fun _ ->
+        let coefs = row () in
+        let le = Rng.bool rng in
+        let slack = Rng.float rng 2.0 in
+        if le then (coefs, (0.0, infinity), lhs0 coefs +. slack)
+        else (coefs, (neg_infinity, 0.0), lhs0 coefs -. slack))
+  in
+  let rows =
+    Array.concat
+      [
+        Array.map (fun c -> (c, (0.0, 0.0), lhs0 c)) (Array.append eqs redundant);
+        ineqs;
+      ]
+  in
+  Rng.shuffle rng rows;
+  standard_form ~lower ~upper ~objs rows
+
+module Opt = Apple_core.Optimization_engine
+
+(* One [Lp_round] placement of [s] with the pivots it took. *)
+let lp_round_line b pivots label s =
+  let p0 = T.Counter.value pivots in
+  match Opt.solve ~method_:Opt.Lp_round s with
+  | p ->
+      Printf.bprintf b
+        "%s lp-round pivots=%d lp_obj=%h distribution=%s inst=%d cores=%d\n"
+        label
+        (T.Counter.value pivots - p0)
+        p.Opt.lp_objective
+        (md5_floats
+           (List.concat_map
+              (fun hops -> List.concat_map Array.to_list (Array.to_list hops))
+              (Array.to_list p.Opt.distribution)))
+        (Opt.instance_count p) (Opt.core_count p)
+  | exception Opt.Infeasible why ->
+      Printf.bprintf b "%s lp-round infeasible: %s\n" label why
 
 let lp_kernel () =
   let pivots = T.Counter.create "apple.lp.pivots" in
@@ -121,18 +240,14 @@ let lp_kernel () =
     ~finally:(fun () -> T.set_enabled was)
     (fun () ->
       Buffer.add_string b "== random standard-form LPs (200) ==\n";
-      let rng = Rng.create 2016 in
+      let rng = Rng.create 2016 and obj_rng = Rng.create 2017 in
       for _ = 1 to 200 do
-        let r = Simplex.solve (random_lp rng) in
-        lp_line b
-          ~status:
-            (match r.Simplex.status with
-            | Simplex.Optimal -> "optimal"
-            | Simplex.Infeasible -> "infeasible"
-            | Simplex.Unbounded -> "unbounded"
-            | Simplex.Iteration_limit -> "limit")
-          ~pivots:r.Simplex.iterations ~objective:r.Simplex.objective
-          ~primal:r.Simplex.primal ~duals:r.Simplex.duals
+        solve_and_resolve b obj_rng (random_lp rng)
+      done;
+      Buffer.add_string b "== degenerate standard-form LPs (200) ==\n";
+      let rng = Rng.create 2018 and obj_rng = Rng.create 2019 in
+      for _ = 1 to 200 do
+        solve_and_resolve b obj_rng (degenerate_lp rng)
       done;
       (* The bench micro kernel "simplex (20x30 covering LP)". *)
       Buffer.add_string b "== 20x30 covering LP ==\n";
@@ -159,40 +274,39 @@ let lp_kernel () =
         ~pivots:(T.Counter.value pivots - p0)
         ~objective:s.Lp_model.objective ~primal:s.Lp_model.values
         ~duals:s.Lp_model.duals;
+      let scenario ~max_classes ~ecmp ~tm_seed ~seed (topo, total) =
+        let tm =
+          Apple_traffic.Synth.gravity (Rng.create tm_seed)
+            ~n:(Apple_topology.Graph.num_nodes topo.Builders.graph)
+            ~total
+        in
+        let config = { Apple_core.Scenario.default_config with max_classes; ecmp } in
+        Apple_core.Scenario.build ~config ~seed topo tm
+      in
       Buffer.add_string b "== Optimization Engine (32 classes, ECMP off) ==\n";
-      let module Opt = Apple_core.Optimization_engine in
       List.iteri
-        (fun i (topo, total) ->
-          let tm =
-            Apple_traffic.Synth.gravity (Rng.create (100 + i))
-              ~n:(Apple_topology.Graph.num_nodes topo.Builders.graph)
-              ~total
-          in
-          let config =
-            { Apple_core.Scenario.default_config with max_classes = 32; ecmp = false }
-          in
-          let s = Apple_core.Scenario.build ~config ~seed:(200 + i) topo tm in
-          let p0 = T.Counter.value pivots in
-          match Opt.solve ~method_:Opt.Lp_round s with
-          | p ->
-              Printf.bprintf b
-                "%s lp-round pivots=%d lp_obj=%h distribution=%s inst=%d cores=%d\n"
-                topo.Builders.label
-                (T.Counter.value pivots - p0)
-                p.Opt.lp_objective
-                (md5_floats
-                   (List.concat_map
-                      (fun hops -> List.concat_map Array.to_list (Array.to_list hops))
-                      (Array.to_list p.Opt.distribution)))
-                (Opt.instance_count p) (Opt.core_count p)
-          | exception Opt.Infeasible why ->
-              Printf.bprintf b "%s lp-round infeasible: %s\n" topo.Builders.label why)
+        (fun i ((topo, _) as case) ->
+          lp_round_line b pivots topo.Builders.label
+            (scenario ~max_classes:32 ~ecmp:false ~tm_seed:(100 + i) ~seed:(200 + i)
+               case))
         [
           (Builders.internet2 (), 6_000.0);
           (Builders.geant (), 6_000.0);
           (Builders.as3679 (), 12_000.0);
           (Builders.fat_tree ~k:8, 6_000.0);
-        ]);
+        ];
+      (* Class counts of the slice manager's joint scenarios, whose
+         shaped controllers run this pipeline on every admit and
+         depart. *)
+      Buffer.add_string b "== Optimization Engine, Internet2 slice sizes ==\n";
+      List.iteri
+        (fun i classes ->
+          lp_round_line b pivots
+            (Printf.sprintf "Internet2 %d classes" classes)
+            (scenario ~max_classes:classes ~ecmp:true ~tm_seed:(500 + i)
+               ~seed:(600 + i)
+               (Builders.internet2 (), 1_000.0 +. (250.0 *. float_of_int classes))))
+        [ 6; 10; 14; 18; 22; 26; 30 ]);
   Buffer.contents b
 
 (* The verifier's reports and the atom classifier's outputs: everything
