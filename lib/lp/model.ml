@@ -16,13 +16,16 @@ type constr = {
 
 type t = {
   maximize : bool;
-  mutable lbs : float list;  (* reversed declaration order *)
-  mutable ubs : float list;
-  mutable objs : float array;  (* declaration order; the first [n] are live *)
-  mutable ints : bool list;
+  (* Per variable, in declaration order; the first [n] are live. *)
+  mutable lbs : float array;
+  mutable ubs : float array;
+  mutable objs : float array;
+  mutable ints : bool array;
   mutable n : int;
+  mutable n_int : int;
   mutable constrs : constr list;  (* reversed *)
   mutable num_constrs : int;
+  mutable nnz : int;  (* terms of all constraints, merged *)
 }
 
 (* A start is valid for the model it was taken from, at the size it had:
@@ -46,49 +49,62 @@ type solution = {
 let create ?(maximize = false) () =
   {
     maximize;
-    lbs = [];
-    ubs = [];
+    lbs = [||];
+    ubs = [||];
     objs = [||];
-    ints = [];
+    ints = [||];
     n = 0;
+    n_int = 0;
     constrs = [];
     num_constrs = 0;
+    nnz = 0;
   }
+
+let grown a n zero =
+  let b = Array.make (max 16 (2 * n)) zero in
+  Array.blit a 0 b 0 n;
+  b
 
 let add_var t ?(lb = 0.0) ?(ub = infinity) ?(integer = false) ?(obj = 0.0)
     () =
   if lb > ub then invalid_arg "Model.add_var: lb > ub";
   let id = t.n in
-  t.lbs <- lb :: t.lbs;
-  t.ubs <- ub :: t.ubs;
   if id = Array.length t.objs then begin
-    let grown = Array.make (max 16 (2 * id)) 0.0 in
-    Array.blit t.objs 0 grown 0 id;
-    t.objs <- grown
+    t.lbs <- grown t.lbs id 0.0;
+    t.ubs <- grown t.ubs id 0.0;
+    t.objs <- grown t.objs id 0.0;
+    t.ints <- grown t.ints id false
   end;
+  t.lbs.(id) <- lb;
+  t.ubs.(id) <- ub;
   t.objs.(id) <- obj;
-  t.ints <- integer :: t.ints;
+  t.ints.(id) <- integer;
+  if integer then t.n_int <- t.n_int + 1;
   t.n <- id + 1;
   id
 
+(* Each variable's coefficients summed from +0.0 in the order given,
+   zero sums dropped, by ascending variable: a stable sort keeps each
+   variable's run in its original order. *)
 let merge_terms terms =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (coef, v) ->
-      let prev = try Hashtbl.find tbl v with Not_found -> 0.0 in
-      Hashtbl.replace tbl v (prev +. coef))
-    terms;
-  (* lint: L3 — order erased: terms sorted by variable id below *)
-  Hashtbl.fold (fun v coef acc -> if coef = 0.0 then acc else (coef, v) :: acc) tbl []
-  |> List.sort (fun (_, v) (_, v') -> Int.compare v v')
+  let rec runs acc = function
+    | [] -> List.rev acc
+    | (coef, v) :: rest -> run acc v (0.0 +. coef) rest
+  and run acc v sum = function
+    | (coef, v') :: rest when Int.equal v v' -> run acc v (sum +. coef) rest
+    | rest -> runs (if sum = 0.0 then acc else (sum, v) :: acc) rest
+  in
+  runs [] (List.stable_sort (fun (_, v) (_, v') -> Int.compare v v') terms)
 
 let add_constraint t terms sense rhs =
   List.iter
     (fun (_, v) ->
       if v < 0 || v >= t.n then invalid_arg "Model.add_constraint: unknown var")
     terms;
-  t.constrs <- { terms = merge_terms terms; sense; rhs } :: t.constrs;
-  t.num_constrs <- t.num_constrs + 1
+  let terms = merge_terms terms in
+  t.constrs <- { terms; sense; rhs } :: t.constrs;
+  t.num_constrs <- t.num_constrs + 1;
+  t.nnz <- t.nnz + List.length terms
 
 let set_obj t v coef =
   if v < 0 || v >= t.n then invalid_arg "Model.set_obj: unknown var";
@@ -101,8 +117,8 @@ let num_constraints t = t.num_constrs
 let value sol v = sol.values.(v)
 
 let arrays_of t =
-  let to_arr l = Array.of_list (List.rev l) in
-  (to_arr t.lbs, to_arr t.ubs, Array.sub t.objs 0 t.n, to_arr t.ints)
+  let live a = Array.sub a 0 t.n in
+  (live t.lbs, live t.ubs, live t.objs, live t.ints)
 
 (* The standard-form objective over [total] columns: minimization
    costs for the variables, 0 for the slacks, and each split free
@@ -124,25 +140,39 @@ let lower_objective t ~free ~total objs =
 let standardize t ~lbs ~ubs ~objs =
   let m = t.num_constrs in
   let n = t.n in
-  let free =
-    List.filter
-      (fun v -> lbs.(v) = neg_infinity && ubs.(v) = infinity)
-      (List.init n Fun.id)
-    |> Array.of_list
-  in
+  let free = ref [] in
+  for v = n - 1 downto 0 do
+    if lbs.(v) = neg_infinity && ubs.(v) = infinity then free := v :: !free
+  done;
+  let free = Array.of_list !free in
   let total = n + m + Array.length free in
   let cols_idx = Array.make total [||] and cols_val = Array.make total [||] in
   let rhs = Array.make m 0.0 in
   let lower = Array.make total 0.0 and upper = Array.make total infinity in
   Array.blit lbs 0 lower 0 n;
   Array.blit ubs 0 upper 0 n;
-  (* Collect per-variable row lists. *)
-  let acc = Array.make n [] in
-  let rows = Array.of_list (List.rev t.constrs) in
-  Array.iteri
-    (fun i c ->
+  (* Two passes over the rows: count each variable's entries, then fill
+     its column from the end, the newest row first, so each column
+     lists its rows in ascending order. *)
+  let fill = Array.make n 0 in
+  List.iter
+    (fun c -> List.iter (fun (_, v) -> fill.(v) <- fill.(v) + 1) c.terms)
+    t.constrs;
+  for v = 0 to n - 1 do
+    cols_idx.(v) <- Array.make fill.(v) 0;
+    cols_val.(v) <- Array.make fill.(v) 0.0
+  done;
+  List.iteri
+    (fun back c ->
+      let i = m - 1 - back in
       rhs.(i) <- c.rhs;
-      List.iter (fun (coef, v) -> acc.(v) <- (i, coef) :: acc.(v)) c.terms;
+      List.iter
+        (fun (coef, v) ->
+          let q = fill.(v) - 1 in
+          fill.(v) <- q;
+          cols_idx.(v).(q) <- i;
+          cols_val.(v).(q) <- coef)
+        c.terms;
       (* slack column for row i *)
       let sj = n + i in
       cols_idx.(sj) <- [| i |];
@@ -157,12 +187,7 @@ let standardize t ~lbs ~ubs ~objs =
       | Eq ->
           lower.(sj) <- 0.0;
           upper.(sj) <- 0.0)
-    rows;
-  for v = 0 to n - 1 do
-    let entries = List.rev acc.(v) in
-    cols_idx.(v) <- Array.of_list (List.map fst entries);
-    cols_val.(v) <- Array.of_list (List.map snd entries)
-  done;
+    t.constrs;
   Array.iteri
     (fun f v ->
       let neg = n + m + f in
@@ -377,10 +402,5 @@ let solve_ilp ?(max_nodes = 10_000) ?max_iters t =
         }
 
 let pp_stats ppf t =
-  let _, _, _, ints = arrays_of t in
-  let n_int = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 ints in
-  let nnz =
-    List.fold_left (fun acc c -> acc + List.length c.terms) 0 t.constrs
-  in
-  Format.fprintf ppf "vars=%d (int=%d) constraints=%d nnz=%d" t.n n_int
-    t.num_constrs nnz
+  Format.fprintf ppf "vars=%d (int=%d) constraints=%d nnz=%d" t.n t.n_int
+    t.num_constrs t.nnz
