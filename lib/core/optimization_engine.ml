@@ -371,13 +371,6 @@ let consolidate_pass (s : Types.scenario) dist counts =
   let n = Graph.num_nodes s.Types.topo.Builders.graph in
   let cap_of k = (Nf.spec (Nf.kind_of_index k)).Nf.capacity_mbps in
   let load = site_loads s dist in
-  let cores_used v =
-    let acc = ref 0 in
-    for k = 0 to Nf.num_kinds - 1 do
-      acc := !acc + (counts.(v).(k) * (Nf.spec (Nf.kind_of_index k)).Nf.cores)
-    done;
-    !acc
-  in
   (* Contributions at a site: (mass, class, hop, stage). *)
   let contributions v k =
     let acc = ref [] in
@@ -495,9 +488,7 @@ let consolidate_pass (s : Types.scenario) dist counts =
         if load.(v).(k) <= 1e-9 then 0
         else int_of_float (ceil ((load.(v).(k) /. cap_of k) -. 1e-9))
       in
-      if needed < counts.(v).(k) then counts.(v).(k) <- needed;
-      (* Never shrink below resource feasibility: ceil can only reduce. *)
-      ignore (cores_used v)
+      if needed < counts.(v).(k) then counts.(v).(k) <- needed
     done
   done;
   counts
