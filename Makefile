@@ -54,12 +54,14 @@ lint:
 # One-stop gate: lint, compile everything, run the full test suite (the
 # work gate included: each benchmark workload's digest window against
 # tools/perf_work.txt; test_parallel runs the domain pool at jobs=4),
-# then the bench-snapshot and lint-report schema guards, the
-# deterministic soak-totals regression check (re-runs the acceptance
-# soak and diffs BENCH_soak.json's totals and trajectory; only the
-# machine-dependent perf line is exempt) and the Chrome-trace export
-# schema guard.
+# then the check that the hot modules' native code calls no
+# polymorphic comparison, the bench-snapshot and lint-report schema
+# guards, the deterministic soak-totals regression check (re-runs the
+# acceptance soak and diffs BENCH_soak.json's totals and trajectory;
+# only the machine-dependent perf line is exempt) and the Chrome-trace
+# export schema guard.
 check: lint build test
+	sh tools/check_hot_compare.sh
 	sh tools/check_bench_schema.sh
 	sh tools/check_lint_schema.sh
 	sh tools/check_soak_totals.sh
